@@ -628,6 +628,19 @@ impl WaferRunner {
                 let mut chunk_aggregate = fresh_chunk_aggregate();
                 let mut chunk_ledger = MeasurementLedger::new();
                 for td in &replayed {
+                    // The fold indexes per-site state by ledger position.
+                    if td.ledgers.len() > state.per_site_quarantined.len() {
+                        return Err(io::Error::new(
+                            io::ErrorKind::InvalidData,
+                            format!(
+                                "journal chunk {start_chunk} touchdown {} holds {} site \
+                                 ledgers for a {}-site campaign",
+                                td.touchdown,
+                                td.ledgers.len(),
+                                state.per_site_quarantined.len()
+                            ),
+                        ));
+                    }
                     Self::fold_touchdown(
                         &mut state,
                         td.contact_faults,
