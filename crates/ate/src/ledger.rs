@@ -223,9 +223,12 @@ impl MeasurementLedger {
         self.timeouts
     }
 
-    /// Total injected tester faults of all kinds.
+    /// Total injected tester faults of all kinds (saturating, like
+    /// [`Self::merge`]).
     pub fn injected_faults(&self) -> u64 {
-        self.dropouts + self.flips + self.stuck_probes + self.aborts + self.stalls
+        [self.flips, self.stuck_probes, self.aborts, self.stalls]
+            .into_iter()
+            .fold(self.dropouts, u64::saturating_add)
     }
 
     /// Estimated tester-occupancy time in milliseconds (pattern time plus
@@ -272,23 +275,25 @@ impl MeasurementLedger {
     /// Folds another ledger's counters into this one. The parallel
     /// execution layer gives every worker session its own ledger and
     /// merges them **by test index**, so totals are identical to the
-    /// sequential path no matter how work was scheduled.
+    /// sequential path no matter how work was scheduled. Counts saturate
+    /// at `u64::MAX` rather than overflow, so a crafted journal ledger
+    /// cannot panic a replay before its integrity check runs.
     pub fn merge(&mut self, other: &MeasurementLedger) {
-        self.measurements += other.measurements;
-        self.cycles += other.cycles;
+        self.measurements = self.measurements.saturating_add(other.measurements);
+        self.cycles = self.cycles.saturating_add(other.cycles);
         self.pattern_time_us += other.pattern_time_us;
-        self.cached += other.cached;
-        self.speculative += other.speculative;
-        self.dropouts += other.dropouts;
-        self.flips += other.flips;
-        self.stuck_probes += other.stuck_probes;
-        self.aborts += other.aborts;
-        self.retries += other.retries;
-        self.quarantined += other.quarantined;
+        self.cached = self.cached.saturating_add(other.cached);
+        self.speculative = self.speculative.saturating_add(other.speculative);
+        self.dropouts = self.dropouts.saturating_add(other.dropouts);
+        self.flips = self.flips.saturating_add(other.flips);
+        self.stuck_probes = self.stuck_probes.saturating_add(other.stuck_probes);
+        self.aborts = self.aborts.saturating_add(other.aborts);
+        self.retries = self.retries.saturating_add(other.retries);
+        self.quarantined = self.quarantined.saturating_add(other.quarantined);
         self.backoff_time_us += other.backoff_time_us;
-        self.stalls += other.stalls;
+        self.stalls = self.stalls.saturating_add(other.stalls);
         self.stall_time_us += other.stall_time_us;
-        self.timeouts += other.timeouts;
+        self.timeouts = self.timeouts.saturating_add(other.timeouts);
     }
 
     /// Resets all counters.

@@ -357,9 +357,9 @@ impl SiteHealthBreaker {
             self.sites.resize(site + 1, SiteHealth::default());
         }
         let health = &mut self.sites[site];
-        health.measurements += delta.measurements();
-        health.faults += delta.injected_faults();
-        health.timeouts += delta.timeouts();
+        health.measurements = health.measurements.saturating_add(delta.measurements());
+        health.faults = health.faults.saturating_add(delta.injected_faults());
+        health.timeouts = health.timeouts.saturating_add(delta.timeouts());
     }
 
     /// Evaluates trip conditions at a chunk boundary, latching every site
@@ -371,7 +371,7 @@ impl SiteHealthBreaker {
             if health.tripped {
                 continue;
             }
-            if health.measurements + health.timeouts < BREAKER_MIN_OBSERVATIONS {
+            if health.measurements.saturating_add(health.timeouts) < BREAKER_MIN_OBSERVATIONS {
                 continue;
             }
             if Self::rate(health) >= self.threshold {
@@ -403,7 +403,7 @@ impl SiteHealthBreaker {
     }
 
     fn rate(health: &SiteHealth) -> f64 {
-        (health.faults + health.timeouts) as f64 / health.measurements.max(1) as f64
+        health.faults.saturating_add(health.timeouts) as f64 / health.measurements.max(1) as f64
     }
 }
 

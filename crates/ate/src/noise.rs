@@ -1,7 +1,35 @@
 //! Measurement noise.
 
+use cichar_dut::Parametrics;
+use cichar_patterns::TestConditions;
 use rand::Rng;
 use serde::{Deserialize, Serialize};
+#[cfg(test)]
+use std::cell::Cell;
+
+/// The largest |z| a Box–Muller normal drawn here can reach, plus a
+/// rounding margin. `u1` is drawn from `[ε, 1)` and `|cos| ≤ 1`, so
+/// `|z| ≤ √(−2 ln ε)`. With `ε = 2^(1 − MANTISSA_DIGITS)` the radicand is
+/// `2·52·ln 2`, whose root (≈ 8.4904) Newton's iteration takes at compile
+/// time. Four ulps of margin cover the rounding of that iteration and of
+/// the `ln` and `sqrt` a draw evaluates.
+const Z_MAX: f64 = {
+    let radicand = 2.0 * (f64::MANTISSA_DIGITS - 1) as f64 * std::f64::consts::LN_2;
+    let mut z = radicand;
+    let mut step = 0;
+    while step < 32 {
+        z = 0.5 * (z + radicand / z);
+        step += 1;
+    }
+    z * (1.0 + 4.0 * f64::EPSILON)
+};
+
+#[cfg(test)]
+thread_local! {
+    /// Box–Muller transforms evaluated on this thread: the tests' measure
+    /// of how many draws the bound in [`noisy_compare`] fails to settle.
+    pub(crate) static TRANSFORMS: Cell<u64> = const { Cell::new(0) };
+}
 
 /// Gaussian measurement noise, per parameter, applied at every strobe.
 ///
@@ -69,7 +97,35 @@ impl NoiseModel {
         self.vdd_min_sigma
     }
 
-    /// Draws one noise sample with the given sigma.
+    /// Whether one strobe passes against the device's noisy limits:
+    /// `strobe ≤ t_dq` (when a strobe is forced), `clock ≤ f_max` and
+    /// `vdd ≥ vdd_min`. The three noise samples are drawn in that order,
+    /// each consuming its two uniforms whether or not its compare needs the
+    /// transform, so the RNG stream and every verdict match transforming
+    /// every sample, adding it to its limit and comparing.
+    pub(crate) fn strobe_passes<R: Rng + ?Sized>(
+        &self,
+        rng: &mut R,
+        limits: &Parametrics,
+        strobe: Option<f64>,
+        conditions: &TestConditions,
+    ) -> bool {
+        let (clock, vdd) = (conditions.clock.value(), conditions.vdd.value());
+        let strobe_ok = noisy_compare(rng, self.t_dq_sigma, limits.t_dq.value(), |t_dq| {
+            strobe.is_none_or(|s| s <= t_dq)
+        });
+        let clock_ok = noisy_compare(rng, self.f_max_sigma, limits.f_max.value(), |f_max| {
+            clock <= f_max
+        });
+        let vdd_ok = noisy_compare(rng, self.vdd_min_sigma, limits.vdd_min.value(), |vdd_min| {
+            vdd >= vdd_min
+        });
+        strobe_ok && clock_ok && vdd_ok
+    }
+
+    /// Draws one noise sample with the given sigma: the reference that
+    /// [`NoiseModel::strobe_passes`] is proven against.
+    #[cfg(test)]
     pub(crate) fn sample<R: Rng + ?Sized>(rng: &mut R, sigma: f64) -> f64 {
         if sigma == 0.0 {
             return 0.0;
@@ -87,11 +143,157 @@ impl Default for NoiseModel {
     }
 }
 
+/// Draws one noise sample for the limit `value` and returns whether the
+/// noisy limit `value + sample` satisfies `holds`, a compare that must be
+/// monotone in the limit. The `ln`, `sqrt` and `cos` run only when the
+/// bound cannot settle the compare: `|sample| ≤ M = Z_MAX·|σ|`, and
+/// rounded addition is monotone, so the noisy limit lies in
+/// `[value − M, value + M]` and `holds` agreeing at both ends decides it.
+/// A NaN or non-finite limit or margin takes the exact path.
+fn noisy_compare<R: Rng + ?Sized>(
+    rng: &mut R,
+    sigma: f64,
+    value: f64,
+    holds: impl Fn(f64) -> bool,
+) -> bool {
+    if sigma == 0.0 {
+        return holds(value);
+    }
+    let u1: f64 = rng.gen_range(f64::EPSILON..1.0);
+    let u2: f64 = rng.gen_range(0.0..1.0);
+    let margin = Z_MAX * sigma.abs();
+    if value.is_finite() && margin.is_finite() {
+        let at_low = holds(value - margin);
+        if at_low == holds(value + margin) {
+            return at_low;
+        }
+    }
+    #[cfg(test)]
+    TRANSFORMS.with(|n| n.set(n.get() + 1));
+    holds(value + (-2.0 * u1.ln()).sqrt() * (2.0 * std::f64::consts::PI * u2).cos() * sigma)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use cichar_units::{Megahertz, Nanoseconds, Volts};
+    use proptest::prelude::*;
     use rand::rngs::StdRng;
-    use rand::SeedableRng;
+    use rand::{RngCore, SeedableRng};
+
+    /// None, subnormal, tiny, the three defaults, and huge.
+    const SIGMAS: [f64; 7] = [0.0, 5e-324, 1e-9, 0.002, 0.05, 0.1, 1e3];
+
+    /// A threshold at `value ± margin`, one ulp either side of those, or
+    /// at random within a few margins of `value` (`frac` in `[-1, 1)`).
+    fn threshold(value: f64, margin: f64, pick: usize, frac: f64) -> f64 {
+        let (low, high) = (value - margin, value + margin);
+        match pick {
+            0 => low,
+            1 => low.next_down(),
+            2 => low.next_up(),
+            3 => high,
+            4 => high.next_down(),
+            5 => high.next_up(),
+            _ => value + 3.0 * frac * margin,
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(2048))]
+
+        #[test]
+        fn decided_compares_match_the_sampled_reference(
+            seed in any::<u64>(),
+            limit in (0usize..7, -12i32..=12, -1.0f64..1.0),
+            at in (0usize..8, -1.0f64..1.0),
+        ) {
+            let (sigma, value) = (SIGMAS[limit.0], limit.2 * 10f64.powi(limit.1));
+            let lhs = threshold(value, Z_MAX * sigma, at.0, at.1);
+            let mut cut = StdRng::seed_from_u64(seed);
+            let mut reference = cut.clone();
+            for _ in 0..8 {
+                let got = noisy_compare(&mut cut, sigma, value, |noisy| lhs <= noisy);
+                prop_assert_eq!(got, lhs <= value + NoiseModel::sample(&mut reference, sigma));
+                let got = noisy_compare(&mut cut, sigma, value, |noisy| lhs >= noisy);
+                prop_assert_eq!(got, lhs >= value + NoiseModel::sample(&mut reference, sigma));
+                prop_assert_eq!(&cut, &reference);
+            }
+        }
+
+        #[test]
+        fn strobe_verdicts_match_three_sampled_limits(
+            seed in any::<u64>(),
+            sigmas in (0usize..7, 0usize..7, 0usize..7),
+            at in (0usize..9, 0usize..8, 0usize..8),
+            fracs in (-1.0f64..1.0, -1.0f64..1.0, -1.0f64..1.0),
+        ) {
+            let noise = NoiseModel::new(SIGMAS[sigmas.0], SIGMAS[sigmas.1], SIGMAS[sigmas.2]);
+            let limits = Parametrics {
+                t_dq: Nanoseconds::new(32.3),
+                f_max: Megahertz::new(118.0),
+                vdd_min: Volts::new(1.42),
+            };
+            // Each forced value sits near its limit; pick 8 forces no strobe.
+            let strobe = (at.0 < 8).then(|| {
+                threshold(32.3, Z_MAX * noise.t_dq_sigma(), at.0, fracs.0)
+            });
+            let clock = threshold(118.0, Z_MAX * noise.f_max_sigma(), at.1, fracs.1);
+            let vdd = threshold(1.42, Z_MAX * noise.vdd_min_sigma(), at.2, fracs.2);
+            let conditions = TestConditions::nominal()
+                .with_clock(Megahertz::new(clock))
+                .with_vdd(Volts::new(vdd));
+            let mut cut = StdRng::seed_from_u64(seed);
+            let mut reference = cut.clone();
+            let got = noise.strobe_passes(&mut cut, &limits, strobe, &conditions);
+            let t_dq = 32.3 + NoiseModel::sample(&mut reference, noise.t_dq_sigma());
+            let f_max = 118.0 + NoiseModel::sample(&mut reference, noise.f_max_sigma());
+            let vdd_min = 1.42 + NoiseModel::sample(&mut reference, noise.vdd_min_sigma());
+            let want = strobe.is_none_or(|s| s <= t_dq) && clock <= f_max && vdd >= vdd_min;
+            prop_assert_eq!(got, want);
+            prop_assert_eq!(&cut, &reference);
+        }
+    }
+
+    /// Replays two fixed words. All zeros make `gen_range(ε..1.0)` return
+    /// exactly ε and `u2 = 0`, so `cos` is exactly 1; a second word of
+    /// `1 << 63` makes `u2 = ½` and `cos(π)` exactly −1.
+    struct Words([u64; 2], usize);
+
+    impl RngCore for Words {
+        fn next_u64(&mut self) -> u64 {
+            self.1 += 1;
+            self.0[(self.1 - 1) % 2]
+        }
+    }
+
+    #[test]
+    fn the_largest_sample_stays_within_the_bound() {
+        let root = (-2.0 * f64::EPSILON.ln()).sqrt();
+        assert!(Z_MAX >= root, "{Z_MAX} < {root}");
+        assert!(Z_MAX - root < 1e-13, "the margin is a few ulps");
+        for sigma in SIGMAS.into_iter().filter(|&s| s > 0.0) {
+            for (u2_word, cos) in [(0, 1.0), (1 << 63, -1.0)] {
+                let extreme = NoiseModel::sample(&mut Words([0, u2_word], 0), sigma);
+                assert_eq!(extreme, root * cos * sigma, "u1 = ε at σ = {sigma}");
+                assert!(extreme.abs() <= Z_MAX * sigma, "σ = {sigma}");
+                // At the extreme noisy limit the cut still answers exactly.
+                let value = 1.0;
+                let noisy = value + extreme;
+                for lhs in [noisy.next_down(), noisy, noisy.next_up()] {
+                    let mut rng = Words([0, u2_word], 0);
+                    assert_eq!(
+                        noisy_compare(&mut rng, sigma, value, |l| lhs <= l),
+                        lhs <= noisy
+                    );
+                    assert_eq!(
+                        noisy_compare(&mut rng, sigma, value, |l| lhs >= l),
+                        lhs >= noisy
+                    );
+                }
+            }
+        }
+    }
 
     #[test]
     fn noiseless_samples_are_zero() {

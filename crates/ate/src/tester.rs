@@ -376,7 +376,7 @@ impl Ate {
         let (conditions, strobe) = self.conditioned(test, forces);
         self.ledger.record(pattern_cycles, conditions.clock.value());
         let true_params = self.device.evaluate_features(features, &conditions);
-        self.finish_measurement(true_params, strobe, &conditions)
+        self.finish_measurement(&true_params, strobe, &conditions)
     }
 
     /// [`Ate::measure_features`] with the stimulus' stress total already
@@ -395,7 +395,7 @@ impl Ate {
         let (conditions, strobe) = self.conditioned(test, forces);
         self.ledger.record(pattern_cycles, conditions.clock.value());
         let true_params = self.evaluate_cached(stress_total, &conditions);
-        self.finish_measurement(true_params, strobe, &conditions)
+        self.finish_measurement(&true_params, strobe, &conditions)
     }
 
     /// The effective conditions and strobe of one measurement: forced
@@ -416,27 +416,19 @@ impl Ate {
         (conditions, strobe)
     }
 
-    /// The measurement back half shared by the scalar and stress-hoisted
-    /// paths: three noise draws (t_dq, f_max, vdd_min order), the verdict,
-    /// and the fault layer. The ledger entry is recorded by the caller
-    /// *before* the device evaluation, matching the historical order.
+    /// The measurement back half shared by the scalar, stress-hoisted and
+    /// batched paths: three noise draws (t_dq, f_max, vdd_min order), the
+    /// verdict, and the fault layer. The ledger entry is recorded by the
+    /// caller *before* the device evaluation, matching the historical
+    /// order.
     fn finish_measurement(
         &mut self,
-        true_params: Parametrics,
+        true_params: &Parametrics,
         strobe: Option<f64>,
         conditions: &TestConditions,
     ) -> Probe {
         let noise = &self.config.noise;
-        let t_dq = true_params.t_dq.value() + NoiseModel::sample(&mut self.rng, noise.t_dq_sigma());
-        let f_max =
-            true_params.f_max.value() + NoiseModel::sample(&mut self.rng, noise.f_max_sigma());
-        let vdd_min = true_params.vdd_min.value()
-            + NoiseModel::sample(&mut self.rng, noise.vdd_min_sigma());
-
-        let strobe_ok = strobe.is_none_or(|s| s <= t_dq);
-        let clock_ok = conditions.clock.value() <= f_max;
-        let vdd_ok = conditions.vdd.value() >= vdd_min;
-        let verdict = if strobe_ok && clock_ok && vdd_ok {
+        let verdict = if noise.strobe_passes(&mut self.rng, true_params, strobe, conditions) {
             Probe::Pass
         } else {
             Probe::Fail
@@ -553,28 +545,11 @@ impl Ate {
 
         // Pass 2: sequential bookkeeping in exactly the scalar order —
         // ledger record, three noise draws, verdict, fault layer.
-        let (t_dq_sigma, f_max_sigma, vdd_min_sigma) = (
-            self.config.noise.t_dq_sigma(),
-            self.config.noise.f_max_sigma(),
-            self.config.noise.vdd_min_sigma(),
-        );
         out.reserve(values.len());
         for (i, params) in scratch.params.iter().enumerate() {
             let conditions = &scratch.conditions[i];
             self.ledger.record(pattern_cycles, conditions.clock.value());
-            let t_dq = params.t_dq.value() + NoiseModel::sample(&mut self.rng, t_dq_sigma);
-            let f_max = params.f_max.value() + NoiseModel::sample(&mut self.rng, f_max_sigma);
-            let vdd_min =
-                params.vdd_min.value() + NoiseModel::sample(&mut self.rng, vdd_min_sigma);
-            let strobe_ok = scratch.strobes[i].is_none_or(|s| s <= t_dq);
-            let clock_ok = conditions.clock.value() <= f_max;
-            let vdd_ok = conditions.vdd.value() >= vdd_min;
-            let verdict = if strobe_ok && clock_ok && vdd_ok {
-                Probe::Pass
-            } else {
-                Probe::Fail
-            };
-            out.push(self.inject_faults(verdict));
+            out.push(self.finish_measurement(params, scratch.strobes[i], conditions));
         }
 
         scratch.conditions.clear();
@@ -766,8 +741,8 @@ impl Ate {
 mod tests {
     use super::*;
     use cichar_dut::MemoryDevice;
-    use cichar_patterns::{march, TestConditions};
-    use cichar_search::{BinarySearch, SuccessiveApproximation};
+    use cichar_patterns::{march, random, TestConditions};
+    use cichar_search::{BinarySearch, SearchUntilTrip, SuccessiveApproximation};
 
     fn march_test() -> Test {
         Test::deterministic("march_c-", march::march_c_minus(64))
@@ -874,11 +849,43 @@ mod tests {
                 Probe::Invalid => unreachable!("no fault injection configured"),
             }
         }
-        assert_eq!(far_flips, 0, "20 ns is 12σ from the boundary");
+        assert_eq!(far_flips, 0, "20 ns is about 246σ from the 32.3 ns boundary");
         assert!(
             near_mixed.0 > 5 && near_mixed.1 > 5,
             "at the boundary noise must produce both verdicts, got {near_mixed:?}"
         );
+    }
+
+    #[test]
+    fn clear_cut_strobes_skip_the_noise_transform() {
+        // Each strobe draws three noise samples. Only those whose limit
+        // lies within the bound of the forced value need the Box–Muller
+        // transform; STP walks spend most strobes away from the trip point.
+        let mut rng = StdRng::seed_from_u64(0x5EED);
+        let tests: Vec<Test> = (0..64)
+            .map(|_| random::random_test_at(&mut rng, TestConditions::nominal()))
+            .collect();
+        let mut ate = Ate::with_config(MemoryDevice::nominal(), AteConfig::default());
+        let transforms = || crate::noise::TRANSFORMS.with(std::cell::Cell::get);
+        let before = transforms();
+        for param in MeasuredParam::ALL {
+            let full = SuccessiveApproximation::new(param.generous_range(), param.resolution());
+            let stp = SearchUntilTrip::new(param.generous_range(), param.search_factor())
+                .with_refinement(param.resolution());
+            let mut reference = None;
+            for t in &tests {
+                let oracle = ate.trip_oracle(t, param);
+                let outcome = match reference {
+                    None => full.run(param.region_order(), oracle),
+                    Some(rtp) => stp.run(rtp, param.region_order(), oracle),
+                };
+                reference = outcome.trip_point.or(reference);
+            }
+        }
+        let strobes = ate.ledger().measurements();
+        let per_strobe = (transforms() - before) as f64 / strobes as f64;
+        assert!(strobes > 500, "{strobes} strobes");
+        assert!(per_strobe < 1.5, "{per_strobe:.2} transforms per strobe (3 without the bound)");
     }
 
     #[test]

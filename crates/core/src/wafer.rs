@@ -493,12 +493,15 @@ impl WaferRunner {
         chunk_aggregate: &mut TripAggregate,
         chunk_ledger: &mut MeasurementLedger,
     ) {
-        state.contact_faults += contact_faults;
+        // Saturating, like `MeasurementLedger::merge`: replayed counts come
+        // from disk and are verified only after the chunk is folded.
+        state.contact_faults = state.contact_faults.saturating_add(contact_faults);
         for (site, ledger) in ledgers.iter().enumerate() {
             state.merged.merge(ledger);
             chunk_ledger.merge(ledger);
-            state.per_site_quarantined[site] += ledger.quarantined();
-            state.timeouts += ledger.timeouts();
+            let quarantined = &mut state.per_site_quarantined[site];
+            *quarantined = quarantined.saturating_add(ledger.quarantined());
+            state.timeouts = state.timeouts.saturating_add(ledger.timeouts());
             if let Some(breaker) = &mut state.breaker {
                 breaker.observe(site, ledger);
             }

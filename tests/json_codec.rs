@@ -12,11 +12,16 @@
 //!   reader, and a corrupted journal chunk is reported as uncommitted or
 //!   as `InvalidData` — `WaferRunner::resume` over it returns a report or
 //!   an error, never a panic.
+//! * Crafted counts near `u64::MAX` in a journal's ledgers saturate in the
+//!   replay fold instead of overflowing, so resume again returns a report
+//!   or `InvalidData`.
 
 use cichar::ate::{AteConfig, MeasuredParam, MeasurementLedger, TesterFaultModel};
 use cichar::core::db;
 use cichar::core::dsv::SearchStrategy;
-use cichar::core::journal::{CampaignJournal, JournalMeta, JournalRecord};
+use cichar::core::journal::{
+    CampaignJournal, ChunkCommit, JournalMeta, JournalRecord, TouchdownRecord,
+};
 use cichar::core::wafer::{WaferConfig, WaferReport, WaferRunner};
 use cichar::dut::{Die, Lot};
 use cichar::exec::ExecPolicy;
@@ -25,7 +30,7 @@ use cichar::search::RetryPolicy;
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::Value;
+use serde::{Deserialize, Serialize, Value};
 use std::collections::BTreeMap;
 use std::fs;
 use std::io;
@@ -205,8 +210,9 @@ impl Campaign {
             .expect("unjournaled campaigns do no I/O")
     }
 
-    /// A journal directory holding the crashed campaign's first chunk.
-    fn crashed_journal(&self, name: &str) -> (PathBuf, CampaignJournal) {
+    /// A journal directory holding the crashed campaign's first `chunks`
+    /// chunks.
+    fn crashed_journal(&self, name: &str, chunks: usize) -> (PathBuf, CampaignJournal) {
         let dir = std::env::temp_dir().join(format!("cichar_json_codec_{name}"));
         let _ = fs::remove_dir_all(&dir);
         let committed = self
@@ -217,10 +223,10 @@ impl Campaign {
                 &self.tests,
                 STRATEGY,
                 ExecPolicy::serial(),
-                1,
+                chunks,
             )
             .expect("journal dir writable");
-        assert_eq!(committed, 1);
+        assert_eq!(committed, chunks as u64);
         let meta: JournalMeta =
             db::load_artifact(dir.join("journal_meta.json")).expect("meta written");
         let journal = CampaignJournal::open(&dir, &meta).expect("own meta");
@@ -243,7 +249,7 @@ impl Campaign {
 #[test]
 fn no_prefix_or_byte_mutation_of_a_journal_line_panics() {
     let campaign = Campaign::new();
-    let (dir, journal) = campaign.crashed_journal("mutation");
+    let (dir, journal) = campaign.crashed_journal("mutation", 1);
     let chunk = fs::read_to_string(journal.chunk_path(0)).expect("chunk 0 committed");
     let line = chunk.lines().next().expect("a touchdown line");
     let record: JournalRecord = serde_json::from_str(line).expect("pristine line parses");
@@ -299,7 +305,7 @@ fn load_outcome(journal: &CampaignJournal) -> Option<bool> {
 fn a_truncated_journal_chunk_is_uncommitted_and_resumes_exactly() {
     let campaign = Campaign::new();
     let uninterrupted = campaign.run();
-    let (dir, journal) = campaign.crashed_journal("truncated");
+    let (dir, journal) = campaign.crashed_journal("truncated", 1);
     let path = journal.chunk_path(0);
     let pristine = fs::read(&path).expect("chunk 0 committed");
     assert_eq!(load_outcome(&journal), Some(true));
@@ -321,7 +327,7 @@ fn a_truncated_journal_chunk_is_uncommitted_and_resumes_exactly() {
 fn a_corrupted_journal_chunk_is_an_error_or_a_replay_never_a_panic() {
     let campaign = Campaign::new();
     let uninterrupted = campaign.run();
-    let (dir, journal) = campaign.crashed_journal("corrupted");
+    let (dir, journal) = campaign.crashed_journal("corrupted", 1);
     let path = journal.chunk_path(0);
     let pristine = fs::read(&path).expect("chunk 0 committed");
 
@@ -383,7 +389,7 @@ fn a_replayed_touchdown_with_more_ledgers_than_sites_is_refused() {
     // Structurally valid records whose counts match the commit marker, but
     // whose touchdown claims a third site on a two-site campaign.
     let campaign = Campaign::new();
-    let (dir, journal) = campaign.crashed_journal("extra_site");
+    let (dir, journal) = campaign.crashed_journal("extra_site", 1);
     let (mut touchdowns, commit) = journal.load_chunk(0).expect("readable").expect("committed");
     let extra = touchdowns[0].ledgers[0];
     touchdowns[0].ledgers.push(extra);
@@ -399,5 +405,81 @@ fn a_replayed_touchdown_with_more_ledgers_than_sites_is_refused() {
         .expect_err("a third site cannot replay");
     assert_eq!(err.kind(), io::ErrorKind::InvalidData);
     assert!(err.to_string().contains("site ledgers"), "{err}");
+    let _ = fs::remove_dir_all(&dir);
+}
+
+/// `ledger` with the named counts replaced (the fields are private, so the
+/// edit goes through the serialized form a journal holds).
+fn with_counts(ledger: &MeasurementLedger, names: &[&str], count: u64) -> MeasurementLedger {
+    let Value::Map(mut fields) = ledger.to_value() else {
+        panic!("a ledger serializes as a map");
+    };
+    for (key, value) in &mut fields {
+        if names.contains(&key.as_str()) {
+            *value = Value::U64(count);
+        }
+    }
+    MeasurementLedger::from_value(&Value::Map(fields)).expect("still a ledger")
+}
+
+#[test]
+fn replayed_counts_near_u64_max_are_an_error_or_a_report_never_a_panic() {
+    // Every committed touchdown claims `u64::MAX - 1` contact faults, and
+    // each of its two site ledgers as many measurements, faults,
+    // quarantines and timeouts, so every total the fold keeps runs past
+    // `u64::MAX`. The fold must saturate, not overflow, before the
+    // integrity check runs.
+    let campaign = Campaign::new();
+    let (dir, journal) = campaign.crashed_journal("huge_counts", 2);
+    let mut chunks: Vec<(Vec<TouchdownRecord>, ChunkCommit)> = (0..2)
+        .map(|c| journal.load_chunk(c).expect("readable").expect("committed"))
+        .collect();
+    for td in chunks.iter_mut().flat_map(|(touchdowns, _)| touchdowns) {
+        assert_eq!(td.ledgers.len(), 2, "a two-site touchdown");
+        td.contact_faults = u64::MAX - 1;
+        for ledger in &mut td.ledgers {
+            let counts = ["measurements", "dropouts", "flips", "quarantined", "timeouts"];
+            *ledger = with_counts(ledger, &counts, u64::MAX - 1);
+        }
+    }
+    let rewrite = |chunks: &[(Vec<TouchdownRecord>, ChunkCommit)]| {
+        for (index, (touchdowns, commit)) in chunks.iter().enumerate() {
+            let records: Vec<JournalRecord> = touchdowns
+                .iter()
+                .cloned()
+                .map(JournalRecord::Touchdown)
+                .chain([JournalRecord::Commit(commit.clone())])
+                .collect();
+            journal.commit_chunk(index, &records).expect("rewrite chunk");
+        }
+    };
+
+    // The commit markers as written disagree with the crafted fold.
+    rewrite(&chunks);
+    let err = campaign
+        .resume(&dir)
+        .expect_err("the integrity check refuses the chunk");
+    assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+
+    // Markers forged to match the saturated fold pass the check; the
+    // replay then lands on saturated totals, or is refused.
+    for (touchdowns, commit) in &mut chunks {
+        let mut forged = MeasurementLedger::new();
+        for ledger in touchdowns.iter().flat_map(|td| &td.ledgers) {
+            forged.merge(ledger);
+        }
+        assert_eq!(forged.measurements(), u64::MAX);
+        commit.ledger = forged;
+    }
+    rewrite(&chunks);
+    match campaign.resume(&dir) {
+        Ok((report, ledger)) => {
+            assert_eq!(report.contact_faults, u64::MAX);
+            assert_eq!(report.timeouts, u64::MAX);
+            assert_eq!(report.per_site_quarantined, [u64::MAX; 2]);
+            assert_eq!(ledger.measurements(), u64::MAX);
+        }
+        Err(e) => assert_eq!(e.kind(), io::ErrorKind::InvalidData, "{e}"),
+    }
     let _ = fs::remove_dir_all(&dir);
 }
