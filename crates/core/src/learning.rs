@@ -498,6 +498,47 @@ mod tests {
         std::fs::remove_file(&path).ok();
     }
 
+    /// A weight file whose committee is empty, or whose weight rows are
+    /// ragged, is `InvalidData` rather than a model that panics or
+    /// silently truncates rows when it votes.
+    #[test]
+    fn weight_file_load_rejects_misshapen_committees() {
+        use serde::Value;
+        fn field<'v>(v: &'v mut Value, key: &str) -> &'v mut Value {
+            match v {
+                Value::Map(entries) => {
+                    &mut entries.iter_mut().find(|(k, _)| k == key).expect("field").1
+                }
+                _ => panic!("{key}: not a map"),
+            }
+        }
+        fn first(v: &mut Value) -> &mut Value {
+            match v {
+                Value::Seq(items) => &mut items[0],
+                _ => panic!("not a sequence"),
+            }
+        }
+        let model = learn(CodingScheme::Numeric, 6);
+        let json = serde_json::to_string(&model).expect("serializes");
+        let pristine: Value = serde_json::from_str(&json).expect("parses");
+        let mut empty = pristine.clone();
+        *field(field(&mut empty, "committee"), "members") = Value::Seq(Vec::new());
+        let mut ragged = pristine;
+        let members = field(field(&mut ragged, "committee"), "members");
+        if let Value::Seq(row) = first(field(first(field(first(members), "layers")), "weights")) {
+            row.pop();
+        }
+        let dir = std::env::temp_dir().join("cichar_weight_file");
+        std::fs::create_dir_all(&dir).expect("tmp dir");
+        for (name, bad) in [("empty.json", empty), ("ragged.json", ragged)] {
+            let path = dir.join(name);
+            std::fs::write(&path, serde_json::to_string(&bad).expect("serializes")).expect("write");
+            let err = LearnedModel::load_weight_file(&path).expect_err(name);
+            assert_eq!(err.kind(), std::io::ErrorKind::InvalidData, "{name}: {err}");
+            std::fs::remove_file(&path).ok();
+        }
+    }
+
     #[test]
     #[should_panic(expected = "needs tests to learn")]
     fn rejects_empty_budget() {

@@ -1,10 +1,10 @@
 //! The NN voting machine: bagged networks voting in parallel.
 
 use crate::dataset::{Dataset, NeuralError};
-use crate::mlp::Mlp;
+use crate::mlp::{Mlp, Scratch};
 use crate::train::{TrainConfig, TrainReport, Trainer};
 use rand::Rng;
-use serde::{Deserialize, Serialize};
+use serde::{Deserialize, Serialize, Value};
 use std::fmt;
 
 /// One committee prediction: the member votes, their mean and spread.
@@ -66,10 +66,52 @@ impl fmt::Display for Vote {
 /// assert!(vote.confidence() > 0.5);
 /// # Ok::<(), cichar_neural::NeuralError>(())
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct Committee {
     members: Vec<Mlp>,
     reports: Vec<TrainReport>,
+}
+
+impl Deserialize for Committee {
+    /// Refuses an empty committee or members of different topologies, as
+    /// [`Committee::from_members`] does.
+    fn from_value(v: &Value) -> Result<Self, serde::Error> {
+        #[derive(Deserialize)]
+        struct CommitteeFile {
+            members: Vec<Mlp>,
+            reports: Vec<TrainReport>,
+        }
+        let CommitteeFile { members, reports } = CommitteeFile::from_value(v)?;
+        check_members(&members).map_err(|e| serde::Error::custom(e.to_string()))?;
+        Ok(Self { members, reports })
+    }
+}
+
+/// A committee needs at least one member, and all members one topology.
+fn check_members(members: &[Mlp]) -> Result<(), NeuralError> {
+    match members.first() {
+        Some(first) if members.iter().all(|m| m.topology() == first.topology()) => Ok(()),
+        _ => Err(NeuralError::BadTopology),
+    }
+}
+
+/// Checks a committee's training request before any member draws from
+/// the RNG: a non-zero size, and a dataset as wide as the topology's input
+/// and output layers.
+fn check_request(topology: &[usize], size: usize, data: &Dataset) -> Result<(), NeuralError> {
+    let (Some(&inputs), Some(&outputs)) = (topology.first(), topology.last()) else {
+        return Err(NeuralError::BadTopology);
+    };
+    if size == 0 || data.target_width() != outputs {
+        return Err(NeuralError::BadTopology);
+    }
+    if data.input_width() != inputs {
+        return Err(NeuralError::InputWidth {
+            expected: inputs,
+            got: data.input_width(),
+        });
+    }
+    Ok(())
 }
 
 impl Committee {
@@ -77,7 +119,9 @@ impl Committee {
     ///
     /// # Errors
     ///
-    /// Propagates topology errors; `size` of zero is a topology error too.
+    /// Propagates topology errors; `size` of zero, or targets of another
+    /// width than the output layer, is a topology error too, and inputs of
+    /// another width than the input layer are [`NeuralError::InputWidth`].
     pub fn train<R: Rng + ?Sized>(
         topology: &[usize],
         size: usize,
@@ -85,9 +129,7 @@ impl Committee {
         data: &Dataset,
         rng: &mut R,
     ) -> Result<Self, NeuralError> {
-        if size == 0 {
-            return Err(NeuralError::BadTopology);
-        }
+        check_request(topology, size, data)?;
         let trainer = Trainer::new(*config);
         let mut members = Vec::with_capacity(size);
         let mut reports = Vec::with_capacity(size);
@@ -116,7 +158,7 @@ impl Committee {
     ///
     /// # Errors
     ///
-    /// Propagates topology errors; `size` of zero is a topology error too.
+    /// As [`Committee::train`].
     pub fn train_parallel<R: Rng + ?Sized>(
         topology: &[usize],
         size: usize,
@@ -127,9 +169,7 @@ impl Committee {
     ) -> Result<Self, NeuralError> {
         use rand::rngs::StdRng;
         use rand::SeedableRng;
-        if size == 0 {
-            return Err(NeuralError::BadTopology);
-        }
+        check_request(topology, size, data)?;
         let campaign: u64 = rng.gen();
         let trainer = Trainer::new(*config);
         let trained = cichar_exec::par_map(policy, (0..size as u64).collect(), |_, member| {
@@ -156,13 +196,7 @@ impl Committee {
     ///
     /// Returns [`NeuralError::BadTopology`] when empty or heterogeneous.
     pub fn from_members(members: Vec<Mlp>) -> Result<Self, NeuralError> {
-        if members.is_empty() {
-            return Err(NeuralError::BadTopology);
-        }
-        let topo = members[0].topology().to_vec();
-        if members.iter().any(|m| m.topology() != topo) {
-            return Err(NeuralError::BadTopology);
-        }
+        check_members(&members)?;
         Ok(Self {
             reports: Vec::new(),
             members,
@@ -206,7 +240,12 @@ impl Committee {
     ///
     /// Panics if `input` has the wrong width.
     pub fn vote(&self, input: &[f64]) -> Vote {
-        let members: Vec<Vec<f64>> = self.members.iter().map(|m| m.predict(input)).collect();
+        let mut scratch = Scratch::default();
+        let members: Vec<Vec<f64>> = self
+            .members
+            .iter()
+            .map(|m| m.forward(input, &mut scratch).to_vec())
+            .collect();
         let width = members[0].len();
         let n = members.len() as f64;
         let mean: Vec<f64> = (0..width)
@@ -300,6 +339,73 @@ mod tests {
             ),
             Err(NeuralError::BadTopology)
         ));
+    }
+
+    #[test]
+    fn datasets_of_another_width_are_rejected() {
+        use cichar_exec::ExecPolicy;
+        let wide_inputs = Dataset::new(vec![vec![0.1, 0.2]; 4], vec![vec![0.5]; 4]);
+        let wide_targets = Dataset::new(vec![vec![0.1]; 4], vec![vec![0.5, 0.5]; 4]);
+        let config = TrainConfig::default();
+        for (data, want) in [
+            (wide_inputs, NeuralError::InputWidth { expected: 1, got: 2 }),
+            (wide_targets, NeuralError::BadTopology),
+        ] {
+            let data = data.expect("valid");
+            let mut rng = StdRng::seed_from_u64(17);
+            let serial = Committee::train(&[1, 4, 1], 2, &config, &data, &mut rng);
+            assert_eq!(serial, Err(want.clone()));
+            let policy = ExecPolicy::serial();
+            let parallel =
+                Committee::train_parallel(&[1, 4, 1], 2, &config, &data, policy, &mut rng);
+            assert_eq!(parallel, Err(want));
+        }
+    }
+
+    #[test]
+    fn empty_or_mixed_committee_files_are_refused() {
+        let mut rng = StdRng::seed_from_u64(18);
+        let a = Mlp::new(&[2, 3, 1], &mut rng).expect("valid");
+        let b = Mlp::new(&[2, 4, 1], &mut rng).expect("valid");
+        for members in [vec![], vec![a.clone(), b]] {
+            let json = serde_json::to_string(&Committee { members, reports: Vec::new() })
+                .expect("serializes");
+            assert!(serde_json::from_str::<Committee>(&json).is_err(), "{json}");
+        }
+        let json = serde_json::to_string(&Committee::from_members(vec![a]).expect("one member"))
+            .expect("serializes");
+        assert!(serde_json::from_str::<Committee>(&json).is_ok());
+    }
+
+    /// Every prefix and every single-byte mutation of a committee file
+    /// either fails to load or loads a committee that can vote.
+    #[test]
+    fn no_prefix_or_byte_mutation_of_a_committee_file_panics() {
+        let mut rng = StdRng::seed_from_u64(19);
+        let members = (0..2)
+            .map(|_| Mlp::new(&[2, 1, 1], &mut rng).expect("valid"))
+            .collect();
+        let committee = Committee::from_members(members).expect("homogeneous");
+        let json = serde_json::to_string(&committee).expect("serializes");
+        let vote = |text: &str| {
+            if let Ok(c) = serde_json::from_str::<Committee>(text) {
+                let _ = c.vote(&vec![0.5; c.members()[0].input_width()]);
+            }
+        };
+        for end in 0..json.len() {
+            vote(&json[..end]);
+        }
+        let mut bytes = json.into_bytes();
+        for pos in 0..bytes.len() {
+            let original = bytes[pos];
+            for b in (0..=255u8).filter(|&b| b != original) {
+                bytes[pos] = b;
+                if let Ok(text) = std::str::from_utf8(&bytes) {
+                    vote(text);
+                }
+            }
+            bytes[pos] = original;
+        }
     }
 
     #[test]

@@ -18,7 +18,8 @@ pub enum NeuralError {
     },
     /// Rows have inconsistent widths.
     RaggedRows,
-    /// A network topology had fewer than two layers or a zero-width layer.
+    /// A network topology had fewer than two layers or a zero-width layer,
+    /// or does not fit the committee or the targets it is used with.
     BadTopology,
     /// Input width at prediction time differs from the trained width.
     InputWidth {
@@ -36,9 +37,9 @@ impl fmt::Display for NeuralError {
                 write!(f, "dataset has {inputs} inputs but {targets} targets")
             }
             NeuralError::RaggedRows => f.write_str("dataset rows have inconsistent widths"),
-            NeuralError::BadTopology => {
-                f.write_str("network topology needs >= 2 layers, all non-empty")
-            }
+            NeuralError::BadTopology => f.write_str(
+                "network topology needs >= 2 non-empty layers matching its committee and targets",
+            ),
             NeuralError::InputWidth { expected, got } => {
                 write!(f, "network expects {expected} inputs, got {got}")
             }

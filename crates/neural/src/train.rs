@@ -1,7 +1,7 @@
 //! Training loop with the paper's learnability and generalization checks.
 
 use crate::dataset::Dataset;
-use crate::mlp::Mlp;
+use crate::mlp::{Mlp, Scratch};
 use rand::seq::SliceRandom;
 use rand::Rng;
 use serde::{Deserialize, Serialize};
@@ -125,8 +125,19 @@ impl Trainer {
     }
 
     /// Trains `mlp` on `data`, splitting off a validation set internally.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `data`'s input or target width differs from the
+    /// network's.
     pub fn train<R: Rng + ?Sized>(&self, mlp: &mut Mlp, data: &Dataset, rng: &mut R) -> TrainReport {
+        assert_eq!(
+            (data.input_width(), data.target_width()),
+            (mlp.input_width(), mlp.output_width()),
+            "dataset (input, target) width != network (input, output) width"
+        );
         let c = &self.config;
+        let mut scratch = Scratch::default();
         let (train, val) = data.split(c.train_fraction, rng);
         let mut history = Vec::with_capacity(c.epochs);
         let mut best_val = f64::INFINITY;
@@ -139,15 +150,21 @@ impl Trainer {
             let mut epoch_err = 0.0;
             for &i in &order {
                 let (x, t) = train.sample(i);
-                epoch_err +=
-                    mlp.train_sample_decay(x, t, c.learning_rate, c.momentum, c.weight_decay);
+                epoch_err += mlp.train_sample_decay(
+                    x,
+                    t,
+                    c.learning_rate,
+                    c.momentum,
+                    c.weight_decay,
+                    &mut scratch,
+                );
             }
             let train_mse = epoch_err / train.len() as f64;
             history.push(train_mse);
             if train_mse < c.target_mse {
                 break;
             }
-            let val_mse = mlp.mse(val.inputs(), val.targets());
+            let val_mse = mlp.mse_in(val.inputs(), val.targets(), &mut scratch);
             if val_mse + 1e-12 < best_val {
                 best_val = val_mse;
                 stale = 0;
@@ -158,8 +175,8 @@ impl Trainer {
                 }
             }
         }
-        let final_train_mse = mlp.mse(train.inputs(), train.targets());
-        let final_val_mse = mlp.mse(val.inputs(), val.targets());
+        let final_train_mse = mlp.mse_in(train.inputs(), train.targets(), &mut scratch);
+        let final_val_mse = mlp.mse_in(val.inputs(), val.targets(), &mut scratch);
         let learnable = final_train_mse <= c.learnability_mse;
         let generalizes =
             final_val_mse <= c.generalization_ratio * final_train_mse.max(1e-4) + 1e-3;
@@ -271,6 +288,14 @@ mod tests {
         })
         .train(&mut mlp, &data, &mut rng);
         assert!(report.epochs_run <= 12, "stopped at {}", report.epochs_run);
+    }
+
+    #[test]
+    #[should_panic(expected = "width")]
+    fn training_on_a_dataset_of_another_width_panics() {
+        let mut rng = StdRng::seed_from_u64(8);
+        let mut mlp = Mlp::new(&[3, 4, 1], &mut rng).expect("valid");
+        Trainer::new(TrainConfig::default()).train(&mut mlp, &smooth_dataset(20), &mut rng);
     }
 
     #[test]
