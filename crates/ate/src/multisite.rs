@@ -482,7 +482,7 @@ mod tests {
             }
         }
 
-        for site in 0..4 {
+        for (site, batched) in batched.iter().enumerate() {
             let mut solo = solo_site(site, &config);
             let scalar: Vec<Probe> = values
                 .iter()
@@ -495,7 +495,7 @@ mod tests {
                     )
                 })
                 .collect();
-            assert_eq!(batched[site], scalar, "site {site} verdict stream");
+            assert_eq!(*batched, scalar, "site {site} verdict stream");
             assert_eq!(
                 *touchdown.site(site).ledger(),
                 *solo.ledger(),

@@ -70,6 +70,12 @@ impl<'t> PreparedTest<'t> {
     pub(crate) fn pattern_hash(&self) -> u64 {
         self.pattern_hash
     }
+
+    /// The test's [`Test::identity`], from the content hash hoisted at
+    /// preparation instead of a second expansion.
+    pub fn identity(&self) -> u64 {
+        self.test.identity_from_hash(self.pattern_hash)
+    }
 }
 
 #[cfg(test)]
@@ -86,5 +92,52 @@ mod tests {
         assert_eq!(prepared.pattern_hash(), pattern.content_hash());
         assert_eq!(*prepared.features(), PatternFeatures::extract(&pattern));
         assert_eq!(prepared.test().name(), "march_c-");
+        assert_eq!(prepared.identity(), test.identity());
+    }
+
+    mod properties {
+        use super::*;
+        use cichar_patterns::{Pattern, SegmentProgram, TestConditions, TestSource, TestVector};
+        use cichar_units::{Celsius, Megahertz, Volts};
+        use proptest::prelude::*;
+
+        proptest! {
+            /// The prepared identity is `Test::identity` for program and raw
+            /// stimuli alike, at conditions away from nominal.
+            #[test]
+            fn prepared_identity_is_the_test_identity(
+                genes in proptest::collection::vec(0u32..=u32::from(u16::MAX), SegmentProgram::GENE_COUNT),
+                words in proptest::collection::vec(0u32..=u32::MAX, 1..1200),
+                vdd in 1.2f64..2.4,
+                temperature in -45.0f64..130.0,
+                clock in 20.0f64..400.0,
+            ) {
+                let conditions = TestConditions::nominal()
+                    .with_vdd(Volts::new(vdd))
+                    .with_temperature(Celsius::new(temperature))
+                    .with_clock(Megahertz::new(clock));
+                let bounded: Vec<u32> = genes
+                    .iter()
+                    .zip(&SegmentProgram::gene_bounds())
+                    .map(|(g, (lo, hi))| lo + g % (hi - lo + 1))
+                    .collect();
+                let program = SegmentProgram::from_genes(&bounded).expect("bounded genes decode");
+                let vectors = words
+                    .iter()
+                    .map(|&w| match w % 3 {
+                        0 => TestVector::write((w >> 2) as u16, (w >> 18) as u16),
+                        1 => TestVector::read((w >> 2) as u16, (w >> 18) as u16),
+                        _ => TestVector::nop(),
+                    })
+                    .collect();
+                let tests = [
+                    Test::from_program("p", TestSource::NeuralGa, program, conditions),
+                    Test::new("r", TestSource::Random, Pattern::new_clamped(vectors), conditions),
+                ];
+                for test in &tests {
+                    prop_assert_eq!(PreparedTest::new(test).identity(), test.identity());
+                }
+            }
+        }
     }
 }

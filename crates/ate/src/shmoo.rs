@@ -484,13 +484,8 @@ mod tests {
         let blueprint = ParallelAte::new(MemoryDevice::nominal(), config);
         let test = Test::deterministic("march_c-", march::march_c_minus(64));
         let (x, y) = axes();
-        let (parallel, ledger) = ShmooPlot::capture_parallel(
-            &blueprint,
-            &test,
-            x.clone(),
-            y.clone(),
-            ExecPolicy::with_threads(4),
-        );
+        let (parallel, ledger) =
+            ShmooPlot::capture_parallel(&blueprint, &test, x, y, ExecPolicy::with_threads(4));
         assert_eq!(parallel, capture_march());
         assert_eq!(ledger.measurements(), (19 * 7) as u64);
     }

@@ -21,7 +21,7 @@ use rand::SeedableRng;
 
 fn run_variant(name: &str, config: &CompareConfig, seed: u64, policy: ExecPolicy) {
     let device = cichar_bench::device_selection();
-    let mut ate = Ate::new(device.device.clone());
+    let mut ate = Ate::new(device.device);
     let mut rng = StdRng::seed_from_u64(seed);
     let cmp = Comparison::run_parallel(&mut ate, config, policy, &mut rng);
     let nnga = &cmp.rows[2];
@@ -52,7 +52,7 @@ fn main() {
     single.learning.committee_size = 1;
     run_variant("single network (no voting machine)", &single, seed, policy);
 
-    let mut unseeded = base.clone();
+    let mut unseeded = base;
     unseeded.nn_seeds = 1; // effectively no NN seeding
     unseeded.nn_candidates = 1;
     run_variant("GA without fuzzy-neural seeding", &unseeded, seed, policy);

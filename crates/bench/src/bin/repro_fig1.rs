@@ -22,7 +22,7 @@ fn main() {
         println!("(note: one binary search has no parallel axis; running serially)\n");
     }
     let device = device_selection();
-    let mut ate = Ate::new(device.device.clone());
+    let mut ate = Ate::new(device.device);
     let test = Test::deterministic("march_c-", march::march_c_minus(64));
     let param = MeasuredParam::DataValidTime;
 

@@ -18,7 +18,7 @@ fn main() {
     // two dependent binary searches leave nothing worth fanning out.
     let _ = thread_policy();
     let device = device_selection();
-    let mut ate = Ate::new(device.device.clone());
+    let mut ate = Ate::new(device.device);
     let param = MeasuredParam::DataValidTime;
     let cycle_ns = 60.0;
 

@@ -32,7 +32,7 @@ fn main() {
 
     // Add the three Table 1 tests so the plot shows the crossover story.
     let device = device_selection();
-    let mut ate = Ate::new(device.device.clone());
+    let mut ate = Ate::new(device.device);
     let comparison = Comparison::run(&mut ate, &scale.compare_config(), &mut rng);
     tests.push(Test::deterministic(
         "March Test",
@@ -51,7 +51,7 @@ fn main() {
     let (overlay, shmoo_ledger) = OverlayShmoo::capture_overlay(
         &blueprint,
         &tests,
-        x.clone(),
+        x,
         y.clone(),
         RegionOrder::PassBelowFail,
         policy,

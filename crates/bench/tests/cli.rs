@@ -40,15 +40,15 @@ fn manifest_to_read_only_dir_exits_2() {
     // where permission bits don't bind.
     let dir = std::env::temp_dir().join("cichar_cli_readonly");
     std::fs::create_dir_all(&dir).expect("tmp dir");
-    let mut perms = std::fs::metadata(&dir).expect("metadata").permissions();
+    let original = std::fs::metadata(&dir).expect("metadata").permissions();
+    let mut perms = original.clone();
     perms.set_readonly(true);
-    std::fs::set_permissions(&dir, perms.clone()).expect("chmod");
+    std::fs::set_permissions(&dir, perms).expect("chmod");
     let probe = dir.join("probe");
     let readonly_binds = std::fs::write(&probe, b"").is_err();
     let _ = std::fs::remove_file(&probe);
     if !readonly_binds {
-        perms.set_readonly(false);
-        let _ = std::fs::set_permissions(&dir, perms);
+        let _ = std::fs::set_permissions(&dir, original);
         eprintln!("skipping: read-only directories do not bind for this user");
         return;
     }
@@ -56,8 +56,7 @@ fn manifest_to_read_only_dir_exits_2() {
     let target: PathBuf = dir.join("manifest.json");
     let output = run_fig2(&["--manifest", target.to_str().expect("utf-8 path")]);
 
-    perms.set_readonly(false);
-    let _ = std::fs::set_permissions(&dir, perms);
+    let _ = std::fs::set_permissions(&dir, original);
 
     assert_eq!(output.status.code(), Some(2), "{}", stderr_of(&output));
     let stderr = stderr_of(&output);

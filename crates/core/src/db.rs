@@ -6,7 +6,8 @@
 
 use crate::wcr::WcrClass;
 use cichar_patterns::Test;
-use serde::{Deserialize, Serialize};
+use serde::{Deserialize, Serialize, Value};
+use std::cmp::Ordering;
 use std::collections::HashSet;
 use std::fmt;
 use std::fs;
@@ -63,11 +64,16 @@ impl fmt::Display for WorstCaseTest {
 /// assert_eq!(db.len(), 1);
 /// assert_eq!(db.worst().expect("non-empty").wcr, 0.904);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct WorstCaseDatabase {
     capacity: usize,
     entries: Vec<WorstCaseTest>,
     failures: Vec<WorstCaseTest>,
+    /// `entries[i].test.identity()` beside each entry, so an eviction
+    /// never expands a stimulus again.
+    #[serde(skip)]
+    entry_ids: Vec<u64>,
+    /// The identities of every entry and failure.
     #[serde(skip)]
     seen: HashSet<u64>,
 }
@@ -85,6 +91,7 @@ impl WorstCaseDatabase {
             capacity,
             entries: Vec::new(),
             failures: Vec::new(),
+            entry_ids: Vec::new(),
             seen: HashSet::new(),
         }
     }
@@ -96,6 +103,16 @@ impl WorstCaseDatabase {
     /// Returns `true` if the record was stored.
     pub fn insert(&mut self, record: WorstCaseTest) -> bool {
         let id = record.test.identity();
+        self.insert_identified(record, id)
+    }
+
+    /// [`Self::insert`] with the record's identity already known — the GA
+    /// hands over the one its `PreparedTest` computed, so the stimulus is
+    /// not expanded again. `id` must be `record.test.identity()`.
+    ///
+    /// A newcomer goes after every entry of equal WCR under `total_cmp`,
+    /// so ties keep their insertion order.
+    pub(crate) fn insert_identified(&mut self, record: WorstCaseTest, id: u64) -> bool {
         if !self.seen.insert(id) {
             return false;
         }
@@ -103,13 +120,17 @@ impl WorstCaseDatabase {
             self.failures.push(record);
             return true;
         }
-        self.entries.push(record);
-        self.entries.sort_by(|a, b| b.wcr.total_cmp(&a.wcr));
+        let at = self
+            .entries
+            .partition_point(|e| e.wcr.total_cmp(&record.wcr) != Ordering::Less);
+        self.entries.insert(at, record);
+        self.entry_ids.insert(at, id);
         if self.entries.len() > self.capacity {
-            let evicted = self.entries.pop().expect("over capacity");
-            self.seen.remove(&evicted.test.identity());
-            // Report stored=false if the new record itself was evicted.
-            return !self.seen.is_empty() && self.seen.contains(&id);
+            self.entries.pop();
+            let evicted = self.entry_ids.pop().expect("one identity per entry");
+            self.seen.remove(&evicted);
+            // The newcomer itself is evicted when no entry is smaller.
+            return evicted != id;
         }
         true
     }
@@ -153,18 +174,68 @@ impl WorstCaseDatabase {
     ///
     /// # Errors
     ///
-    /// Propagates I/O and deserialization errors.
+    /// Propagates I/O errors. Returns [`io::ErrorKind::InvalidData`] for
+    /// bytes that do not deserialize, and for a database that
+    /// [`Self::insert`] could not have built: capacity 0, more entries
+    /// than the capacity, entries out of descending WCR order, a record
+    /// whose class is not its WCR's, or one test stored twice.
     pub fn load(path: impl AsRef<Path>) -> io::Result<Self> {
-        let json = fs::read_to_string(path)?;
-        let mut db: Self = serde_json::from_str(&json)
-            .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))?;
-        db.seen = db
-            .entries
+        load_artifact(path)
+    }
+}
+
+impl Deserialize for WorstCaseDatabase {
+    /// Rebuilds the identities and refuses what [`WorstCaseDatabase::load`]
+    /// documents.
+    fn from_value(v: &Value) -> Result<Self, serde::Error> {
+        #[derive(Deserialize)]
+        struct DatabaseFile {
+            capacity: usize,
+            entries: Vec<WorstCaseTest>,
+            failures: Vec<WorstCaseTest>,
+        }
+        let DatabaseFile {
+            capacity,
+            entries,
+            failures,
+        } = DatabaseFile::from_value(v)?;
+        let refuse = |why: &str| Err(serde::Error::custom(format!("worst-case database: {why}")));
+        if capacity == 0 {
+            return refuse("capacity 0");
+        }
+        if entries.len() > capacity {
+            return refuse("more entries than its capacity");
+        }
+        if entries
+            .windows(2)
+            .any(|pair| pair[0].wcr.total_cmp(&pair[1].wcr) == Ordering::Less)
+        {
+            return refuse("entries out of descending WCR order");
+        }
+        let classed = |r: &WorstCaseTest, fail: bool| {
+            r.class == WcrClass::from_wcr(r.wcr) && (r.class == WcrClass::Fail) == fail
+        };
+        if !entries.iter().all(|r| classed(r, false)) || !failures.iter().all(|r| classed(r, true))
+        {
+            return refuse("a record classed unlike its WCR or stored on the wrong side");
+        }
+        let entry_ids: Vec<u64> = entries.iter().map(|r| r.test.identity()).collect();
+        let mut seen = HashSet::with_capacity(entries.len() + failures.len());
+        let unique = entry_ids
             .iter()
-            .chain(&db.failures)
-            .map(|r| r.test.identity())
-            .collect();
-        Ok(db)
+            .copied()
+            .chain(failures.iter().map(|r| r.test.identity()))
+            .all(|id| seen.insert(id));
+        if !unique {
+            return refuse("one test stored twice");
+        }
+        Ok(Self {
+            capacity,
+            entries,
+            failures,
+            entry_ids,
+            seen,
+        })
     }
 }
 
@@ -410,14 +481,126 @@ impl fmt::Display for WorstCaseDatabase {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cichar_patterns::march;
+    use cichar_patterns::{
+        AddrMode, DataMode, OpMode, Segment, SegmentProgram, TestConditions, TestSource,
+    };
     use cichar_units::Volts;
 
+    /// The insert this module used before the binary search, kept as the
+    /// reference: push, stable-sort the whole store, pop the smallest.
+    struct SortingDatabase {
+        capacity: usize,
+        entries: Vec<WorstCaseTest>,
+        failures: Vec<WorstCaseTest>,
+        seen: HashSet<u64>,
+    }
+
+    impl SortingDatabase {
+        fn new(capacity: usize) -> Self {
+            Self {
+                capacity,
+                entries: Vec::new(),
+                failures: Vec::new(),
+                seen: HashSet::new(),
+            }
+        }
+
+        fn insert(&mut self, record: WorstCaseTest) -> bool {
+            let id = record.test.identity();
+            if !self.seen.insert(id) {
+                return false;
+            }
+            if record.class == WcrClass::Fail {
+                self.failures.push(record);
+                return true;
+            }
+            self.entries.push(record);
+            self.entries.sort_by(|a, b| b.wcr.total_cmp(&a.wcr));
+            if self.entries.len() > self.capacity {
+                let evicted = self.entries.pop().expect("over capacity");
+                self.seen.remove(&evicted.test.identity());
+                return !self.seen.is_empty() && self.seen.contains(&id);
+            }
+            true
+        }
+    }
+
+    /// Name, WCR bits and class of each record: equality that sees
+    /// `-0.0` and NaN.
+    fn fingerprint(records: &[WorstCaseTest]) -> Vec<(String, u64, WcrClass)> {
+        records
+            .iter()
+            .map(|r| (r.test.name().to_string(), r.wcr.to_bits(), r.class))
+            .collect()
+    }
+
+    /// What every insert keeps: the capacity bound, descending
+    /// `total_cmp` order, each side holding its own class, and one stored
+    /// identity per record, unique across both sides.
+    fn check_invariants(db: &WorstCaseDatabase) -> Result<(), String> {
+        let fail = |why: &str| Err(format!("{why}: {db:?}"));
+        if db.len() > db.capacity {
+            return fail("over capacity");
+        }
+        if db
+            .entries
+            .windows(2)
+            .any(|pair| pair[0].wcr.total_cmp(&pair[1].wcr) == Ordering::Less)
+        {
+            return fail("entries out of order");
+        }
+        if db.entries.iter().any(|e| e.class == WcrClass::Fail)
+            || db.failures.iter().any(|e| e.class != WcrClass::Fail)
+        {
+            return fail("a record on the wrong side");
+        }
+        let ids: Vec<u64> = db.entries.iter().map(|e| e.test.identity()).collect();
+        if ids != db.entry_ids {
+            return fail("stored identities differ from the entries'");
+        }
+        let all: HashSet<u64> = ids
+            .iter()
+            .copied()
+            .chain(db.failures.iter().map(|f| f.test.identity()))
+            .collect();
+        if all.len() != db.entries.len() + db.failures.len() || all != db.seen {
+            return fail("identities duplicated or out of the index");
+        }
+        Ok(())
+    }
+
+    /// A database file in the saved layout, from any records.
+    fn file(capacity: usize, entries: &[&WorstCaseTest], failures: &[&WorstCaseTest]) -> String {
+        let list = |records: &[&WorstCaseTest]| {
+            records
+                .iter()
+                .map(|r| serde_json::to_string(r).expect("serializes"))
+                .collect::<Vec<_>>()
+                .join(",")
+        };
+        format!(
+            "{{\"capacity\":{capacity},\"entries\":[{}],\"failures\":[{}]}}",
+            list(entries),
+            list(failures)
+        )
+    }
+
     fn record(name: &str, wcr: f64, vdd_mv: u32) -> WorstCaseTest {
-        // Distinct conditions make distinct identities.
-        let test = Test::deterministic(name, march::march_c_minus(64)).with_conditions(
-            cichar_patterns::TestConditions::nominal()
-                .with_vdd(Volts::new(f64::from(vdd_mv) / 1000.0)),
+        // Distinct conditions make distinct identities. A one-segment
+        // program keeps the saved files small.
+        let segment = Segment::new(
+            OpMode::WritePairRead,
+            AddrMode::Sequential { stride: 1 },
+            DataMode::Lcg(7),
+            100,
+            0,
+        )
+        .expect("valid segment");
+        let test = Test::from_program(
+            name,
+            TestSource::NeuralGa,
+            SegmentProgram::new(vec![segment]).expect("one segment"),
+            TestConditions::nominal().with_vdd(Volts::new(f64::from(vdd_mv) / 1000.0)),
         );
         WorstCaseTest {
             test,
@@ -494,6 +677,104 @@ mod tests {
         let mut loaded = loaded;
         assert!(!loaded.insert(record("a", 0.85, 1700)));
         std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn load_refuses_what_insert_never_builds() {
+        let (a, b) = (record("a", 0.9, 1700), record("b", 0.85, 1710));
+        let fail = record("f", 1.2, 1720);
+        let mut db = WorstCaseDatabase::new(2);
+        for r in [&a, &b, &fail] {
+            db.insert(r.clone());
+        }
+        let saved = file(2, &[&a, &b], &[&fail]);
+        assert_eq!(saved, serde_json::to_string(&db).expect("serializes"));
+
+        let a_as_failure = WorstCaseTest {
+            wcr: 1.1,
+            class: WcrClass::Fail,
+            ..a.clone()
+        };
+        let misclassed = WorstCaseTest {
+            class: WcrClass::Fail,
+            ..b.clone()
+        };
+        let crafted = [
+            ("capacity 0", file(0, &[], &[])),
+            ("over capacity", file(1, &[&a, &b], &[])),
+            ("ascending", file(2, &[&b, &a], &[])),
+            ("duplicate entries", file(2, &[&a, &a], &[])),
+            ("entry and failure", file(2, &[&a], &[&a_as_failure])),
+            ("duplicate failures", file(2, &[], &[&fail, &fail])),
+            ("misclassed", file(2, &[&a, &misclassed], &[])),
+            ("failure among entries", file(2, &[&fail], &[])),
+            ("entry among failures", file(2, &[], &[&a])),
+        ];
+        let dir = std::env::temp_dir().join("cichar_db_crafted_test");
+        std::fs::create_dir_all(&dir).expect("tmp dir");
+        let path = dir.join("wc.json");
+        std::fs::write(&path, &saved).expect("write");
+        let loaded = WorstCaseDatabase::load(&path).expect("the saved database loads");
+        assert_eq!(loaded, db, "identities rebuilt");
+        for (what, text) in crafted {
+            std::fs::write(&path, text).expect("write");
+            let err = WorstCaseDatabase::load(&path).expect_err(what);
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{what}: {err}");
+        }
+        std::fs::remove_file(&path).ok();
+    }
+
+    /// Every prefix and every single-byte mutation of a saved database
+    /// fails to load, or loads a database that later inserts keep
+    /// consistent.
+    #[test]
+    fn no_prefix_or_byte_mutation_of_a_database_file_panics() {
+        let mut db = WorstCaseDatabase::new(2);
+        db.insert(record("a", 0.9, 1700));
+        db.insert(record("b", 0.85, 1710));
+        db.insert(record("f", 1.2, 1720));
+        let json = serde_json::to_string(&db).expect("serializes");
+        let later = [
+            record("x", 0.95, 1800),
+            record("y", 0.3, 1810),
+            record("x_again", 0.2, 1800),
+            record("z", 1.5, 1820),
+            record("w", 0.99, 1830),
+        ];
+        let mut loaded = 0;
+        let mut exercise = |text: &str| {
+            let Ok(mut db) = serde_json::from_str::<WorstCaseDatabase>(text) else {
+                return;
+            };
+            loaded += 1;
+            check_invariants(&db).expect("loaded");
+            for r in &later {
+                let id = r.test.identity();
+                let duplicate = db.seen.contains(&id);
+                let stored = db.insert(r.clone());
+                check_invariants(&db).expect("after an insert");
+                assert!(!(duplicate && stored), "{text}");
+                assert_eq!(stored || duplicate, db.seen.contains(&id), "{text}");
+            }
+        };
+        for end in 0..json.len() {
+            exercise(&json[..end]);
+        }
+        let mut bytes = json.into_bytes();
+        for pos in 0..bytes.len() {
+            let original = bytes[pos];
+            for b in (0..=255u8).filter(|&b| b != original) {
+                bytes[pos] = b;
+                if let Ok(text) = std::str::from_utf8(&bytes) {
+                    exercise(text);
+                }
+            }
+            bytes[pos] = original;
+        }
+        assert!(
+            loaded > 0,
+            "some mutations (inside numbers and names) must load"
+        );
     }
 
     #[test]
@@ -658,6 +939,22 @@ mod tests {
         use super::*;
         use proptest::prelude::*;
 
+        /// WCRs drawn with replacement: repeats make ties.
+        const WCRS: [f64; 12] = [
+            -0.0,
+            0.0,
+            0.5,
+            0.8,
+            0.85,
+            0.85,
+            0.9,
+            1.0,
+            1.05,
+            1.3,
+            f64::INFINITY,
+            f64::NAN,
+        ];
+
         proptest! {
             #![proptest_config(ProptestConfig::with_cases(64))]
             #[test]
@@ -669,6 +966,7 @@ mod tests {
                 for (i, wcr) in wcrs.iter().enumerate() {
                     db.insert(record(&format!("t{i}"), *wcr, 1500 + i as u32));
                 }
+                prop_assert!(check_invariants(&db).is_ok(), "{:?}", check_invariants(&db));
                 // Capacity bound holds.
                 prop_assert!(db.len() <= capacity);
                 // Entries stay sorted, all non-fail.
@@ -687,6 +985,27 @@ mod tests {
                 for (a, b) in kept.iter().zip(&non_fail) {
                     prop_assert!((a - b).abs() < 1e-12);
                 }
+            }
+
+            /// The binary-search insert against the sort-everything one,
+            /// over WCR streams with ties, `±0.0`, NaN, failures,
+            /// duplicates and evicted tests that come back.
+            #[test]
+            fn insert_matches_the_sorting_reference(
+                capacity in 1usize..6,
+                stream in proptest::collection::vec((0u32..10, 0usize..WCRS.len()), 1..40),
+            ) {
+                let mut db = WorstCaseDatabase::new(capacity);
+                let mut reference = SortingDatabase::new(capacity);
+                for (i, &(key, w)) in stream.iter().enumerate() {
+                    // `key` fixes the identity, so a repeated key is a
+                    // duplicate, or a re-entry once it was evicted.
+                    let r = record(&format!("t{i}"), WCRS[w], 1500 + key);
+                    prop_assert_eq!(db.insert(r.clone()), reference.insert(r), "insert {}", i);
+                    prop_assert_eq!(fingerprint(db.entries()), fingerprint(&reference.entries));
+                    prop_assert_eq!(fingerprint(db.failures()), fingerprint(&reference.failures));
+                }
+                prop_assert!(check_invariants(&db).is_ok(), "{:?}", check_invariants(&db));
             }
         }
     }

@@ -277,13 +277,17 @@ impl OptimizationScheme {
                                 *rtp = Some(tp);
                             }
                             let wcr = c.objective.wcr(tp);
-                            database.insert(WorstCaseTest {
-                                test,
-                                trip_point: tp,
-                                wcr,
-                                class: c.objective.classify(tp),
-                                predicted_severity: None,
-                            });
+                            let id = prepared.identity();
+                            database.insert_identified(
+                                WorstCaseTest {
+                                    test,
+                                    trip_point: tp,
+                                    wcr,
+                                    class: c.objective.classify(tp),
+                                    predicted_severity: None,
+                                },
+                                id,
+                            );
                             wcr
                         }
                     };
@@ -485,15 +489,19 @@ impl OptimizationScheme {
             };
         }
         let wcr = c.objective.wcr(tp);
+        let id = prepared.identity();
         WcrEvaluation {
             fitness: wcr,
-            entry: Some(WorstCaseTest {
-                test,
-                trip_point: tp,
-                wcr,
-                class: c.objective.classify(tp),
-                predicted_severity: None,
-            }),
+            entry: Some((
+                WorstCaseTest {
+                    test,
+                    trip_point: tp,
+                    wcr,
+                    class: c.objective.classify(tp),
+                    predicted_severity: None,
+                },
+                id,
+            )),
             ledger: *session.ledger(),
         }
     }
@@ -580,8 +588,9 @@ fn emit_generations(tracer: &Tracer, result: &GaResult) {
 struct WcrEvaluation {
     fitness: f64,
     /// The database record when the search converged and survived
-    /// functional verification (its trip point is the anchor candidate).
-    entry: Option<WorstCaseTest>,
+    /// functional verification (its trip point is the anchor candidate),
+    /// with the identity its `PreparedTest` computed.
+    entry: Option<(WorstCaseTest, u64)>,
     ledger: MeasurementLedger,
 }
 
@@ -625,7 +634,7 @@ impl FitnessEvaluator for WcrEvaluator<'_> {
                 &span,
                 &mut self.scratch,
             );
-            self.rtp = record.entry.as_ref().map(|e| e.trip_point);
+            self.rtp = record.entry.as_ref().map(|(e, _)| e.trip_point);
             span.mark_done();
             records.push((record, span));
             cursor += 1;
@@ -656,8 +665,8 @@ impl FitnessEvaluator for WcrEvaluator<'_> {
             .map(|(i, (record, span))| {
                 self.ledger.merge(&record.ledger);
                 self.tracer.absorb(span);
-                if let Some(entry) = record.entry {
-                    self.database.insert(entry);
+                if let Some((entry, id)) = record.entry {
+                    self.database.insert_identified(entry, id);
                 }
                 // Evaluation-order merge = the GA's deterministic fold
                 // point. The total evaluation count is unknown up front

@@ -236,7 +236,7 @@ mod tests {
 
     /// Exact sample quantile under the sketch's rank convention: the
     /// `ceil(q·n)`-th smallest value.
-    fn exact_quantile(values: &mut Vec<f64>, q: f64) -> Option<f64> {
+    fn exact_quantile(values: &mut [f64], q: f64) -> Option<f64> {
         if values.is_empty() {
             return None;
         }

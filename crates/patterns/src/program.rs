@@ -255,13 +255,17 @@ impl SegmentProgram {
     /// Expands the program into its vector stream.
     ///
     /// Expansion is deterministic: the same program always yields the same
-    /// [`Pattern`]. A memory image — initialized to the device's
-    /// power-up background, see [`power_up_word`] — is tracked so read
-    /// cycles carry the data word the device will actually drive out,
-    /// the quantity simultaneous-switching stress depends on.
+    /// [`Pattern`]. The memory is tracked — cells read as the device's
+    /// power-up background, see [`power_up_word`], until the program
+    /// writes them — so read cycles carry the data word the device will
+    /// actually drive out, the quantity simultaneous-switching stress
+    /// depends on.
     pub fn expand(&self) -> Pattern {
-        let mut image = power_up_image();
-        let mut vectors = Vec::new();
+        let mut memory = WrittenCells::new();
+        let mut vectors = Vec::with_capacity(
+            self.cycle_count()
+                .clamp(crate::MIN_PATTERN_LEN, crate::MAX_PATTERN_LEN),
+        );
         let mut prev_data: u16 = 0;
         'outer: for _ in 0..self.loops {
         for seg in &self.segments {
@@ -334,7 +338,7 @@ impl SegmentProgram {
                     }
                 };
                 let data = match op {
-                    MemOp::Read => image[usize::from(addr)],
+                    MemOp::Read => memory.read(addr),
                     MemOp::Write | MemOp::Nop => match seg.data {
                         DataMode::Constant(w) => w,
                         DataMode::Alternating(w) => {
@@ -353,7 +357,7 @@ impl SegmentProgram {
                     },
                 };
                 if op == MemOp::Write {
-                    image[usize::from(addr)] = data;
+                    memory.write(addr, data);
                 }
                 prev_data = data;
                 vectors.push(TestVector::new(op, addr, data));
@@ -527,13 +531,63 @@ pub fn power_up_word(addr: u16) -> u16 {
     (x >> 8) as u16
 }
 
-/// The full power-up image, computed once and memcpy'd per expansion.
-fn power_up_image() -> Vec<u16> {
-    use std::sync::OnceLock;
-    static IMAGE: OnceLock<Vec<u16>> = OnceLock::new();
-    IMAGE
-        .get_or_init(|| (0..=u16::MAX).map(power_up_word).collect())
-        .clone()
+/// log₂ of the slot count of [`WrittenCells`].
+const OVERLAY_BITS: u32 = 11;
+
+/// Slots in [`WrittenCells`]: twice [`crate::MAX_PATTERN_LEN`] rounded up
+/// to a power of two, so the table is never more than half full.
+const OVERLAY_SLOTS: usize = 1 << OVERLAY_BITS;
+
+const _: () = assert!(OVERLAY_SLOTS >= 2 * crate::MAX_PATTERN_LEN);
+
+/// The cells one expansion has written, over the power-up background.
+///
+/// An expansion stops at [`crate::MAX_PATTERN_LEN`] cycles, so it writes
+/// at most that many cells; every other cell reads as [`power_up_word`].
+/// The written cells live in an open-addressed table on the stack, made
+/// and dropped by each call, so no state outlives an expansion.
+struct WrittenCells {
+    /// `addr + 1` of the cell in each slot; 0 marks an empty slot.
+    keys: [u32; OVERLAY_SLOTS],
+    /// The word last written to the cell in each slot.
+    words: [u16; OVERLAY_SLOTS],
+}
+
+impl WrittenCells {
+    fn new() -> Self {
+        Self {
+            keys: [0; OVERLAY_SLOTS],
+            words: [0; OVERLAY_SLOTS],
+        }
+    }
+
+    /// The slot holding `addr`, or the empty slot where it goes. Linear
+    /// probing from a Fibonacci hash; the table is at most half full, so
+    /// an empty slot always ends the walk.
+    fn slot(&self, addr: u16) -> usize {
+        let key = u32::from(addr) + 1;
+        let mut slot = (u32::from(addr).wrapping_mul(0x9E37_79B9) >> (32 - OVERLAY_BITS)) as usize;
+        while self.keys[slot] != 0 && self.keys[slot] != key {
+            slot = (slot + 1) & (OVERLAY_SLOTS - 1);
+        }
+        slot
+    }
+
+    /// The word a read of `addr` sees.
+    fn read(&self, addr: u16) -> u16 {
+        let slot = self.slot(addr);
+        if self.keys[slot] == 0 {
+            power_up_word(addr)
+        } else {
+            self.words[slot]
+        }
+    }
+
+    fn write(&mut self, addr: u16, word: u16) {
+        let slot = self.slot(addr);
+        self.keys[slot] = u32::from(addr) + 1;
+        self.words[slot] = word;
+    }
 }
 
 #[cfg(test)]
@@ -550,6 +604,127 @@ mod tests {
             0x0100,
         )
         .expect("valid segment")
+    }
+
+    /// Folds arbitrary values into each locus's bounds, the way a GA
+    /// initializer would.
+    fn in_bounds(seed_genes: &[u32]) -> Vec<u32> {
+        seed_genes
+            .iter()
+            .zip(&SegmentProgram::gene_bounds())
+            .map(|(g, (lo, hi))| lo + g % (hi - lo + 1))
+            .collect()
+    }
+
+    /// The expansion this module used before the written-cell overlay,
+    /// kept as the reference: a copy of the full power-up image per call,
+    /// indexed directly.
+    fn expand_with_image(program: &SegmentProgram) -> Pattern {
+        use std::sync::OnceLock;
+        static IMAGE: OnceLock<Vec<u16>> = OnceLock::new();
+        let mut image = IMAGE
+            .get_or_init(|| (0..=u16::MAX).map(power_up_word).collect())
+            .clone();
+        let mut vectors = Vec::new();
+        let mut prev_data: u16 = 0;
+        'outer: for _ in 0..program.loops {
+            for seg in &program.segments {
+                let mut lcg_addr = u32::from(match seg.addr {
+                    AddrMode::Lcg { seed } => seed,
+                    _ => 0,
+                })
+                .wrapping_add(1);
+                let mut lcg_data = u32::from(match seg.data {
+                    DataMode::Lcg(seed) => seed,
+                    _ => 0,
+                })
+                .wrapping_add(1);
+                let mut pair_addr = seg.base;
+                let mut ping_pong = [seg.base; 2];
+                for i in 0..seg.len {
+                    let i_usize = usize::from(i);
+                    let addr = match seg.addr {
+                        AddrMode::Sequential { stride } => {
+                            seg.base.wrapping_add((stride as u16).wrapping_mul(i))
+                        }
+                        AddrMode::Toggle { mask } => {
+                            if i % 2 == 0 {
+                                seg.base
+                            } else {
+                                seg.base ^ mask
+                            }
+                        }
+                        AddrMode::Hold => seg.base,
+                        AddrMode::Lcg { .. } => {
+                            lcg_addr = step_lcg(lcg_addr);
+                            (lcg_addr >> 8) as u16
+                        }
+                        AddrMode::RowBounce { distance } => {
+                            if i % 2 == 0 {
+                                seg.base
+                            } else {
+                                seg.base.wrapping_add(u16::from(distance) << ROW_SHIFT)
+                            }
+                        }
+                    };
+                    let (op, addr) = match seg.op {
+                        OpMode::WriteOnly => (MemOp::Write, addr),
+                        OpMode::ReadOnly => (MemOp::Read, addr),
+                        OpMode::WritePairRead => {
+                            if i % 2 == 0 {
+                                pair_addr = addr;
+                                (MemOp::Write, addr)
+                            } else {
+                                (MemOp::Read, pair_addr)
+                            }
+                        }
+                        OpMode::AlternateWriteRead => {
+                            if i % 2 == 0 {
+                                (MemOp::Write, addr)
+                            } else {
+                                (MemOp::Read, addr)
+                            }
+                        }
+                        OpMode::WriteOnceReadBurst => {
+                            if i < 2 {
+                                ping_pong[usize::from(i)] = addr;
+                                (MemOp::Write, addr)
+                            } else {
+                                (MemOp::Read, ping_pong[usize::from(i % 2)])
+                            }
+                        }
+                    };
+                    let data = match op {
+                        MemOp::Read => image[usize::from(addr)],
+                        MemOp::Write | MemOp::Nop => match seg.data {
+                            DataMode::Constant(w) => w,
+                            DataMode::Alternating(w) => {
+                                if i % 2 == 0 {
+                                    w
+                                } else {
+                                    !w
+                                }
+                            }
+                            DataMode::InvertPrevious => !prev_data,
+                            DataMode::WalkingOne => 1u16 << (i_usize % 16),
+                            DataMode::Lcg(_) => {
+                                lcg_data = step_lcg(lcg_data);
+                                (lcg_data >> 12) as u16
+                            }
+                        },
+                    };
+                    if op == MemOp::Write {
+                        image[usize::from(addr)] = data;
+                    }
+                    prev_data = data;
+                    vectors.push(TestVector::new(op, addr, data));
+                    if vectors.len() >= crate::MAX_PATTERN_LEN {
+                        break 'outer;
+                    }
+                }
+            }
+        }
+        Pattern::new_clamped(vectors)
     }
 
     #[test]
@@ -697,20 +872,50 @@ mod tests {
         assert!(ProgramError::SegmentCount(0).to_string().contains('0'));
     }
 
+    /// Every op × address × data mode combination, with 1–8 segments,
+    /// 1–10 loops and lengths across the window, expanded back to back,
+    /// matches the image-copy reference. The sweep includes programs cut at
+    /// the 1,000-vector clamp and programs padded up to 100 vectors.
+    #[test]
+    fn every_mode_combination_matches_the_image_copy_reference() {
+        let (mut clamped, mut padded) = (0, 0);
+        for combo in 0..125u32 {
+            let mut genes = vec![1 + combo % 8, 1 + combo % 10];
+            for seg in 0..8u32 {
+                let param = combo.wrapping_mul(2_654_435_761).wrapping_add(seg * 40_503) >> 16;
+                genes.extend_from_slice(&[
+                    combo % 5,
+                    combo / 5 % 5,
+                    param,
+                    combo / 25,
+                    param ^ 0x5A5A,
+                    2 + (combo * 37 + seg * 11) % 124,
+                    (param * 7 + seg) % (1 << 16),
+                ]);
+            }
+            let program = SegmentProgram::from_genes(&genes).expect("in-bounds genes");
+            let cycles = program.cycle_count();
+            clamped += usize::from(cycles > crate::MAX_PATTERN_LEN);
+            padded += usize::from(cycles < crate::MIN_PATTERN_LEN);
+            assert_eq!(
+                program.expand(),
+                expand_with_image(&program),
+                "combination {combo}"
+            );
+        }
+        assert!(
+            clamped > 0 && padded > 0,
+            "{clamped} clamped, {padded} padded"
+        );
+    }
+
     proptest! {
         #[test]
         fn any_in_bounds_gene_string_decodes_and_expands(
             seed_genes in proptest::collection::vec(0u32..=u32::from(u16::MAX), SegmentProgram::GENE_COUNT)
         ) {
-            // Fold arbitrary values into each locus's bounds the same way a
-            // GA initializer would, then require decode + expand to succeed.
-            let bounds = SegmentProgram::gene_bounds();
-            let genes: Vec<u32> = seed_genes
-                .iter()
-                .zip(&bounds)
-                .map(|(g, (lo, hi))| lo + g % (hi - lo + 1))
-                .collect();
-            let program = SegmentProgram::from_genes(&genes).expect("bounded genes decode");
+            let program =
+                SegmentProgram::from_genes(&in_bounds(&seed_genes)).expect("bounded genes decode");
             let pattern = program.expand();
             prop_assert!(pattern.len() >= crate::MIN_PATTERN_LEN);
             prop_assert!(pattern.len() <= crate::MAX_PATTERN_LEN);
@@ -720,15 +925,25 @@ mod tests {
         fn decode_encode_decode_is_stable(
             seed_genes in proptest::collection::vec(0u32..=u32::from(u16::MAX), SegmentProgram::GENE_COUNT)
         ) {
-            let bounds = SegmentProgram::gene_bounds();
-            let genes: Vec<u32> = seed_genes
-                .iter()
-                .zip(&bounds)
-                .map(|(g, (lo, hi))| lo + g % (hi - lo + 1))
-                .collect();
-            let once = SegmentProgram::from_genes(&genes).expect("decodes");
+            let once = SegmentProgram::from_genes(&in_bounds(&seed_genes)).expect("decodes");
             let twice = SegmentProgram::from_genes(&once.to_genes()).expect("re-decodes");
             prop_assert_eq!(once, twice);
+        }
+
+        #[test]
+        fn expansion_matches_the_image_copy_reference(
+            programs in proptest::collection::vec(
+                proptest::collection::vec(0u32..=u32::from(u16::MAX), SegmentProgram::GENE_COUNT),
+                1..5,
+            )
+        ) {
+            // Back to back: nothing one expansion writes may leak into the
+            // next.
+            for seed_genes in &programs {
+                let program =
+                    SegmentProgram::from_genes(&in_bounds(seed_genes)).expect("bounded genes decode");
+                prop_assert_eq!(program.expand(), expand_with_image(&program));
+            }
         }
     }
 }

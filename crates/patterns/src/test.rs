@@ -160,8 +160,17 @@ impl Test {
 
     /// Stable identity for deduplication: stimulus hash plus quantized
     /// conditions.
+    ///
+    /// This expands the stimulus to hash it. A caller holding a
+    /// `PreparedTest` (`cichar-ate`) has the hash already and should use
+    /// that test's `identity()` instead.
     pub fn identity(&self) -> u64 {
-        let pattern_hash = self.pattern().content_hash();
+        self.identity_from_hash(self.pattern().content_hash())
+    }
+
+    /// [`Self::identity`] from the [`Pattern::content_hash`] of this
+    /// test's own pattern, for a caller that has already expanded it.
+    pub fn identity_from_hash(&self, pattern_hash: u64) -> u64 {
         let mix = |h: u64, v: u64| {
             (h ^ v)
                 .wrapping_mul(0x9E37_79B9_7F4A_7C15)

@@ -858,7 +858,7 @@ mod tests {
 
         // A resume that re-measured half the campaign breaches.
         let mut wasteful = manifest(500, 0, 40);
-        wasteful.recovery = resumed.recovery.clone();
+        wasteful.recovery = resumed.recovery;
         let diff = ManifestDiff::compare(&base, &wasteful, &armed);
         assert!(
             diff.breaches.iter().any(|b| b.contains("recovery")),

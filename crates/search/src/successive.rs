@@ -373,7 +373,7 @@ mod tests {
     fn speculation_is_off_by_default() {
         let search = SuccessiveApproximation::new(range(), 0.05);
         assert!(!search.speculative());
-        assert!(search.clone().with_speculation().speculative());
+        assert!(search.with_speculation().speculative());
     }
 
     #[test]
@@ -459,7 +459,6 @@ mod tests {
             let search = SuccessiveApproximation::new(range(), resolution);
             let plain = search.run(RegionOrder::PassBelowFail, FnOracle::new(|v| v <= boundary));
             let spec = search
-                .clone()
                 .with_speculation()
                 .run(RegionOrder::PassBelowFail, FnOracle::new(|v| v <= boundary));
             prop_assert_eq!(spec.trip_point, plain.trip_point);

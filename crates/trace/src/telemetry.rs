@@ -1060,11 +1060,13 @@ mod tests {
 
     #[test]
     fn openmetrics_renders_metadata_and_round_trips_through_the_parser() {
-        let mut m = MetricsSnapshot::default();
-        m.probes_resolved = 42;
-        m.probes_issued = 40;
-        m.probes_cached = 2;
-        m.retries = 3;
+        let mut m = MetricsSnapshot {
+            probes_resolved: 42,
+            probes_issued: 40,
+            probes_cached: 2,
+            retries: 3,
+            ..MetricsSnapshot::default()
+        };
         m.hist_retry_depth.bounds = vec![1, 2];
         m.hist_retry_depth.counts = vec![2, 1, 0];
         m.hist_retry_depth.count = 3;
