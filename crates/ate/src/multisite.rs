@@ -191,84 +191,6 @@ impl MultiSiteAte {
         }
     }
 
-    /// Strobes an explicit subset of sites, each at its own value of the
-    /// swept parameter — the batched probe a lockstep cross-site search
-    /// issues when its sites have diverged (different walk positions, or
-    /// some sites already converged).
-    ///
-    /// `probes` pairs a site index with the value forced for `swept` on
-    /// that site; `base_forces` (§4 relaxation) apply to every probe. The
-    /// stress hoist is shared across the batch; verdicts come back in
-    /// `probes` order. Each site's subsequence of probes is bit-identical
-    /// to scalar measurements on that site in the same order — sites never
-    /// share RNG, drift or fault state, so interleaving across sites is
-    /// irrelevant.
-    ///
-    /// # Panics
-    ///
-    /// Panics when a probe names a site out of range.
-    pub fn measure_subset(
-        &mut self,
-        features: &PatternFeatures,
-        pattern_cycles: u64,
-        test: &Test,
-        base_forces: &[(ParamKind, f64)],
-        swept: ParamKind,
-        probes: &[(usize, f64)],
-    ) -> Vec<Probe> {
-        let mut out = Vec::with_capacity(probes.len());
-        self.measure_subset_into(
-            features,
-            pattern_cycles,
-            test,
-            base_forces,
-            swept,
-            probes,
-            &mut out,
-        );
-        out
-    }
-
-    /// [`Self::measure_subset`] appending into a caller-owned buffer — the
-    /// allocation-free form. Appends exactly `probes.len()` verdicts in
-    /// `probes` order and never clears `out`.
-    ///
-    /// # Panics
-    ///
-    /// Panics when a probe names a site out of range.
-    #[allow(clippy::too_many_arguments)]
-    pub fn measure_subset_into(
-        &mut self,
-        features: &PatternFeatures,
-        pattern_cycles: u64,
-        test: &Test,
-        base_forces: &[(ParamKind, f64)],
-        swept: ParamKind,
-        probes: &[(usize, f64)],
-        out: &mut Vec<Probe>,
-    ) {
-        if probes.is_empty() {
-            return;
-        }
-        let shared = self.shared_stress(features);
-        // One forces buffer reused across the batch: only the swept slot
-        // changes per probe.
-        let mut forces = base_forces.to_vec();
-        forces.push((swept, 0.0));
-        let swept_slot = forces.len() - 1;
-        out.reserve(probes.len());
-        for &(site, value) in probes {
-            forces[swept_slot].1 = value;
-            let stress = self.stress_for(site, features, shared);
-            out.push(self.sites[site].measure_features_with_stress(
-                stress,
-                pattern_cycles,
-                test,
-                &forces,
-            ));
-        }
-    }
-
     /// The batch-wide stress total, when all sites share a surface.
     fn shared_stress(&self, features: &PatternFeatures) -> Option<f64> {
         self.uniform_surface
@@ -416,7 +338,6 @@ mod tests {
     use crate::noise::NoiseModel;
     use cichar_dut::{Die, ProcessCorner};
     use cichar_patterns::march;
-    use proptest::prelude::*;
 
     fn march_test() -> Test {
         Test::deterministic("march_c-", march::march_c_minus(64))
@@ -533,80 +454,6 @@ mod tests {
         assert_eq!(merged.quarantined(), 1);
         assert_eq!(merged.measurements(), 3 * 30);
     }
-
-    proptest! {
-        #![proptest_config(ProptestConfig::with_cases(24))]
-
-        /// The multi-site extension of the scalar-parity batch proptest:
-        /// any interleaving of subset probes across any number of sites
-        /// leaves each site's verdict stream and ledger bit-identical to
-        /// a solo session consuming that site's subsequence — so site
-        /// ordering and touchdown grouping can never change a result.
-        #[test]
-        fn subset_probes_match_solo_sessions(
-            seed in any::<u64>(),
-            site_count in 1usize..5,
-            schedule in proptest::collection::vec((0usize..5, 20.0f64..40.0), 1..80),
-            noisy in any::<bool>(),
-            faulty in any::<bool>(),
-        ) {
-            let config = AteConfig {
-                noise: if noisy { NoiseModel::new(0.05, 0.1, 0.01) } else { NoiseModel::noiseless() },
-                drift: DriftModel::new(30.0, 1e5),
-                faults: if faulty {
-                    TesterFaultModel::transient(0.05, 0.05)
-                        .with_stuck_channels(0.02, 3)
-                        .with_session_aborts(0.01, 4)
-                } else {
-                    TesterFaultModel::none()
-                },
-                seed,
-            };
-            let t = march_test();
-            let pattern = t.pattern();
-            let features = PatternFeatures::extract(&pattern);
-            let cycles = pattern.len() as u64;
-            let base = MeasuredParam::DataValidTime.relax_forces().to_vec();
-            let probes: Vec<(usize, f64)> = schedule
-                .into_iter()
-                .map(|(site, value)| (site % site_count, value))
-                .collect();
-
-            let mut touchdown = MultiSiteAte::new(corner_devices(site_count), config.clone());
-            let verdicts = touchdown.measure_subset(
-                &features,
-                cycles,
-                &t,
-                &base,
-                ParamKind::StrobeDelay,
-                &probes,
-            );
-            prop_assert_eq!(verdicts.len(), probes.len());
-
-            for site in 0..site_count {
-                let mut solo = solo_site(site, &config);
-                let scalar: Vec<Probe> = probes
-                    .iter()
-                    .filter(|(s, _)| *s == site)
-                    .map(|&(_, v)| {
-                        let mut forces = base.clone();
-                        forces.push((ParamKind::StrobeDelay, v));
-                        solo.measure_features(&features, cycles, &t, &forces)
-                    })
-                    .collect();
-                let batched: Vec<Probe> = probes
-                    .iter()
-                    .zip(&verdicts)
-                    .filter(|((s, _), _)| *s == site)
-                    .map(|(_, &v)| v)
-                    .collect();
-                prop_assert_eq!(batched, scalar);
-                prop_assert_eq!(*touchdown.site(site).ledger(), *solo.ledger());
-            }
-        }
-    }
-
-    use crate::params::MeasuredParam;
 
     fn ledger_with(measurements: u64, dropouts: u64, timeouts: u64) -> MeasurementLedger {
         let mut l = MeasurementLedger::new();

@@ -444,7 +444,7 @@ impl Ate {
     /// by the pattern's cycle count between elements, and the noise and
     /// fault RNG streams are consumed in exactly the scalar order — but
     /// the device response is evaluated once over the whole batch
-    /// ([`MemoryDevice::evaluate_batch`] hoists the pattern's stress
+    /// ([`Device::evaluate_batch`] hoists the pattern's stress
     /// breakdown out of the per-value loop), which is what the batched
     /// oracle call sites buy.
     ///

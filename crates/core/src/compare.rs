@@ -19,7 +19,8 @@ use crate::generator::NeuralTestGenerator;
 use crate::learning::{LearnedModel, LearningConfig, LearningScheme};
 use crate::optimization::{OptimizationConfig, OptimizationOutcome, OptimizationScheme};
 use crate::wcr::{CharacterizationObjective, WcrClass};
-use cichar_ate::{Ate, MeasuredParam, ParallelAte};
+use crate::Sessions;
+use cichar_ate::{Ate, MeasuredParam, MeasurementLedger, ParallelAte};
 use cichar_exec::ExecPolicy;
 use cichar_patterns::{march, random, Test, TestConditions};
 use cichar_trace::{Telemetry, Tracer};
@@ -105,65 +106,14 @@ impl Comparison {
     /// Panics if any technique fails to measure a trip point — the default
     /// ranges bracket the simulated device by construction.
     pub fn run<R: Rng + ?Sized>(ate: &mut Ate, config: &CompareConfig, rng: &mut R) -> Self {
-        let runner = MultiTripRunner::new(config.param);
-
-        // Row 1 — deterministic March test, the production baseline.
-        let march_test = Test::deterministic("March Test", march::march_c_minus(64))
-            .with_conditions(config.conditions);
-        let baseline = *ate.ledger();
-        let march_report = runner.run(ate, &[march_test], SearchStrategy::FullRange);
-        let march_tp = march_report.entries[0]
-            .trip_point
-            .expect("March trip point in generous range");
-        let march_cost = ate.ledger().measurements_since(&baseline);
-
-        // Row 2 — the refs-[9][10] random generator, best of N tests.
-        let random_tests: Vec<Test> = (0..config.random_tests)
-            .map(|_| random::random_test_at(rng, config.conditions))
-            .collect();
-        let baseline = *ate.ledger();
-        let random_report = runner.run(ate, &random_tests, SearchStrategy::SearchUntilTrip);
-        let random_tp = random_report.min().expect("random tests converge");
-        let random_cost = ate.ledger().measurements_since(&baseline);
-
-        // Row 3 — the paper's method: learn (fig. 4), screen, optimize
-        // (fig. 5).
-        let baseline = *ate.ledger();
-        let model = LearningScheme::new(config.learning.clone()).run(ate, rng);
-        let generator = NeuralTestGenerator::new(&model);
-        let seeds = generator.propose(
-            config.nn_candidates,
-            config.nn_seeds,
-            Some(config.conditions),
-            rng,
-        );
-        let optimization = OptimizationScheme::new(config.optimization.clone()).run(
+        Self::run_on(
             ate,
-            &seeds,
-            Some(model.reference_trip_point),
+            config,
+            Sessions::Shared,
             rng,
-        );
-        let nnga_cost = ate.ledger().measurements_since(&baseline);
-        let nnga_tp = optimization.best.trip_point;
-
-        let row = |name: &str, technique: &str, tp: f64, cost: u64| Table1Row {
-            test_name: name.to_string(),
-            technique: technique.to_string(),
-            wcr: config.objective.wcr(tp),
-            t_dq: tp,
-            class: config.objective.classify(tp),
-            measurements: cost,
-        };
-        Self {
-            rows: vec![
-                row("March Test", "Deterministic", march_tp, march_cost),
-                row("Random Test", "Random", random_tp, random_cost),
-                row("NNGA Test", "Neural & Genetic", nnga_tp, nnga_cost),
-            ],
-            random_report,
-            model,
-            optimization,
-        }
+            &Tracer::disabled(),
+            &Telemetry::disabled(),
+        )
     }
 
     /// [`run`](Self::run) with the measurement-heavy stages fanned out
@@ -213,6 +163,22 @@ impl Comparison {
         tracer: &Tracer,
         telemetry: &Telemetry,
     ) -> Self {
+        let sessions = Sessions::PerTest(policy);
+        Self::run_on(ate, config, sessions, rng, tracer, telemetry)
+    }
+
+    /// The Table 1 body. The March search and the learning rounds always
+    /// run on the shared session; `sessions` decides where the Random
+    /// row's DSV and the NN+GA row's fitness evaluations run. A row's cost
+    /// is its `ate` ledger delta plus its per-test sessions' ledgers.
+    fn run_on<R: Rng + ?Sized>(
+        ate: &mut Ate,
+        config: &CompareConfig,
+        sessions: Sessions,
+        rng: &mut R,
+        tracer: &Tracer,
+        telemetry: &Telemetry,
+    ) -> Self {
         let runner = MultiTripRunner::new(config.param);
 
         // Row 1 — deterministic March test, the production baseline.
@@ -226,24 +192,32 @@ impl Comparison {
             .expect("March trip point in generous range");
         let march_cost = ate.ledger().measurements_since(&baseline);
 
-        // Row 2 — the refs-[9][10] random generator, fanned out per test.
+        // Row 2 — the refs-[9][10] random generator, best of N tests.
         tracer.phase("random");
         let random_tests: Vec<Test> = (0..config.random_tests)
             .map(|_| random::random_test_at(rng, config.conditions))
             .collect();
-        let blueprint = ParallelAte::from_ate(ate);
-        let (random_report, random_ledger) = runner.run_parallel_observed(
-            &blueprint,
-            &random_tests,
-            SearchStrategy::SearchUntilTrip,
-            policy,
-            tracer,
-            telemetry,
-        );
+        let baseline = *ate.ledger();
+        let strategy = SearchStrategy::SearchUntilTrip;
+        let (random_report, random_ledger) = match sessions {
+            Sessions::Shared => (
+                runner.run_traced(ate, &random_tests, strategy, tracer),
+                MeasurementLedger::new(),
+            ),
+            Sessions::PerTest(policy) => runner.run_parallel_observed(
+                &ParallelAte::from_ate(ate),
+                &random_tests,
+                strategy,
+                policy,
+                tracer,
+                telemetry,
+            ),
+        };
         let random_tp = random_report.min().expect("random tests converge");
-        let random_cost = random_ledger.measurements();
+        let random_cost = ate.ledger().measurements_since(&baseline) + random_ledger.measurements();
 
-        // Row 3 — the paper's method with parallel GA fitness evaluation.
+        // Row 3 — the paper's method: learn (fig. 4), screen, optimize
+        // (fig. 5).
         tracer.phase("nnga");
         let baseline = *ate.ledger();
         let model = LearningScheme::new(config.learning.clone()).run_traced(ate, rng, tracer);
@@ -254,17 +228,23 @@ impl Comparison {
             Some(config.conditions),
             rng,
         );
-        let blueprint = ParallelAte::from_ate(ate);
-        let (optimization, ga_ledger) = OptimizationScheme::new(config.optimization.clone())
-            .run_parallel_observed(
-                &blueprint,
+        let scheme = OptimizationScheme::new(config.optimization.clone());
+        let reference = Some(model.reference_trip_point);
+        let (optimization, ga_ledger) = match sessions {
+            Sessions::Shared => (
+                scheme.run_traced(ate, &seeds, reference, rng, tracer),
+                MeasurementLedger::new(),
+            ),
+            Sessions::PerTest(policy) => scheme.run_parallel_observed(
+                &ParallelAte::from_ate(ate),
                 &seeds,
-                Some(model.reference_trip_point),
+                reference,
                 policy,
                 rng,
                 tracer,
                 telemetry,
-            );
+            ),
+        };
         let nnga_cost = ate.ledger().measurements_since(&baseline) + ga_ledger.measurements();
         let nnga_tp = optimization.best.trip_point;
 

@@ -256,6 +256,15 @@ impl fmt::Display for DsvReport {
 
 /// Runs multiple-trip-point characterization over a set of tests.
 ///
+/// # Sessions
+///
+/// [`run`](Self::run) and [`run_traced`](Self::run_traced) measure every
+/// test on the caller's shared [`Ate`], in order, and a re-bracketed
+/// fallback re-anchors the reference. The `run_parallel*` entry points put
+/// each test on its own derived-seed session from a [`ParallelAte`], so
+/// results are identical for every thread count. With noise or drift the
+/// two give different answers; without either they agree exactly.
+///
 /// # Examples
 ///
 /// ```
@@ -350,7 +359,7 @@ impl MultiTripRunner {
 
     /// The eq. 2 full-range search and the eq. 3/4 STP wrapped with its
     /// re-bracketing fallback, as configured for this runner.
-    fn searches(&self) -> (SuccessiveApproximation, RebracketingStp) {
+    pub(crate) fn searches(&self) -> (SuccessiveApproximation, RebracketingStp) {
         let param = self.param;
         let mut full = SuccessiveApproximation::new(param.generous_range(), param.resolution());
         if self.speculative {
@@ -361,35 +370,6 @@ impl MultiTripRunner {
             stp = stp.with_refinement(param.resolution());
         }
         (full.clone(), RebracketingStp::new(stp, full))
-    }
-
-    /// One test's trip-point search on `ate`, with the configured recovery
-    /// ladder. `reference = None` runs eq. 2 full-range; otherwise the STP
-    /// walk (re-bracketing when recovery is on). Both [`Self::run`] and
-    /// [`Self::run_parallel`] go through this single path so sequential
-    /// and parallel campaigns classify faults identically.
-    #[allow(clippy::too_many_arguments)]
-    fn measure_one(
-        &self,
-        ate: &mut Ate,
-        prepared: &PreparedTest<'_>,
-        reference: Option<f64>,
-        full: &SuccessiveApproximation,
-        rebracket: &RebracketingStp,
-        span: &SpanTrace,
-        scratch: &mut SearchScratch,
-    ) -> Measured {
-        measure_with_recovery(
-            ate,
-            prepared,
-            self.param,
-            reference,
-            full,
-            rebracket,
-            self.recovery,
-            span,
-            scratch,
-        )
     }
 
     /// Runs the characterization, consuming measurements from `ate`.
@@ -581,8 +561,17 @@ impl MultiTripRunner {
                 SearchStrategy::SearchUntilTrip => rtp,
             };
             let span = with_span(index);
-            let measured =
-                self.measure_one(ate, prepared, reference, &full, &rebracket, &span, scratch);
+            let measured = measure_with_recovery(
+                ate,
+                prepared,
+                self.param,
+                reference,
+                &full,
+                &rebracket,
+                self.recovery,
+                &span,
+                scratch,
+            );
             span.mark_done();
             done(span);
             let measurements = ate.ledger().measurements_since(&baseline);
@@ -678,123 +667,11 @@ impl MultiTripRunner {
         tracer: &Tracer,
         telemetry: &Telemetry,
     ) -> (DsvReport, MeasurementLedger) {
-        let param = self.param;
-        let (full, rebracket) = self.searches();
-        let prepared: Vec<PreparedTest<'_>> = tests.iter().map(PreparedTest::new).collect();
-
-        // One test on its own derived-seed session; the session's ledger
-        // is the per-test cost record. Fan-out workers run the same
-        // recovery ladder as the sequential path, but a re-bracketed
-        // fallback never updates the shared reference: the anchor must
-        // stay a pure function of the schedule, not of which worker
-        // finished first. Each worker owns one `SearchScratch`, reused
-        // across every test it claims.
-        let probe_one = |index: usize,
-                         pt: &PreparedTest<'_>,
-                         reference: Option<f64>,
-                         scratch: &mut SearchScratch| {
-            let span = tracer.span(index as u64);
-            let mut session = blueprint.session(index as u64);
-            let measured =
-                self.measure_one(&mut session, pt, reference, &full, &rebracket, &span, scratch);
-            // Stamp the span's wall clock on the worker, so a timing
-            // sidecar measures the search itself, not absorb latency.
-            span.mark_done();
-            let entry = DsvEntry {
-                test_name: pt.test().name().to_string(),
-                trip_point: measured.trip_point,
-                measurements: session.ledger().measurements(),
-                status: measured.status,
-            };
-            (entry, *session.ledger(), span)
+        let rule = match strategy {
+            SearchStrategy::FullRange => ReferenceRule::FullRange,
+            SearchStrategy::SearchUntilTrip => ReferenceRule::Anchored,
         };
-
-        let mut entries = Vec::with_capacity(tests.len());
-        let mut ledger = MeasurementLedger::new();
-        let mut rtp: Option<f64> = None;
-        let mut anchor_scratch = SearchScratch::new();
-
-        if strategy == SearchStrategy::FullRange {
-            // Every search is independent: fan out the whole batch.
-            for (entry, session_ledger, span) in cichar_exec::par_map_ref_scratch(
-                policy,
-                &prepared,
-                SearchScratch::new,
-                |i, pt, scratch| probe_one(i, pt, None, scratch),
-            ) {
-                ledger.merge(&session_ledger);
-                tracer.absorb(span);
-                entries.push(entry);
-                telemetry.tick(|| {
-                    Progress::units(
-                        "dsv",
-                        (ledger.test_time_ms() * 1000.0) as u64,
-                        entries.len() as u64,
-                        tests.len() as u64,
-                    )
-                });
-            }
-        } else {
-            let window = self.rtp_refresh.unwrap_or(tests.len().max(1));
-            let mut start = 0;
-            while start < tests.len() {
-                let end = (start + window).min(tests.len());
-                // Anchor sequentially: full-range searches until one
-                // converges (normally just the window's first test).
-                let mut anchor: Option<f64> = None;
-                let mut cursor = start;
-                while cursor < end && anchor.is_none() {
-                    let (entry, session_ledger, span) =
-                        probe_one(cursor, &prepared[cursor], None, &mut anchor_scratch);
-                    anchor = entry.trip_point;
-                    ledger.merge(&session_ledger);
-                    tracer.absorb(span);
-                    entries.push(entry);
-                    telemetry.tick(|| {
-                        Progress::units(
-                            "dsv",
-                            (ledger.test_time_ms() * 1000.0) as u64,
-                            entries.len() as u64,
-                            tests.len() as u64,
-                        )
-                    });
-                    cursor += 1;
-                }
-                // Fan out the anchored remainder of the window.
-                for (entry, session_ledger, span) in cichar_exec::par_map_ref_scratch(
-                    policy,
-                    &prepared[cursor..end],
-                    SearchScratch::new,
-                    |i, pt, scratch| probe_one(cursor + i, pt, anchor, scratch),
-                ) {
-                    ledger.merge(&session_ledger);
-                    tracer.absorb(span);
-                    entries.push(entry);
-                    telemetry.tick(|| {
-                        Progress::units(
-                            "dsv",
-                            (ledger.test_time_ms() * 1000.0) as u64,
-                            entries.len() as u64,
-                            tests.len() as u64,
-                        )
-                    });
-                }
-                rtp = anchor;
-                start = end;
-            }
-        }
-
-        let total = entries.iter().map(|e| e.measurements).sum();
-        (
-            DsvReport {
-                param,
-                strategy,
-                reference_trip_point: rtp,
-                entries,
-                total_measurements: total,
-            },
-            ledger,
-        )
+        self.run_per_test(blueprint, tests, rule, policy, tracer, telemetry)
     }
 
     /// [`run_parallel`](Self::run_parallel) with *predicted warm starts*:
@@ -821,49 +698,63 @@ impl MultiTripRunner {
         planner: &WarmStartPlanner,
         policy: ExecPolicy,
     ) -> (DsvReport, MeasurementLedger) {
-        self.run_parallel_warm_traced(
-            blueprint,
-            tests,
-            predictions,
-            planner,
-            policy,
-            &Tracer::disabled(),
-        )
-    }
-
-    /// [`run_parallel_warm`](Self::run_parallel_warm) with per-test spans
-    /// recorded into `tracer`, under the same index-ordered absorption
-    /// contract as [`Self::run_parallel_traced`].
-    ///
-    /// # Panics
-    ///
-    /// Panics when `predictions` is not one slot per test.
-    pub fn run_parallel_warm_traced(
-        &self,
-        blueprint: &ParallelAte,
-        tests: &[Test],
-        predictions: &[Option<TripPrediction>],
-        planner: &WarmStartPlanner,
-        policy: ExecPolicy,
-        tracer: &Tracer,
-    ) -> (DsvReport, MeasurementLedger) {
         assert_eq!(
             tests.len(),
             predictions.len(),
             "one prediction slot per test"
         );
-        let param = self.param;
+        self.run_per_test(
+            blueprint,
+            tests,
+            ReferenceRule::Warm(predictions, planner),
+            policy,
+            &Tracer::disabled(),
+            &Telemetry::disabled(),
+        )
+    }
+
+    /// The one per-test-session body behind every `run_parallel*` entry
+    /// point (see [`Self::run_parallel`]); `rule` says where each test's
+    /// search starts. Entries, session ledgers, spans and heartbeats all
+    /// fold in test-index order.
+    fn run_per_test(
+        &self,
+        blueprint: &ParallelAte,
+        tests: &[Test],
+        rule: ReferenceRule<'_>,
+        policy: ExecPolicy,
+        tracer: &Tracer,
+        telemetry: &Telemetry,
+    ) -> (DsvReport, MeasurementLedger) {
         let (full, rebracket) = self.searches();
         let prepared: Vec<PreparedTest<'_>> = tests.iter().map(PreparedTest::new).collect();
 
+        // One test on its own derived-seed session; the session's ledger
+        // is the per-test cost record. Fan-out workers run the same
+        // recovery ladder as the sequential path, but a re-bracketed
+        // fallback never updates the shared reference: the anchor must
+        // stay a pure function of the schedule, not of which worker
+        // finished first. Each worker owns one `SearchScratch`, reused
+        // across every test it claims.
         let probe_one = |index: usize,
                          pt: &PreparedTest<'_>,
                          reference: Option<f64>,
                          scratch: &mut SearchScratch| {
             let span = tracer.span(index as u64);
             let mut session = blueprint.session(index as u64);
-            let measured =
-                self.measure_one(&mut session, pt, reference, &full, &rebracket, &span, scratch);
+            let measured = measure_with_recovery(
+                &mut session,
+                pt,
+                self.param,
+                reference,
+                &full,
+                &rebracket,
+                self.recovery,
+                &span,
+                scratch,
+            );
+            // Stamp the span's wall clock on the worker, so a timing
+            // sidecar measures the search itself, not absorb latency.
             span.mark_done();
             let entry = DsvEntry {
                 test_name: pt.test().name().to_string(),
@@ -876,42 +767,51 @@ impl MultiTripRunner {
 
         let mut entries = Vec::with_capacity(tests.len());
         let mut ledger = MeasurementLedger::new();
+        // The index-ordered merge point, and the telemetry fold point.
+        let mut fold = |(entry, session_ledger, span): (DsvEntry, MeasurementLedger, SpanTrace)| {
+            ledger.merge(&session_ledger);
+            tracer.absorb(span);
+            entries.push(entry);
+            telemetry.tick(|| {
+                Progress::units(
+                    "dsv",
+                    (ledger.test_time_ms() * 1000.0) as u64,
+                    entries.len() as u64,
+                    tests.len() as u64,
+                )
+            });
+        };
+
+        // Full-range searches are all independent: one window, no anchor.
+        let anchored = !matches!(rule, ReferenceRule::FullRange);
+        let window = match self.rtp_refresh {
+            Some(every) if anchored => every,
+            _ => tests.len().max(1),
+        };
         let mut rtp: Option<f64> = None;
         let mut anchor_scratch = SearchScratch::new();
-        let window = self.rtp_refresh.unwrap_or(tests.len().max(1));
         let mut start = 0;
         while start < tests.len() {
             let end = (start + window).min(tests.len());
-            // Anchor sequentially, as the plain parallel path does: the
-            // warm-start ladder's final rung (the RTP) must exist before
-            // any prediction can be distrusted in favour of it.
+            // Anchor sequentially: full-range searches until one
+            // converges (normally just the window's first test).
             let mut anchor: Option<f64> = None;
             let mut cursor = start;
-            while cursor < end && anchor.is_none() {
-                let (entry, session_ledger, span) =
-                    probe_one(cursor, &prepared[cursor], None, &mut anchor_scratch);
-                anchor = entry.trip_point;
-                ledger.merge(&session_ledger);
-                tracer.absorb(span);
-                entries.push(entry);
+            while anchored && cursor < end && anchor.is_none() {
+                let record = probe_one(cursor, &prepared[cursor], None, &mut anchor_scratch);
+                anchor = record.0.trip_point;
+                fold(record);
                 cursor += 1;
             }
-            // Fan out with per-test seeds: the planner picks prediction or
-            // anchor per test, keeping the schedule index-pure.
-            for (entry, session_ledger, span) in cichar_exec::par_map_ref_scratch(
+            for record in cichar_exec::par_map_ref_scratch(
                 policy,
                 &prepared[cursor..end],
                 SearchScratch::new,
                 |i, pt, scratch| {
-                    let index = cursor + i;
-                    let warm =
-                        planner.plan(predictions[index].as_ref(), anchor.expect("anchored"));
-                    probe_one(index, pt, Some(warm.reference), scratch)
+                    probe_one(cursor + i, pt, rule.reference(cursor + i, anchor), scratch)
                 },
             ) {
-                ledger.merge(&session_ledger);
-                tracer.absorb(span);
-                entries.push(entry);
+                fold(record);
             }
             rtp = anchor;
             start = end;
@@ -920,14 +820,46 @@ impl MultiTripRunner {
         let total = entries.iter().map(|e| e.measurements).sum();
         (
             DsvReport {
-                param,
-                strategy: SearchStrategy::SearchUntilTrip,
+                param: self.param,
+                strategy: if anchored {
+                    SearchStrategy::SearchUntilTrip
+                } else {
+                    SearchStrategy::FullRange
+                },
                 reference_trip_point: rtp,
                 entries,
                 total_measurements: total,
             },
             ledger,
         )
+    }
+}
+
+/// Where a fanned-out test's search starts — the one rule the
+/// per-test-session entry points differ by: eq. 2 full-range with no
+/// anchor, eqs. 3–4 around the refresh window's anchored reference, or
+/// eqs. 3–4 from each test's planned warm start (`predictions[i]` belongs
+/// to test `i`), whose last rung is that anchor.
+#[derive(Clone, Copy)]
+enum ReferenceRule<'a> {
+    FullRange,
+    Anchored,
+    Warm(&'a [Option<TripPrediction>], &'a WarmStartPlanner),
+}
+
+impl ReferenceRule<'_> {
+    /// The reference test `index` searches from, given its window's
+    /// anchor. Only anchored tests fan out under an anchoring rule, so
+    /// `anchor` is set whenever a warm start reads it.
+    fn reference(self, index: usize, anchor: Option<f64>) -> Option<f64> {
+        match self {
+            ReferenceRule::FullRange => None,
+            ReferenceRule::Anchored => anchor,
+            ReferenceRule::Warm(predictions, planner) => {
+                let warm = planner.plan(predictions[index].as_ref(), anchor.expect("anchored"));
+                Some(warm.reference)
+            }
+        }
     }
 }
 

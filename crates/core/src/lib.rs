@@ -66,3 +66,16 @@ pub mod sample;
 pub mod stream;
 pub mod wafer;
 pub mod wcr;
+
+/// Where a campaign's measurement-heavy stages run — the one fork in a
+/// runner body (`DESIGN.md` §7). Under noise or drift the two give
+/// different answers, so neither may silently stand in for the other.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum Sessions {
+    /// On the caller's `Ate`, in order, consuming its noise, drift and
+    /// fault streams as they go.
+    Shared,
+    /// On derived-seed sessions cloned through `ParallelAte`, one per test
+    /// or GA evaluation, fanned out under the policy.
+    PerTest(cichar_exec::ExecPolicy),
+}

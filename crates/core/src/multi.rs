@@ -16,11 +16,12 @@ use crate::generator::NeuralTestGenerator;
 use crate::learning::{LearnedModel, LearningConfig, LearningScheme};
 use crate::optimization::{OptimizationConfig, OptimizationOutcome, OptimizationScheme};
 use crate::wcr::CharacterizationObjective;
+use crate::Sessions;
 use cichar_ate::{Ate, MeasuredParam, MeasurementLedger, ParallelAte};
 use cichar_exec::ExecPolicy;
 use cichar_patterns::TestConditions;
 use cichar_search::RetryPolicy;
-use cichar_trace::Tracer;
+use cichar_trace::{Telemetry, Tracer};
 use rand::Rng;
 use std::fmt;
 
@@ -213,44 +214,7 @@ impl MultiParamCampaign {
         rng: &mut R,
         tracer: &Tracer,
     ) -> CampaignReport {
-        let start = *ate.ledger();
-        let mut outcomes = Vec::with_capacity(self.tasks.len());
-        for task in &self.tasks {
-            tracer.phase(&task.param.to_string());
-            let learning = LearningConfig {
-                param: task.param,
-                objective: task.objective,
-                ..self.learning.clone()
-            };
-            let model = LearningScheme::new(learning).run_traced(ate, rng, tracer);
-            let generator = NeuralTestGenerator::new(&model);
-            let seeds =
-                generator.propose(self.nn_candidates, self.nn_seeds, Some(self.conditions), rng);
-            let optimization = OptimizationConfig {
-                param: task.param,
-                objective: task.objective,
-                pinned_conditions: self.conditions,
-                ..self.optimization.clone()
-            };
-            let outcome = OptimizationScheme::new(optimization).run_traced(
-                ate,
-                &seeds,
-                Some(model.reference_trip_point),
-                rng,
-                tracer,
-            );
-            outcomes.push(TaskOutcome {
-                task: *task,
-                model,
-                optimization: outcome,
-            });
-        }
-        let ledger = ate.ledger().since(&start);
-        CampaignReport {
-            tasks: outcomes,
-            total_measurements: ledger.measurements(),
-            ledger,
-        }
+        self.run_on(ate, Sessions::Shared, rng, tracer)
     }
 
     /// [`run`](Self::run) with each task's GA fitness evaluation fanned
@@ -282,8 +246,22 @@ impl MultiParamCampaign {
         rng: &mut R,
         tracer: &Tracer,
     ) -> CampaignReport {
+        self.run_on(ate, Sessions::PerTest(policy), rng, tracer)
+    }
+
+    /// The campaign body: learning always runs on the shared session, and
+    /// `sessions` decides where each task's GA fitness evaluations run.
+    /// The report's ledger is `ate`'s own delta plus the per-evaluation
+    /// sessions' ledgers.
+    fn run_on<R: Rng + ?Sized>(
+        &self,
+        ate: &mut Ate,
+        sessions: Sessions,
+        rng: &mut R,
+        tracer: &Tracer,
+    ) -> CampaignReport {
         let start = *ate.ledger();
-        let mut parallel_ledger = MeasurementLedger::new();
+        let mut session_ledger = MeasurementLedger::new();
         let mut outcomes = Vec::with_capacity(self.tasks.len());
         for task in &self.tasks {
             tracer.phase(&task.param.to_string());
@@ -302,16 +280,24 @@ impl MultiParamCampaign {
                 pinned_conditions: self.conditions,
                 ..self.optimization.clone()
             };
-            let blueprint = ParallelAte::from_ate(ate);
-            let (outcome, ledger) = OptimizationScheme::new(optimization).run_parallel_traced(
-                &blueprint,
-                &seeds,
-                Some(model.reference_trip_point),
-                policy,
-                rng,
-                tracer,
-            );
-            parallel_ledger.merge(&ledger);
+            let scheme = OptimizationScheme::new(optimization);
+            let reference = Some(model.reference_trip_point);
+            let (outcome, ledger) = match sessions {
+                Sessions::Shared => (
+                    scheme.run_traced(ate, &seeds, reference, rng, tracer),
+                    MeasurementLedger::new(),
+                ),
+                Sessions::PerTest(policy) => scheme.run_parallel_observed(
+                    &ParallelAte::from_ate(ate),
+                    &seeds,
+                    reference,
+                    policy,
+                    rng,
+                    tracer,
+                    &Telemetry::disabled(),
+                ),
+            };
+            session_ledger.merge(&ledger);
             outcomes.push(TaskOutcome {
                 task: *task,
                 model,
@@ -319,7 +305,7 @@ impl MultiParamCampaign {
             });
         }
         let mut ledger = ate.ledger().since(&start);
-        ledger.merge(&parallel_ledger);
+        ledger.merge(&session_ledger);
         CampaignReport {
             tasks: outcomes,
             total_measurements: ledger.measurements(),

@@ -15,7 +15,7 @@
 //!    the surviving tests land in the [`WorstCaseDatabase`].
 
 use crate::db::{WorstCaseDatabase, WorstCaseTest};
-use crate::dsv::measure_with_recovery;
+use crate::dsv::{measure_with_recovery, MultiTripRunner};
 use crate::generator::Candidate;
 use crate::wcr::CharacterizationObjective;
 use cichar_ate::{Ate, MeasuredParam, MeasurementLedger, ParallelAte, PreparedTest};
@@ -28,7 +28,7 @@ use cichar_patterns::{
 };
 use cichar_search::{
     Probe, RebracketingStp, RegionOrder, RetryPolicy, RobustOracle, SearchScratch,
-    SearchUntilTrip, SuccessiveApproximation,
+    SuccessiveApproximation,
 };
 use cichar_trace::{Progress, SpanTrace, Telemetry, TraceEvent, Tracer};
 use rand::Rng;
@@ -192,6 +192,10 @@ impl OptimizationScheme {
     /// [`TraceEvent::GaGenerationEvaluated`] campaign events are emitted
     /// from the GA history after the run, so sequential and parallel
     /// campaigns describe generations identically.
+    ///
+    /// This is the shared-session body: every evaluation measures on
+    /// `ate` in order, and a re-bracketing fallback's fresh full search
+    /// re-anchors the reference trip point for the evaluations after it.
     pub fn run_traced<R: Rng + ?Sized>(
         &self,
         ate: &mut Ate,
@@ -200,119 +204,47 @@ impl OptimizationScheme {
         rng: &mut R,
         tracer: &Tracer,
     ) -> OptimizationOutcome {
-        let c = &self.config;
-        let param = c.param;
-        let order = param.region_order();
-        let stp = SearchUntilTrip::new(param.generous_range(), param.search_factor())
-            .with_refinement(param.resolution());
-        let full = SuccessiveApproximation::new(param.generous_range(), param.resolution());
-        let rebracket = RebracketingStp::new(stp, full.clone());
+        // The eq. 2 and eq. 3/4 searches, built once per run.
+        let searches = MultiTripRunner::new(self.config.param).searches();
         let start_ledger = *ate.ledger();
-
-        let mut database = WorstCaseDatabase::new(c.database_capacity);
+        let mut database = WorstCaseDatabase::new(self.config.database_capacity);
         let mut rtp = reference_trip_point;
-        let mut counter = 0usize;
-
-        let seed_individuals: Vec<Individual> = seeds
-            .iter()
-            .filter_map(|cand| self.encode_seed(cand))
-            .collect();
-        // Severity predictions, indexed by the seed's stimulus identity so
-        // database records can carry them.
-        let engine = GaEngine::new(c.ga, self.layout());
-
-        let result = {
-            let database = &mut database;
-            let rtp = &mut rtp;
-            let counter = &mut counter;
-            // One scratch for the whole sequential campaign: every fitness
-            // evaluation's searches reuse its buffers.
-            let mut scratch = SearchScratch::new();
-            engine.run_seeded(
-                seed_individuals,
-                |individual| {
-                    *counter += 1;
-                    // Span keyed by the 0-based evaluation index, matching
-                    // the parallel variant's session index.
-                    let span = tracer.span(*counter as u64 - 1);
-                    let test = self.decode(individual, format!("ga_{:06}", *counter));
-                    let prepared = PreparedTest::new(&test);
-                    // GA fitness = TPV measurement via ATE (fig. 5 step 3),
-                    // using eq. 2 (full search) only until a reference
-                    // exists, then eqs. 3/4 (STP), through the shared
-                    // fault-tolerant ladder.
-                    let measured = measure_with_recovery(
-                        ate,
-                        &prepared,
-                        param,
-                        *rtp,
-                        &full,
-                        &rebracket,
-                        c.recovery,
-                        &span,
-                        &mut scratch,
-                    );
-                    let fitness = match measured.trip_point {
-                        // Unmeasurable individuals are worthless, not worst.
-                        None => f64::NEG_INFINITY,
-                        Some(_)
-                            if !Self::functionally_verified(
-                                ate,
-                                &prepared,
-                                param,
-                                order,
-                                c.recovery,
-                                &span,
-                                &mut scratch,
-                            ) =>
-                        {
-                            f64::NEG_INFINITY
-                        }
-                        Some(tp) => {
-                            if let Some(fresh) = measured.refreshed_reference {
-                                // Re-bracketing paid for a full search;
-                                // re-anchor on its fresh trip point.
-                                *rtp = Some(fresh);
-                            } else if rtp.is_none() {
-                                *rtp = Some(tp);
-                            }
-                            let wcr = c.objective.wcr(tp);
-                            let id = prepared.identity();
-                            database.insert_identified(
-                                WorstCaseTest {
-                                    test,
-                                    trip_point: tp,
-                                    wcr,
-                                    class: c.objective.classify(tp),
-                                    predicted_severity: None,
-                                },
-                                id,
-                            );
-                            wcr
-                        }
-                    };
-                    span.mark_done();
-                    tracer.absorb(span);
-                    fitness
-                },
-                rng,
-            )
-        };
-        emit_generations(tracer, &result);
-
-        let best = database
-            .entries()
-            .first()
-            .or_else(|| database.failures().first())
-            .expect("at least one individual measured")
-            .clone();
-        OptimizationOutcome {
-            database,
-            ga: result,
-            measurements_used: ate.ledger().measurements_since(&start_ledger),
-            best,
-            reference_trip_point: rtp,
-        }
+        let mut evaluated = 0usize;
+        // One scratch for the whole sequential campaign: every fitness
+        // evaluation's searches reuse its buffers.
+        let mut scratch = SearchScratch::new();
+        let result = GaEngine::new(self.config.ga, self.layout()).run_seeded(
+            self.seed_individuals(seeds),
+            |individual| {
+                let span = tracer.span(evaluated as u64);
+                let scored = self.score(
+                    ate,
+                    individual,
+                    evaluated,
+                    rtp,
+                    &searches,
+                    &span,
+                    &mut scratch,
+                );
+                evaluated += 1;
+                if let Some((entry, id)) = scored.entry {
+                    // Eq. 2: the first verified trip point anchors the
+                    // reference, and a re-bracketing fallback that paid
+                    // for a full search re-anchors it.
+                    rtp = scored
+                        .refreshed_reference
+                        .or(rtp)
+                        .or(Some(entry.trip_point));
+                    database.insert_identified(entry, id);
+                }
+                span.mark_done();
+                tracer.absorb(span);
+                scored.fitness
+            },
+            rng,
+        );
+        let measurements = ate.ledger().measurements_since(&start_ledger);
+        outcome(tracer, database, result, measurements, rtp)
     }
 
     /// [`OptimizationScheme::run`] with per-evaluation tester sessions
@@ -339,48 +271,27 @@ impl OptimizationScheme {
         policy: ExecPolicy,
         rng: &mut R,
     ) -> (OptimizationOutcome, MeasurementLedger) {
-        self.run_parallel_traced(
-            blueprint,
-            seeds,
-            reference_trip_point,
-            policy,
-            rng,
-            &Tracer::disabled(),
-        )
-    }
-
-    /// [`run_parallel`](Self::run_parallel) with per-evaluation spans
-    /// recorded into `tracer`.
-    ///
-    /// Workers fill each evaluation's span privately; the coordinator
-    /// absorbs spans in evaluation order at the same merge point where
-    /// ledgers and database inserts fold in, so the sequenced stream is
-    /// identical for every thread count.
-    pub fn run_parallel_traced<R: Rng + ?Sized>(
-        &self,
-        blueprint: &ParallelAte,
-        seeds: &[Candidate],
-        reference_trip_point: Option<f64>,
-        policy: ExecPolicy,
-        rng: &mut R,
-        tracer: &Tracer,
-    ) -> (OptimizationOutcome, MeasurementLedger) {
         self.run_parallel_observed(
             blueprint,
             seeds,
             reference_trip_point,
             policy,
             rng,
-            tracer,
+            &Tracer::disabled(),
             &Telemetry::disabled(),
         )
     }
 
-    /// [`run_parallel_traced`](Self::run_parallel_traced) with live
-    /// telemetry: the evaluator offers a progress sample at every
-    /// evaluation-order merge. Telemetry lives in a parameter — not a
-    /// scheme field — because the wafer journal fingerprint embeds
-    /// runner state via `Debug`, and this scheme derives `PartialEq`.
+    /// [`run_parallel`](Self::run_parallel) with per-evaluation spans
+    /// recorded into `tracer` and live telemetry.
+    ///
+    /// Workers fill each evaluation's span privately; the coordinator
+    /// absorbs spans in evaluation order at the same merge point where
+    /// ledgers and database inserts fold in, and offers a progress sample
+    /// there, so the sequenced stream and the heartbeats are identical for
+    /// every thread count. Telemetry lives in a parameter — not a scheme
+    /// field — because the wafer journal fingerprint embeds runner state
+    /// via `Debug`, and this scheme derives `PartialEq`.
     #[allow(clippy::too_many_arguments)]
     pub fn run_parallel_observed<R: Rng + ?Sized>(
         &self,
@@ -392,117 +303,85 @@ impl OptimizationScheme {
         tracer: &Tracer,
         telemetry: &Telemetry,
     ) -> (OptimizationOutcome, MeasurementLedger) {
-        let c = &self.config;
-        let seed_individuals: Vec<Individual> = seeds
-            .iter()
-            .filter_map(|cand| self.encode_seed(cand))
-            .collect();
-        let engine = GaEngine::new(c.ga, self.layout());
         let mut evaluator = WcrEvaluator {
             scheme: self,
+            searches: MultiTripRunner::new(self.config.param).searches(),
             blueprint,
             policy,
             evaluated: 0,
             rtp: reference_trip_point,
-            database: WorstCaseDatabase::new(c.database_capacity),
+            database: WorstCaseDatabase::new(self.config.database_capacity),
             ledger: MeasurementLedger::new(),
             tracer,
             telemetry,
-            scratch: SearchScratch::new(),
         };
-        let result = engine.run_seeded_with(seed_individuals, &mut evaluator, rng);
-        emit_generations(tracer, &result);
-        let best = evaluator
-            .database
-            .entries()
-            .first()
-            .or_else(|| evaluator.database.failures().first())
-            .expect("at least one individual measured")
-            .clone();
-        (
-            OptimizationOutcome {
-                database: evaluator.database,
-                ga: result,
-                measurements_used: evaluator.ledger.measurements(),
-                best,
-                reference_trip_point: evaluator.rtp,
-            },
-            evaluator.ledger,
-        )
+        let result = GaEngine::new(self.config.ga, self.layout()).run_seeded_with(
+            self.seed_individuals(seeds),
+            &mut evaluator,
+            rng,
+        );
+        let WcrEvaluator {
+            database,
+            ledger,
+            rtp,
+            ..
+        } = evaluator;
+        let outcome = outcome(tracer, database, result, ledger.measurements(), rtp);
+        (outcome, ledger)
     }
 
-    /// One fitness evaluation on its own derived-seed session: the §4
-    /// trip-point search, functional verification, and WCR scoring of
-    /// [`OptimizationScheme::run`]'s fitness closure, made index-pure so
-    /// it can run on any worker thread.
-    fn evaluate_individual(
+    /// The GA's seed individuals: every candidate whose stimulus encodes.
+    fn seed_individuals(&self, seeds: &[Candidate]) -> Vec<Individual> {
+        seeds
+            .iter()
+            .filter_map(|cand| self.encode_seed(cand))
+            .collect()
+    }
+
+    /// One fitness evaluation on whichever session the caller chose — the
+    /// single scoring path of both bodies. The decoded test's trip point
+    /// is searched from `reference` (eq. 2 full-range while there is none,
+    /// eqs. 3/4 STP after) through the shared fault-tolerant ladder, then
+    /// functionally verified, then scored by its WCR (fig. 5 step 3).
+    /// `index` is the 0-based evaluation index; it names the test.
+    #[allow(clippy::too_many_arguments)]
+    fn score(
         &self,
-        blueprint: &ParallelAte,
-        index: usize,
+        ate: &mut Ate,
         individual: &Individual,
+        index: usize,
         reference: Option<f64>,
+        (full, rebracket): &(SuccessiveApproximation, RebracketingStp),
         span: &SpanTrace,
         scratch: &mut SearchScratch,
-    ) -> WcrEvaluation {
+    ) -> Scored {
         let c = &self.config;
-        let param = c.param;
-        let order = param.region_order();
-        let stp = SearchUntilTrip::new(param.generous_range(), param.search_factor())
-            .with_refinement(param.resolution());
-        let full = SuccessiveApproximation::new(param.generous_range(), param.resolution());
-        let rebracket = RebracketingStp::new(stp, full.clone());
-
-        let mut session = blueprint.session(index as u64);
         let test = self.decode(individual, format!("ga_{:06}", index + 1));
         let prepared = PreparedTest::new(&test);
         let measured = measure_with_recovery(
-            &mut session,
-            &prepared,
-            param,
-            reference,
-            &full,
-            &rebracket,
-            c.recovery,
-            span,
-            scratch,
+            ate, &prepared, c.param, reference, full, rebracket, c.recovery, span, scratch,
         );
-        let Some(tp) = measured.trip_point else {
-            return WcrEvaluation {
-                fitness: f64::NEG_INFINITY,
-                entry: None,
-                ledger: *session.ledger(),
-            };
-        };
-        if !Self::functionally_verified(
-            &mut session,
-            &prepared,
-            param,
-            order,
-            c.recovery,
-            span,
-            scratch,
-        ) {
-            return WcrEvaluation {
-                fitness: f64::NEG_INFINITY,
-                entry: None,
-                ledger: *session.ledger(),
-            };
-        }
-        let wcr = c.objective.wcr(tp);
         let id = prepared.identity();
-        WcrEvaluation {
-            fitness: wcr,
-            entry: Some((
-                WorstCaseTest {
-                    test,
-                    trip_point: tp,
-                    wcr,
-                    class: c.objective.classify(tp),
-                    predicted_severity: None,
-                },
-                id,
-            )),
-            ledger: *session.ledger(),
+        let verified = measured.trip_point.filter(|_| {
+            Self::functionally_verified(ate, &prepared, c.param, c.recovery, span, scratch)
+        });
+        // Unmeasurable or unverified individuals are worthless, not worst.
+        let fitness = verified.map_or(f64::NEG_INFINITY, |tp| c.objective.wcr(tp));
+        let entry = verified.map(|tp| {
+            let class = c.objective.classify(tp);
+            let record = WorstCaseTest {
+                test,
+                trip_point: tp,
+                wcr: fitness,
+                class,
+                predicted_severity: None,
+            };
+            (record, id)
+        });
+        Scored {
+            fitness,
+            entry,
+            refreshed_reference: measured.refreshed_reference,
         }
     }
 
@@ -520,18 +399,16 @@ impl OptimizationScheme {
     /// pair instead of paying it per strobe.
     ///
     /// [`BatchOracle`]: cichar_search::BatchOracle
-    #[allow(clippy::too_many_arguments)]
     fn functionally_verified(
         ate: &mut Ate,
         prepared: &PreparedTest<'_>,
         param: MeasuredParam,
-        order: RegionOrder,
         recovery: Option<RetryPolicy>,
         span: &SpanTrace,
         scratch: &mut SearchScratch,
     ) -> bool {
         use cichar_search::BatchOracle;
-        let extreme = match order {
+        let extreme = match param.region_order() {
             RegionOrder::PassBelowFail => param.generous_range().start(),
             RegionOrder::PassAboveFail => param.generous_range().end(),
         };
@@ -567,38 +444,61 @@ impl OptimizationScheme {
     }
 }
 
-/// Emits one [`TraceEvent::GaGenerationEvaluated`] campaign event per
-/// generation of `result`'s history, after the evaluations themselves have
-/// been absorbed.
-fn emit_generations(tracer: &Tracer, result: &GaResult) {
-    if !tracer.is_enabled() {
-        return;
+/// Packages a finished run: emits one
+/// [`TraceEvent::GaGenerationEvaluated`] campaign event per generation of
+/// the GA history, after the evaluations themselves have been absorbed,
+/// and picks the single worst test.
+fn outcome(
+    tracer: &Tracer,
+    database: WorstCaseDatabase,
+    ga: GaResult,
+    measurements_used: u64,
+    reference_trip_point: Option<f64>,
+) -> OptimizationOutcome {
+    if tracer.is_enabled() {
+        for stats in &ga.history {
+            tracer.emit_campaign(TraceEvent::GaGenerationEvaluated {
+                generation: stats.generation as u64,
+                best_so_far: stats.best_so_far,
+                generation_best: stats.generation_best,
+                mean: stats.mean,
+            });
+        }
     }
-    for stats in &result.history {
-        tracer.emit_campaign(TraceEvent::GaGenerationEvaluated {
-            generation: stats.generation as u64,
-            best_so_far: stats.best_so_far,
-            generation_best: stats.generation_best,
-            mean: stats.mean,
-        });
+    let best = database
+        .entries()
+        .first()
+        .or_else(|| database.failures().first())
+        .expect("at least one individual measured")
+        .clone();
+    OptimizationOutcome {
+        database,
+        ga,
+        measurements_used,
+        best,
+        reference_trip_point,
     }
 }
 
-/// The product of one parallel fitness evaluation, merged by index.
-struct WcrEvaluation {
+/// The product of one fitness evaluation.
+struct Scored {
     fitness: f64,
     /// The database record when the search converged and survived
     /// functional verification (its trip point is the anchor candidate),
     /// with the identity its `PreparedTest` computed.
     entry: Option<(WorstCaseTest, u64)>,
-    ledger: MeasurementLedger,
+    /// The fresh eq. 2 anchor a re-bracketing fallback found; only the
+    /// shared-session body re-anchors on it.
+    refreshed_reference: Option<f64>,
 }
 
-/// The ATE-measured WCR fitness as a batch evaluator: anchors the
-/// reference trip point sequentially, fans out anchored evaluations, and
-/// folds ledgers and database inserts back **in evaluation order**.
+/// The ATE-measured WCR fitness as a batch evaluator — the
+/// per-evaluation-session body: anchors the reference trip point
+/// sequentially, fans out anchored evaluations on derived-seed sessions,
+/// and folds ledgers and database inserts back **in evaluation order**.
 struct WcrEvaluator<'a> {
     scheme: &'a OptimizationScheme,
+    searches: (SuccessiveApproximation, RebracketingStp),
     blueprint: &'a ParallelAte,
     policy: ExecPolicy,
     evaluated: usize,
@@ -607,9 +507,6 @@ struct WcrEvaluator<'a> {
     ledger: MeasurementLedger,
     tracer: &'a Tracer,
     telemetry: &'a Telemetry,
-    /// Search buffers for the sequential eq. 2 anchoring evaluations;
-    /// fanned-out evaluations carry per-worker scratches instead.
-    scratch: SearchScratch,
 }
 
 impl FitnessEvaluator for WcrEvaluator<'_> {
@@ -620,52 +517,55 @@ impl FitnessEvaluator for WcrEvaluator<'_> {
     fn evaluate_batch(&mut self, batch: &[Individual]) -> Vec<f64> {
         let base = self.evaluated;
         self.evaluated += batch.len();
-        let mut records: Vec<(WcrEvaluation, SpanTrace)> = Vec::with_capacity(batch.len());
+        let (scheme, searches) = (self.scheme, &self.searches);
+        let (blueprint, tracer) = (self.blueprint, self.tracer);
+        // Evaluation `index` on its own derived-seed session; its ledger
+        // and span come back for the in-order fold.
+        let score_one = |index: usize,
+                         individual: &Individual,
+                         reference: Option<f64>,
+                         scratch: &mut SearchScratch| {
+            let span = tracer.span(index as u64);
+            let mut session = blueprint.session(index as u64);
+            let scored = scheme.score(
+                &mut session,
+                individual,
+                index,
+                reference,
+                searches,
+                &span,
+                scratch,
+            );
+            // Stamp on the worker, so a timing sidecar measures the
+            // evaluation, not absorb latency.
+            span.mark_done();
+            (scored, *session.ledger(), span)
+        };
+        let mut records = Vec::with_capacity(batch.len());
         // Eq. 2 anchoring is a data dependence: run sequentially until a
         // verified trip point exists.
+        let mut anchor_scratch = SearchScratch::new();
         let mut cursor = 0;
         while cursor < batch.len() && self.rtp.is_none() {
-            let span = self.tracer.span((base + cursor) as u64);
-            let record = self.scheme.evaluate_individual(
-                self.blueprint,
-                base + cursor,
-                &batch[cursor],
-                None,
-                &span,
-                &mut self.scratch,
-            );
-            self.rtp = record.entry.as_ref().map(|(e, _)| e.trip_point);
-            span.mark_done();
-            records.push((record, span));
+            let record = score_one(base + cursor, &batch[cursor], None, &mut anchor_scratch);
+            self.rtp = record.0.entry.as_ref().map(|(e, _)| e.trip_point);
+            records.push(record);
             cursor += 1;
         }
         let reference = self.rtp;
-        let (scheme, blueprint, tracer) = (self.scheme, self.blueprint, self.tracer);
         records.extend(cichar_exec::par_map_ref_scratch(
             self.policy,
             &batch[cursor..],
             SearchScratch::new,
-            |i, individual, scratch| {
-                let span = tracer.span((base + cursor + i) as u64);
-                let record = scheme.evaluate_individual(
-                    blueprint,
-                    base + cursor + i,
-                    individual,
-                    reference,
-                    &span,
-                    scratch,
-                );
-                span.mark_done();
-                (record, span)
-            },
+            |i, individual, scratch| score_one(base + cursor + i, individual, reference, scratch),
         ));
         records
             .into_iter()
             .enumerate()
-            .map(|(i, (record, span))| {
-                self.ledger.merge(&record.ledger);
+            .map(|(i, (scored, ledger, span))| {
+                self.ledger.merge(&ledger);
                 self.tracer.absorb(span);
-                if let Some((entry, id)) = record.entry {
+                if let Some((entry, id)) = scored.entry {
                     self.database.insert_identified(entry, id);
                 }
                 // Evaluation-order merge = the GA's deterministic fold
@@ -679,7 +579,7 @@ impl FitnessEvaluator for WcrEvaluator<'_> {
                         0,
                     )
                 });
-                record.fitness
+                scored.fitness
             })
             .collect()
     }
@@ -958,7 +858,6 @@ mod tests {
         use cichar_ate::{AteConfig, NoiseModel};
         let test = Test::deterministic("m", cichar_patterns::march::march_x(96));
         let param = MeasuredParam::DataValidTime;
-        let order = param.region_order();
         let span = SpanTrace::disabled();
         // Probe-count regression: the batched pair must cost the same two
         // measurements the scalar loop always did — amortization, not
@@ -970,7 +869,6 @@ mod tests {
             &mut ate,
             &prepared,
             param,
-            order,
             None,
             &span,
             &mut scratch,
@@ -989,7 +887,6 @@ mod tests {
             &mut batched,
             &prepared,
             param,
-            order,
             None,
             &span,
             &mut scratch,

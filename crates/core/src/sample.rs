@@ -305,8 +305,11 @@ impl SampleCharacterization {
     /// [`run`](Self::run) with per-die spans recorded into `tracer`.
     ///
     /// Each sampled die gets one span keyed by its sample index; every
-    /// search at every corner of that die reports into it. The span is
-    /// absorbed when the die's sweep completes.
+    /// search at every corner of that die reports into it. This is
+    /// [`run_parallel_traced`](Self::run_parallel_traced) at
+    /// [`ExecPolicy::serial`]: every die already measures on a fresh
+    /// session of its own, so the sequential campaign has no body of its
+    /// own.
     pub fn run_traced<R: Rng + ?Sized>(
         &self,
         lot: &Lot,
@@ -315,20 +318,7 @@ impl SampleCharacterization {
         rng: &mut R,
         tracer: &Tracer,
     ) -> SampleReport {
-        let runner = self.runner();
-        let dies: Vec<DieResult> = lot
-            .sample_dies(rng, die_count)
-            .into_iter()
-            .enumerate()
-            .map(|(index, die)| {
-                let span = tracer.span(index as u64);
-                let result = self.characterize_die(&runner, die, tests, &span);
-                span.mark_done();
-                tracer.absorb(span);
-                result
-            })
-            .collect();
-        self.assemble(dies)
+        self.run_parallel_traced(lot, die_count, tests, ExecPolicy::serial(), rng, tracer)
     }
 
     /// [`run`](Self::run) with the per-die sweeps fanned out across worker
@@ -354,8 +344,8 @@ impl SampleCharacterization {
     /// into `tracer`.
     ///
     /// Workers fill their die's span privately; the coordinator absorbs
-    /// spans in sample-index order, so the sequenced stream matches the
-    /// traced sequential run and is identical for every thread count.
+    /// spans in sample-index order, so the sequenced stream is identical
+    /// for every thread count.
     pub fn run_parallel_traced<R: Rng + ?Sized>(
         &self,
         lot: &Lot,

@@ -5,8 +5,10 @@ use cichar::ate::Ate;
 use cichar::core::compare::{quick_config, Comparison};
 use cichar::core::db::WorstCaseDatabase;
 use cichar::core::generator::NeuralTestGenerator;
+use cichar::core::multi::{AnalysisTask, MultiParamCampaign};
 use cichar::core::wcr::WcrClass;
 use cichar::dut::MemoryDevice;
+use cichar::exec::ExecPolicy;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -98,4 +100,29 @@ fn ate_cost_is_fully_attributed() {
         ate.ledger().measurements(),
         "every measurement belongs to exactly one technique"
     );
+}
+
+/// Session routing shows in the caller's ledger. On a noisy tester the
+/// shared-session entry points measure every stage on the caller's
+/// session (`ate_cost_is_fully_attributed` pins `Comparison::run`); the
+/// parallel ones return the Random DSV and GA ledgers separately, so the
+/// caller's session records less than the campaign attributes.
+#[test]
+fn session_routing_shows_in_the_callers_ledger() {
+    let config = quick_config();
+    let policy = ExecPolicy::with_threads(2);
+    let mut ate = Ate::new(MemoryDevice::nominal());
+    let mut rng = StdRng::seed_from_u64(107);
+    let cmp = Comparison::run_parallel(&mut ate, &config, policy, &mut rng);
+    let attributed: u64 = cmp.rows.iter().map(|r| r.measurements).sum();
+    assert!(ate.ledger().measurements() < attributed);
+
+    let task = AnalysisTask::data_sheet()[0];
+    let campaign = MultiParamCampaign::new(vec![task], config.learning, config.optimization);
+    let mut ate = Ate::new(MemoryDevice::nominal());
+    let shared = campaign.run(&mut ate, &mut StdRng::seed_from_u64(108));
+    assert_eq!(ate.ledger().measurements(), shared.total_measurements);
+    let mut ate = Ate::new(MemoryDevice::nominal());
+    let per_test = campaign.run_parallel(&mut ate, policy, &mut StdRng::seed_from_u64(108));
+    assert!(ate.ledger().measurements() < per_test.total_measurements);
 }

@@ -9,11 +9,15 @@
 //!   counters.
 //! - The OpenMetrics exposition (`metrics.prom`) parses back and every
 //!   counter sample equals the corresponding `MetricsSnapshot` field.
+//! - The Table 1 hunt heartbeats from both of its fold points, the Random
+//!   row's DSV merge and the GA's evaluation merge, identically at every
+//!   thread count.
 
-use cichar::ate::{AteConfig, MeasuredParam, TesterFaultModel};
+use cichar::ate::{Ate, AteConfig, MeasuredParam, TesterFaultModel};
+use cichar::core::compare::{quick_config, Comparison};
 use cichar::core::dsv::SearchStrategy;
 use cichar::core::wafer::{WaferConfig, WaferRunner};
-use cichar::dut::Lot;
+use cichar::dut::{Lot, MemoryDevice};
 use cichar::exec::ExecPolicy;
 use cichar::patterns::{random, Test, TestConditions};
 use cichar::trace::{
@@ -296,4 +300,36 @@ fn telemetry_stays_out_of_the_normalized_event_stream() {
         normalize_jsonl(&text)
     };
     assert_eq!(run(None), run(Some(tmp_dir("stream_discipline"))));
+}
+
+#[test]
+fn table1_hunt_heartbeats_are_bit_identical_across_thread_counts() {
+    let mut config = quick_config();
+    config.optimization.ga.generations = 6;
+    let hunt = |threads: usize| {
+        let dir = tmp_dir(&format!("table1_t{threads}"));
+        let tracer = Tracer::new(Arc::new(NullSink));
+        let telemetry =
+            Telemetry::create_with(&dir, "table1", tracer.clone(), 10, AlarmRule::default_set())
+                .expect("tmp is writable");
+        let mut ate = Ate::new(MemoryDevice::nominal());
+        let mut rng = StdRng::seed_from_u64(7);
+        let policy = ExecPolicy::with_threads(threads);
+        Comparison::run_parallel_observed(&mut ate, &config, policy, &mut rng, &tracer, &telemetry);
+        telemetry.finish().expect("sidecars flush");
+        let beats: Vec<HeartbeatSnapshot> = heartbeats_in(&dir)
+            .into_iter()
+            .map(HeartbeatSnapshot::normalized)
+            .collect();
+        let _ = std::fs::remove_dir_all(&dir);
+        beats
+    };
+    let serial = hunt(1);
+    assert_eq!(serial, hunt(4));
+    // Both tick sites fire mid-hunt, not only the closing heartbeat.
+    let live = &serial[..serial.len() - 1];
+    for phase in ["dsv", "ga"] {
+        let ticked = live.iter().any(|b| b.phase == phase);
+        assert!(ticked, "no live {phase} heartbeat");
+    }
 }
