@@ -17,12 +17,10 @@ use cichar_core::dsv::{MultiTripRunner, SearchStrategy};
 use cichar_dut::MemoryDevice;
 use cichar_exec::ExecPolicy;
 use cichar_patterns::{random, Test, TestConditions};
-use cichar_trace::{NullSink, Tracer};
 use criterion::{black_box, Criterion};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use serde::Serialize;
-use std::sync::Arc;
 
 const TESTS: usize = 1000;
 
@@ -45,23 +43,6 @@ struct ParDsvReport {
     /// mean(sequential) / mean(threads = hardware parallelism), when that
     /// configuration was measured separately from 4 threads.
     speedup_hw_threads: Option<f64>,
-    /// Wall-clock cost of running with a live `NullSink` tracer instead
-    /// of a disabled one, as a percentage of the untraced 4-thread mean.
-    /// The observability layer's budget is < 2%. Reported as 0.0 when the
-    /// raw delta is within run-to-run variance — indistinguishable from
-    /// zero at this machine's noise floor (see `overhead_noise_note` and
-    /// `null_tracer_overhead_raw_pct` for the unfloored value).
-    null_tracer_overhead_pct: f64,
-    /// The raw measured delta, which can be negative on a noisy machine
-    /// (the traced run happened to land on faster scheduling).
-    null_tracer_overhead_raw_pct: f64,
-    /// Run-to-run variance of the overhead comparison: the larger
-    /// relative sample spread ((max − min) / mean) of the two overhead
-    /// benches, in percent. A raw delta smaller than this is noise.
-    overhead_run_variance_pct: f64,
-    /// Present when the raw delta was within run-to-run variance and the
-    /// reported overhead was floored.
-    overhead_noise_note: Option<String>,
     bit_identical_across_thread_counts: bool,
     results: Vec<BenchRecord>,
     note: String,
@@ -119,44 +100,6 @@ fn main() {
         }
         group.finish();
     }
-    {
-        // The tracer-overhead comparison gets its own group at a higher
-        // sample count: the delta being resolved (< 2%) is far below the
-        // run-to-run spread a 5-sample mean can see, so the headline
-        // number out of the speedup group was noise-dominated (a previous
-        // run reported −4.9%).
-        let mut group = criterion.benchmark_group("par_dsv_overhead");
-        group.sample_size(15);
-        group.bench_function("untraced_4_threads", |b| {
-            b.iter(|| {
-                let (report, ledger) = runner.run_parallel(
-                    &blueprint,
-                    black_box(&tests),
-                    SearchStrategy::SearchUntilTrip,
-                    ExecPolicy::with_threads(4),
-                );
-                black_box((report.total_measurements, ledger.measurements()))
-            });
-        });
-        // Same 4-thread run, but through a live tracer with a NullSink:
-        // every span is created, every event dispatched and counted, the
-        // bytes go nowhere. The delta against untraced_4_threads is the
-        // observability layer's enabled-but-discarding overhead.
-        let null_tracer = Tracer::new(Arc::new(NullSink));
-        group.bench_function("null_tracer_4_threads", |b| {
-            b.iter(|| {
-                let (report, ledger) = runner.run_parallel_traced(
-                    &blueprint,
-                    black_box(&tests),
-                    SearchStrategy::SearchUntilTrip,
-                    ExecPolicy::with_threads(4),
-                    &null_tracer,
-                );
-                black_box((report.total_measurements, ledger.measurements()))
-            });
-        });
-        group.finish();
-    }
     criterion.final_summary();
 
     let results: Vec<BenchRecord> = criterion
@@ -181,42 +124,12 @@ fn main() {
     let speedup_4_threads = sequential / four;
     let speedup_hw_threads = mean_of("parallel_hw_threads").map(|hw| sequential / hw);
 
-    let spread_pct = |suffix: &str| {
-        let r = results
-            .iter()
-            .find(|r| r.id.ends_with(suffix))
-            .expect("measured");
-        100.0 * (r.max_ns - r.min_ns) / r.mean_ns
-    };
-    let untraced = mean_of("untraced_4_threads").expect("measured");
-    let null_traced = mean_of("null_tracer_4_threads").expect("measured");
-    let null_tracer_overhead_raw_pct = 100.0 * (null_traced / untraced - 1.0);
-    let overhead_run_variance_pct =
-        spread_pct("untraced_4_threads").max(spread_pct("null_tracer_4_threads"));
-    let within_noise = null_tracer_overhead_raw_pct.abs() <= overhead_run_variance_pct;
-    let null_tracer_overhead_pct = if within_noise {
-        0.0
-    } else {
-        null_tracer_overhead_raw_pct
-    };
-    let overhead_noise_note = within_noise.then(|| {
-        format!(
-            "raw delta {null_tracer_overhead_raw_pct:+.2}% is within the \
-             {overhead_run_variance_pct:.2}% run-to-run variance of the two \
-             overhead benches; reported overhead is floored at 0.0"
-        )
-    });
-
     let report = ParDsvReport {
         bench: "par_dsv",
         tests: TESTS,
         hardware_threads,
         speedup_4_threads,
         speedup_hw_threads,
-        null_tracer_overhead_pct,
-        null_tracer_overhead_raw_pct,
-        overhead_run_variance_pct,
-        overhead_noise_note,
         bit_identical_across_thread_counts: true,
         results,
         note: format!(
@@ -232,10 +145,5 @@ fn main() {
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_par_dsv.json");
     std::fs::write(path, format!("{json}\n")).expect("write BENCH_par_dsv.json");
     println!("speedup at 4 threads: {speedup_4_threads:.2}x (hardware threads: {hardware_threads})");
-    println!(
-        "null-tracer overhead at 4 threads: {null_tracer_overhead_pct:.2}% \
-         (raw {null_tracer_overhead_raw_pct:+.2}%, run variance \
-         {overhead_run_variance_pct:.2}%, budget < 2%)"
-    );
     println!("wrote {path}");
 }

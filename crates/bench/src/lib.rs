@@ -18,7 +18,7 @@ use cichar_genetic::GaConfig;
 use cichar_neural::TrainConfig;
 use cichar_search::RetryPolicy;
 use cichar_trace::{
-    ensure_writable, AlarmRule, JsonlSink, NullSink, RunManifest, Telemetry, TimedTracer, Tracer,
+    ensure_writable, AlarmRule, JsonlSink, NullSink, RunManifest, Telemetry, Tracer,
     DEFAULT_HEARTBEAT_EVERY_MS,
 };
 use std::path::PathBuf;
@@ -379,7 +379,7 @@ impl TraceOutputs {
             None => return Ok(Tracer::disabled()),
         };
         if self.timings {
-            Ok(TimedTracer::new(sink).tracer().clone())
+            Ok(Tracer::timed(sink))
         } else {
             Ok(Tracer::new(sink))
         }

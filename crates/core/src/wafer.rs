@@ -733,7 +733,7 @@ impl WaferRunner {
                 // invariant. Replay (above) never ticks — a resumed run's
                 // heartbeats cover exactly its live work.
                 self.telemetry.tick(|| Progress {
-                    phase: "wafer",
+                    phase: String::from("wafer"),
                     sim_time_us: (state.merged.test_time_ms() * 1000.0) as u64,
                     units_done: state.aggregate.entries,
                     units_total: (dies.len() * tests.len()) as u64,

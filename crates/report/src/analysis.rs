@@ -9,7 +9,7 @@
 //! retry → vote → quarantine recovery funnel, and GA / committee
 //! convergence trajectories.
 
-use cichar_trace::{FaultKind, TraceEvent, TraceRecord};
+use cichar_trace::{MetricsRegistry, MetricsSnapshot, TraceEvent, TraceRecord};
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
@@ -110,48 +110,6 @@ pub struct PhaseSlice {
     pub wall_us: u64,
 }
 
-/// The recovery funnel: injected faults at the top, quarantines at the
-/// bottom.
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
-pub struct RecoveryFunnel {
-    /// Probe-contact dropouts injected.
-    pub faults_dropout: u64,
-    /// Transient verdict flips injected.
-    pub faults_flip: u64,
-    /// Stuck-channel replays injected.
-    pub faults_stuck: u64,
-    /// Session-abort bursts injected.
-    pub faults_abort: u64,
-    /// Hung-strobe stalls injected.
-    pub faults_stall: u64,
-    /// Stall-watchdog firings (per-site touchdown budgets that expired).
-    pub watchdog_timeouts: u64,
-    /// Site health circuit breakers latched open.
-    pub breaker_trips: u64,
-    /// Retries scheduled.
-    pub retries: u64,
-    /// Majority votes resolved.
-    pub votes: u64,
-    /// Quarantines, by reason.
-    pub quarantined: BTreeMap<String, u64>,
-}
-
-impl RecoveryFunnel {
-    /// Total injected faults.
-    pub fn faults(&self) -> u64 {
-        self.faults_dropout
-            + self.faults_flip
-            + self.faults_stuck
-            + self.faults_abort
-            + self.faults_stall
-    }
-
-    /// Total quarantined measurement points.
-    pub fn quarantines(&self) -> u64 {
-        self.quarantined.values().sum()
-    }
-}
-
 /// A search still being assembled while scanning the stream.
 #[derive(Debug)]
 struct OpenSearch {
@@ -168,26 +126,18 @@ pub struct TraceAnalysis {
     pub skipped_lines: u64,
     /// Every finished search, in stream order.
     pub searches: Vec<SearchAnatomy>,
-    /// Probe verdicts observed (cache hits included).
-    pub probes_resolved: u64,
-    /// Probes issued as physical measurements.
-    pub probes_issued: u64,
-    /// Probes answered from the oracle memo cache.
-    pub probes_cached: u64,
-    /// The recovery funnel.
-    pub funnel: RecoveryFunnel,
+    /// The stream's counters and histograms, folded by the tracer's own
+    /// [`MetricsRegistry::observe`]: for a complete stream, equal to the
+    /// snapshot the live tracer took.
+    pub metrics: MetricsSnapshot,
+    /// Quarantined measurement points, by reason.
+    pub quarantined: BTreeMap<String, u64>,
     /// GA generations, in emission order.
     pub ga: Vec<GaGeneration>,
     /// Committee learning rounds: (epoch, members, train_error).
     pub committee: Vec<(u64, u64, f64)>,
     /// Per-phase slices, in phase order.
     pub phases: Vec<PhaseSlice>,
-    /// Health alarms raised by the live telemetry engine.
-    #[serde(default)]
-    pub alarms_raised: u64,
-    /// Health alarms that cleared again.
-    #[serde(default)]
-    pub alarms_cleared: u64,
 }
 
 impl TraceAnalysis {
@@ -219,8 +169,11 @@ impl TraceAnalysis {
         // strictly sequential.
         let mut open: BTreeMap<Option<u64>, OpenSearch> = BTreeMap::new();
         let mut last_ts = 0u64;
+        let registry = MetricsRegistry::new();
+        let mut steps_in_search = 0u64;
 
         for record in records {
+            registry.observe(&record.event, &mut steps_in_search);
             analysis.records += 1;
             last_ts = last_ts.max(record.ts_us);
             if let Some(slice) = analysis.phases.last_mut() {
@@ -240,14 +193,7 @@ impl TraceAnalysis {
                         wall_us: record.ts_us, // start mark; closed later
                     });
                 }
-                TraceEvent::ProbeIssued { .. } => {
-                    analysis.probes_issued += 1;
-                }
                 TraceEvent::ProbeResolved { cached, .. } => {
-                    analysis.probes_resolved += 1;
-                    if *cached {
-                        analysis.probes_cached += 1;
-                    }
                     if let Some(slice) = analysis.phases.last_mut() {
                         slice.probes += 1;
                     }
@@ -292,7 +238,6 @@ impl TraceAnalysis {
                         }
                     }
                 }
-                TraceEvent::Bracketed { .. } => {}
                 TraceEvent::SearchFinished {
                     trip_point,
                     converged,
@@ -309,19 +254,8 @@ impl TraceAnalysis {
                         }
                     }
                 }
-                TraceEvent::RetryScheduled { .. } => analysis.funnel.retries += 1,
-                TraceEvent::VoteResolved { .. } => analysis.funnel.votes += 1,
-                TraceEvent::FaultInjected { kind } => match kind {
-                    FaultKind::Dropout => analysis.funnel.faults_dropout += 1,
-                    FaultKind::Flip => analysis.funnel.faults_flip += 1,
-                    FaultKind::Stuck => analysis.funnel.faults_stuck += 1,
-                    FaultKind::Abort => analysis.funnel.faults_abort += 1,
-                    FaultKind::Stall => analysis.funnel.faults_stall += 1,
-                },
-                TraceEvent::WatchdogFired { .. } => analysis.funnel.watchdog_timeouts += 1,
-                TraceEvent::SiteBreakerTripped { .. } => analysis.funnel.breaker_trips += 1,
                 TraceEvent::Quarantined { reason } => {
-                    *analysis.funnel.quarantined.entry(reason.clone()).or_insert(0) += 1;
+                    *analysis.quarantined.entry(reason.clone()).or_insert(0) += 1;
                 }
                 TraceEvent::GaGenerationEvaluated {
                     generation,
@@ -334,16 +268,16 @@ impl TraceAnalysis {
                     generation_best: *generation_best,
                     mean: *mean,
                 }),
-                TraceEvent::AlarmRaised { .. } => analysis.alarms_raised += 1,
-                TraceEvent::AlarmCleared { .. } => analysis.alarms_cleared += 1,
                 TraceEvent::CommitteeEpochFinished {
                     epoch,
                     members,
                     train_error,
                 } => analysis.committee.push((*epoch, *members, *train_error)),
+                _ => {}
             }
         }
         analysis.close_phase(last_ts);
+        analysis.metrics = registry.snapshot();
         analysis
     }
 
@@ -357,10 +291,11 @@ impl TraceAnalysis {
 
     /// Cache-hit ratio over all resolved probes, in [0, 1].
     pub fn cache_hit_ratio(&self) -> f64 {
-        if self.probes_resolved == 0 {
+        let m = &self.metrics;
+        if m.probes_resolved == 0 {
             0.0
         } else {
-            self.probes_cached as f64 / self.probes_resolved as f64
+            m.probes_cached as f64 / m.probes_resolved as f64
         }
     }
 
@@ -409,13 +344,14 @@ impl TraceAnalysis {
         let probes = if ga_phase_probes > 0 {
             ga_phase_probes
         } else {
-            self.probes_resolved
+            self.metrics.probes_resolved
         };
         Some(probes as f64 / self.ga.len() as f64)
     }
 
     /// The human-readable summary table (`cichar-report summarize`).
     pub fn render(&self) -> String {
+        let m = &self.metrics;
         let mut out = String::new();
         let _ = writeln!(
             out,
@@ -430,9 +366,9 @@ impl TraceAnalysis {
         let _ = writeln!(
             out,
             "probes: {} resolved ({} issued, {} cached) | cache-hit ratio {:.1}%",
-            self.probes_resolved,
-            self.probes_issued,
-            self.probes_cached,
+            m.probes_resolved,
+            m.probes_issued,
+            m.probes_cached,
             100.0 * self.cache_hit_ratio()
         );
         let converged = self.searches.iter().filter(|s| s.converged).count();
@@ -479,29 +415,28 @@ impl TraceAnalysis {
             let _ = writeln!(out, "  window clamps at CR edge: {clamped}");
         }
 
-        let f = &self.funnel;
-        if f.faults() + f.retries + f.votes + f.quarantines() > 0 {
+        if m.faults() + m.retries + m.vote_rounds + m.quarantined > 0 {
             let _ = writeln!(out, "\nrecovery funnel:");
             let _ = writeln!(
                 out,
                 "  faults injected: {} ({} dropout, {} flip, {} stuck, {} abort, {} stall)",
-                f.faults(),
-                f.faults_dropout,
-                f.faults_flip,
-                f.faults_stuck,
-                f.faults_abort,
-                f.faults_stall
+                m.faults(),
+                m.faults_dropout,
+                m.faults_flip,
+                m.faults_stuck,
+                m.faults_abort,
+                m.faults_stall
             );
-            if f.watchdog_timeouts + f.breaker_trips > 0 {
+            if m.watchdog_timeouts + m.breaker_trips > 0 {
                 let _ = writeln!(
                     out,
                     "  -> watchdog timeouts: {} | breaker trips: {}",
-                    f.watchdog_timeouts, f.breaker_trips
+                    m.watchdog_timeouts, m.breaker_trips
                 );
             }
-            let _ = writeln!(out, "  -> retries scheduled: {}", f.retries);
-            let _ = writeln!(out, "  -> votes resolved:    {}", f.votes);
-            let quarantined: Vec<String> = f
+            let _ = writeln!(out, "  -> retries scheduled: {}", m.retries);
+            let _ = writeln!(out, "  -> votes resolved:    {}", m.vote_rounds);
+            let quarantined: Vec<String> = self
                 .quarantined
                 .iter()
                 .map(|(reason, n)| format!("{reason}: {n}"))
@@ -509,7 +444,7 @@ impl TraceAnalysis {
             let _ = writeln!(
                 out,
                 "  -> quarantined:       {}{}",
-                f.quarantines(),
+                m.quarantined,
                 if quarantined.is_empty() {
                     String::new()
                 } else {
@@ -518,11 +453,11 @@ impl TraceAnalysis {
             );
         }
 
-        if self.alarms_raised > 0 {
+        if m.alarms_raised > 0 {
             let _ = writeln!(
                 out,
                 "\nhealth alarms: {} raised, {} cleared",
-                self.alarms_raised, self.alarms_cleared
+                m.alarms_raised, m.alarms_cleared
             );
         }
 
@@ -588,7 +523,7 @@ impl TraceAnalysis {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cichar_trace::TraceVerdict;
+    use cichar_trace::{FaultKind, TraceVerdict};
 
     fn record(seq: u64, test: Option<u64>, ts_us: u64, event: TraceEvent) -> TraceRecord {
         TraceRecord { seq, test, ts_us, event }
@@ -701,10 +636,10 @@ mod tests {
     #[test]
     fn funnel_and_phases_are_accounted() {
         let analysis = TraceAnalysis::from_records(&stream());
-        assert_eq!(analysis.funnel.retries, 1);
-        assert_eq!(analysis.funnel.faults_dropout, 1);
-        assert_eq!(analysis.funnel.quarantines(), 1);
-        assert_eq!(analysis.funnel.quarantined.get("dropout"), Some(&1));
+        assert_eq!(analysis.metrics.retries, 1);
+        assert_eq!(analysis.metrics.faults_dropout, 1);
+        assert_eq!(analysis.metrics.quarantined, 1);
+        assert_eq!(analysis.quarantined.get("dropout"), Some(&1));
         assert_eq!(analysis.phases.len(), 2);
         assert_eq!(analysis.phases[0].phase, "full_range");
         assert_eq!(analysis.phases[0].probes, 1);
@@ -762,7 +697,8 @@ mod tests {
             heartbeat: 4,
         }));
         let analysis = TraceAnalysis::from_records(&records);
-        assert_eq!((analysis.alarms_raised, analysis.alarms_cleared), (1, 1));
+        let m = &analysis.metrics;
+        assert_eq!((m.alarms_raised, m.alarms_cleared), (1, 1));
         assert!(analysis.render().contains("health alarms: 1 raised, 1 cleared"));
         // The machine-readable path (`summarize --json`) is the same
         // struct serialized; it must survive a round trip losslessly.

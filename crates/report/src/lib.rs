@@ -25,7 +25,7 @@ pub mod diff;
 pub mod perfetto;
 pub mod watch;
 
-pub use analysis::{GaGeneration, PhaseSlice, RecoveryFunnel, SearchAnatomy, Stats, TraceAnalysis};
+pub use analysis::{GaGeneration, PhaseSlice, SearchAnatomy, Stats, TraceAnalysis};
 pub use diff::{DiffRow, GateConfig, ManifestDiff};
 pub use perfetto::{chrome_trace_from_jsonl, to_chrome_trace, validate_chrome_trace};
 pub use watch::{latest_heartbeat, read_watch_view, render_watch, WatchView};

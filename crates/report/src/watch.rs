@@ -94,11 +94,12 @@ fn bar(fraction: f64) -> String {
 /// Renders the follower's progress/health table.
 pub fn render_watch(view: &WatchView) -> String {
     let hb = &view.heartbeat;
+    let (p, m) = (&hb.progress, &hb.metrics);
     let mut out = String::new();
     let _ = writeln!(
         out,
         "campaign {} | phase {} | heartbeat #{}",
-        hb.campaign, hb.phase, hb.seq
+        hb.campaign, p.phase, hb.seq
     );
 
     if let Some(fraction) = hb.fraction_done() {
@@ -107,18 +108,18 @@ pub fn render_watch(view: &WatchView) -> String {
             "  progress:   {} {:5.1}% ({}/{} units)",
             bar(fraction),
             100.0 * fraction,
-            hb.units_done,
-            hb.units_total
+            p.units_done,
+            p.units_total
         );
     } else {
-        let _ = writeln!(out, "  progress:   {} units (total open-ended)", hb.units_done);
+        let _ = writeln!(out, "  progress:   {} units (total open-ended)", p.units_done);
     }
-    if hb.touchdowns_done > 0 || hb.chunks_done > 0 {
+    if p.touchdowns_done > 0 || p.chunks_done > 0 {
         let _ = writeln!(
             out,
             "  wafer:      {} touchdowns, {} chunks committed{}",
-            hb.touchdowns_done,
-            hb.chunks_done,
+            p.touchdowns_done,
+            p.chunks_done,
             if view.journal_chunks > 0 {
                 format!(" ({} journal chunks on disk)", view.journal_chunks)
             } else {
@@ -129,7 +130,7 @@ pub fn render_watch(view: &WatchView) -> String {
     let _ = writeln!(
         out,
         "  sim clock:  {:.1} ms | {:.1} trips/s (sim)",
-        hb.sim_time_us as f64 / 1e3,
+        p.sim_time_us as f64 / 1e3,
         hb.sim_trips_per_sec
     );
     let _ = writeln!(
@@ -144,27 +145,28 @@ pub fn render_watch(view: &WatchView) -> String {
     let _ = writeln!(
         out,
         "  probes:     {} resolved ({} issued, {} cached, {} speculative)",
-        hb.probes_resolved, hb.probes_issued, hb.probes_cached, hb.probes_speculative
+        m.probes_resolved, m.probes_issued, m.probes_cached, m.probes_speculative
     );
     let _ = writeln!(
         out,
         "  searches:   {} finished, {} converged, {} quarantined ({:.1}%)",
-        hb.searches_finished,
-        hb.searches_converged,
-        hb.quarantined,
+        m.searches_finished,
+        m.searches_converged,
+        m.quarantined,
         100.0 * hb.quarantine_rate
     );
-    let faults =
-        hb.faults_dropout + hb.faults_flip + hb.faults_stuck + hb.faults_abort + hb.faults_stall;
-    if faults + hb.retries + hb.vote_rounds + hb.watchdog_timeouts > 0 {
+    if m.faults() + m.retries + m.vote_rounds + m.watchdog_timeouts > 0 {
         let _ = writeln!(
             out,
             "  funnel:     {} faults, {} retries, {} votes, {} watchdog timeouts",
-            faults, hb.retries, hb.vote_rounds, hb.watchdog_timeouts
+            m.faults(),
+            m.retries,
+            m.vote_rounds,
+            m.watchdog_timeouts
         );
     }
-    if !hb.breaker_open_sites.is_empty() {
-        let _ = writeln!(out, "  breakers:   sites open: {:?}", hb.breaker_open_sites);
+    if !p.breaker_open_sites.is_empty() {
+        let _ = writeln!(out, "  breakers:   sites open: {:?}", p.breaker_open_sites);
     }
     if hb.alarms_active.is_empty() {
         let _ = writeln!(out, "  health:     OK (no active alarms)");
@@ -193,13 +195,41 @@ pub fn render_watch(view: &WatchView) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use cichar_trace::{MetricsSnapshot, Progress};
 
     fn heartbeat() -> HeartbeatSnapshot {
-        let (snapshot, skipped) = latest_heartbeat(
-            r#"{"seq":0,"campaign":"wafer","phase":"wafer","sim_time_us":25000,"units_done":48,"units_total":384,"touchdowns_done":12,"chunks_done":1,"probes_resolved":500,"probes_issued":480,"probes_cached":20,"probes_speculative":0,"searches_finished":48,"searches_converged":47,"retries":2,"vote_rounds":1,"quarantined":1,"faults_dropout":1,"faults_flip":1,"faults_stuck":0,"faults_abort":0,"faults_stall":0,"watchdog_timeouts":0,"breaker_open_sites":[2],"quarantine_rate":0.0208,"sim_trips_per_sec":1920.0,"alarms_active":["stall_silence"],"wall_ms":40,"trips_per_sec":1200.0,"eta_ms":280}"#,
-        );
-        assert_eq!(skipped, 0);
-        snapshot.expect("parses")
+        HeartbeatSnapshot {
+            seq: 0,
+            campaign: String::from("wafer"),
+            progress: Progress {
+                phase: String::from("wafer"),
+                sim_time_us: 25_000,
+                units_done: 48,
+                units_total: 384,
+                touchdowns_done: 12,
+                chunks_done: 1,
+                breaker_open_sites: vec![2],
+            },
+            metrics: MetricsSnapshot {
+                probes_resolved: 500,
+                probes_issued: 480,
+                probes_cached: 20,
+                searches_finished: 48,
+                searches_converged: 47,
+                retries: 2,
+                vote_rounds: 1,
+                quarantined: 1,
+                faults_dropout: 1,
+                faults_flip: 1,
+                ..MetricsSnapshot::default()
+            },
+            quarantine_rate: 0.0208,
+            sim_trips_per_sec: 1920.0,
+            alarms_active: vec![String::from("stall_silence")],
+            wall_ms: 40,
+            trips_per_sec: 1200.0,
+            eta_ms: Some(280),
+        }
     }
 
     #[test]
@@ -248,13 +278,12 @@ mod tests {
     #[test]
     fn healthy_open_ended_runs_render_without_noise() {
         let mut hb = heartbeat();
-        hb.units_total = 0;
-        hb.retries = 0;
-        hb.vote_rounds = 0;
-        hb.quarantined = 0;
-        hb.faults_dropout = 0;
-        hb.faults_flip = 0;
-        hb.breaker_open_sites.clear();
+        hb.progress.units_total = 0;
+        hb.progress.breaker_open_sites.clear();
+        hb.metrics = MetricsSnapshot {
+            probes_resolved: 500,
+            ..MetricsSnapshot::default()
+        };
         hb.alarms_active.clear();
         hb.eta_ms = None;
         let view = WatchView {

@@ -10,11 +10,12 @@
 //!   the machinery did, streamed to a [`TraceSink`] ([`NullSink`],
 //!   [`RingBufferSink`], or the atomically-committed [`JsonlSink`]).
 //! * **Metrics** ([`MetricsRegistry`], [`MetricsSnapshot`]): lock-free
-//!   counters and fixed-bucket histograms derived from the event stream,
-//!   merged deterministically across worker shards like ledgers are.
+//!   counters and fixed-bucket histograms derived from the event stream by
+//!   one fold ([`MetricsRegistry::observe`]), merged deterministically
+//!   across worker shards like ledgers are.
 //! * **Manifests** ([`RunManifest`]): the per-run artifact tying seed,
 //!   config, code version, metrics and per-phase totals together.
-//! * **Timings** ([`TimedTracer`], [`TimingRegistry`]): an opt-in
+//! * **Timings** ([`Tracer::timed`], [`TimingRegistry`]): an opt-in
 //!   wall-clock sidecar of per-span and per-phase durations. Wall time is
 //!   nondeterministic, so it is kept strictly out of the event stream —
 //!   a timed and an untimed tracer emit byte-identical normalized traces
@@ -69,4 +70,4 @@ pub use telemetry::{
     METRICS_FILE,
 };
 pub use timing::{PhaseTiming, SpanClock, TimingRegistry, TimingSnapshot, UNPHASED};
-pub use tracer::{PhaseSummary, SpanTrace, TimedTracer, Tracer};
+pub use tracer::{PhaseSummary, SpanTrace, Tracer};

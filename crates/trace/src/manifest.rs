@@ -35,7 +35,7 @@ pub struct RunManifest {
     pub phases: Vec<PhaseSummary>,
     /// The wall-clock timing sidecar (per-phase span-duration
     /// histograms), present when the run used a
-    /// [`TimedTracer`](crate::TimedTracer). `None` parses from manifests
+    /// [`Tracer::timed`]. `None` parses from manifests
     /// written before timings existed.
     pub timings: Option<TimingSnapshot>,
     /// Hardware threads of the host the run executed on — recorded so a
@@ -421,10 +421,9 @@ mod tests {
     #[test]
     fn manifest_with_timings_round_trips_and_renders() {
         use crate::sink::NullSink;
-        use crate::tracer::TimedTracer;
         use std::sync::Arc;
 
-        let timed = TimedTracer::new(Arc::new(NullSink));
+        let timed = Tracer::timed(Arc::new(NullSink));
         timed.phase("dsv");
         let span = timed.span(0);
         span.emit(crate::event::TraceEvent::ProbeIssued { value: 1.0, speculative: false });

@@ -7,6 +7,7 @@
 //! accumulated in integer nanoseconds for the same reason (summing `f64`
 //! microseconds would make the total depend on absorb order).
 
+use crate::event::{FaultKind, TraceEvent};
 use serde::{Deserialize, Serialize};
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -97,22 +98,47 @@ impl HistogramSnapshot {
     }
 }
 
+/// Declares every counter and histogram once: its name, its doc line
+/// (which doubles as the OpenMetrics HELP text) and its place in the live
+/// [`MetricsRegistry`], the serialized [`MetricsSnapshot`], `merge` and
+/// the exposition tables.
 macro_rules! registry {
     (
-        $(#[$m:meta] $name:ident),+ $(,)?
-        @defaulted $(#[$dm:meta] $dname:ident),+ $(,)?
+        $(#[doc = $doc:literal] $name:ident),+ $(,)?
+        @defaulted $(#[doc = $ddoc:literal] $dname:ident),+ $(,)?
+        @histograms $(#[doc = $hdoc:literal] $hist:ident as $family:literal in $bounds:expr),+ $(,)?
     ) => {
         /// The live counter set (see [`MetricsSnapshot`] for meanings).
         #[derive(Debug, Default)]
-        pub(crate) struct Counters {
-            $(#[$m] pub(crate) $name: AtomicU64,)+
-            $(#[$dm] pub(crate) $dname: AtomicU64,)+
+        struct Counters {
+            $(#[doc = $doc] $name: AtomicU64,)+
+            $(#[doc = $ddoc] $dname: AtomicU64,)+
         }
 
-        impl Counters {
-            fn snapshot_into(&self, snap: &mut MetricsSnapshot) {
-                $(snap.$name = self.$name.load(ORDER);)+
-                $(snap.$dname = self.$dname.load(ORDER);)+
+        /// The live, lock-free metrics registry behind a [`Tracer`](crate::Tracer).
+        #[derive(Debug)]
+        pub struct MetricsRegistry {
+            counters: Counters,
+            $($hist: Histogram,)+
+        }
+
+        impl MetricsRegistry {
+            /// An empty registry with the standard bucket layouts.
+            pub fn new() -> Self {
+                Self {
+                    counters: Counters::default(),
+                    $($hist: Histogram::new($bounds),)+
+                }
+            }
+
+            /// A deterministic snapshot of every counter and histogram.
+            pub fn snapshot(&self) -> MetricsSnapshot {
+                let c = &self.counters;
+                MetricsSnapshot {
+                    $($name: c.$name.load(ORDER),)+
+                    $($dname: c.$dname.load(ORDER),)+
+                    $($hist: self.$hist.snapshot(),)+
+                }
             }
         }
 
@@ -123,18 +149,11 @@ macro_rules! registry {
         /// totals of integer increments are schedule-independent.
         #[derive(Debug, Clone, PartialEq, Eq, Default, Serialize, Deserialize)]
         pub struct MetricsSnapshot {
-            $(#[$m] pub $name: u64,)+
+            $(#[doc = $doc] pub $name: u64,)+
             // Counters registered after manifests were first committed
             // deserialize as zero when a baseline predates them.
-            $(#[$dm] #[serde(default)] pub $dname: u64,)+
-            /// Probe requests consumed per finished trip-point search.
-            pub hist_probes_per_search: HistogramSnapshot,
-            /// STP window-walk steps taken per finished search.
-            pub hist_search_steps: HistogramSnapshot,
-            /// Retry-ladder depth reached per scheduled retry.
-            pub hist_retry_depth: HistogramSnapshot,
-            /// Simulated backoff settle time per retry, in nanoseconds.
-            pub hist_backoff_ns: HistogramSnapshot,
+            $(#[doc = $ddoc] #[serde(default)] pub $dname: u64,)+
+            $(#[doc = $hdoc] pub $hist: HistogramSnapshot,)+
         }
 
         impl MetricsSnapshot {
@@ -144,10 +163,25 @@ macro_rules! registry {
             pub fn merge(&mut self, other: &MetricsSnapshot) {
                 $(self.$name += other.$name;)+
                 $(self.$dname += other.$dname;)+
-                self.hist_probes_per_search.merge(&other.hist_probes_per_search);
-                self.hist_search_steps.merge(&other.hist_search_steps);
-                self.hist_retry_depth.merge(&other.hist_retry_depth);
-                self.hist_backoff_ns.merge(&other.hist_backoff_ns);
+                $(self.$hist.merge(&other.$hist);)+
+            }
+
+            /// Every counter as `(name, help, value)`, in registration
+            /// order: the table the OpenMetrics writer walks.
+            pub(crate) fn counters(&self) -> impl Iterator<Item = (&'static str, &'static str, u64)> {
+                [
+                    $((stringify!($name), $doc.trim(), self.$name),)+
+                    $((stringify!($dname), $ddoc.trim(), self.$dname),)+
+                ]
+                .into_iter()
+            }
+
+            /// Every histogram as `(family, help, snapshot)`: the table the
+            /// OpenMetrics writer and [`Self::check_invariants`] walk.
+            pub(crate) fn histograms(
+                &self,
+            ) -> impl Iterator<Item = (&'static str, &'static str, &HistogramSnapshot)> {
+                [$(($family, $hdoc.trim(), &self.$hist),)+].into_iter()
             }
         }
     };
@@ -203,6 +237,15 @@ registry! {
     alarms_raised,
     /// Health alarms cleared by the live telemetry engine.
     alarms_cleared,
+    @histograms
+    /// Probe requests consumed per finished trip-point search.
+    hist_probes_per_search as "probes_per_search" in PROBE_BOUNDS,
+    /// STP window-walk steps taken per finished search.
+    hist_search_steps as "search_steps_per_search" in STEP_BOUNDS,
+    /// Retry-ladder depth reached per scheduled retry.
+    hist_retry_depth as "retry_depth" in RETRY_BOUNDS,
+    /// Simulated backoff settle time per retry, in nanoseconds.
+    hist_backoff_ns as "backoff_ns" in BACKOFF_BOUNDS,
 }
 
 impl MetricsSnapshot {
@@ -251,17 +294,17 @@ impl MetricsSnapshot {
                 self.retries, self.hist_backoff_ns.count
             ));
         }
-        for (name, hist) in [
-            ("probes_per_search", &self.hist_probes_per_search),
-            ("search_steps", &self.hist_search_steps),
-            ("retry_depth", &self.hist_retry_depth),
-            ("backoff_ns", &self.hist_backoff_ns),
-        ] {
+        for (name, _, hist) in self.histograms() {
             if !hist.is_consistent() {
                 return Some(format!("histogram {name} buckets do not sum to its count"));
             }
         }
         None
+    }
+
+    /// Injected faults of every kind: the top of the recovery funnel.
+    pub fn faults(&self) -> u64 {
+        self.faults_dropout + self.faults_flip + self.faults_stuck + self.faults_abort + self.faults_stall
     }
 }
 
@@ -276,16 +319,6 @@ const BACKOFF_BOUNDS: &[u64] = &[
     50_000, 100_000, 200_000, 400_000, 800_000, 1_600_000, 3_200_000, 12_800_000,
 ];
 
-/// The live, lock-free metrics registry behind a [`Tracer`](crate::Tracer).
-#[derive(Debug)]
-pub struct MetricsRegistry {
-    pub(crate) counters: Counters,
-    pub(crate) hist_probes_per_search: Histogram,
-    pub(crate) hist_search_steps: Histogram,
-    pub(crate) hist_retry_depth: Histogram,
-    pub(crate) hist_backoff_ns: Histogram,
-}
-
 impl Default for MetricsRegistry {
     fn default() -> Self {
         Self::new()
@@ -293,32 +326,81 @@ impl Default for MetricsRegistry {
 }
 
 impl MetricsRegistry {
-    /// An empty registry with the standard bucket layouts.
-    pub fn new() -> Self {
-        Self {
-            counters: Counters::default(),
-            hist_probes_per_search: Histogram::new(PROBE_BOUNDS),
-            hist_search_steps: Histogram::new(STEP_BOUNDS),
-            hist_retry_depth: Histogram::new(RETRY_BOUNDS),
-            hist_backoff_ns: Histogram::new(BACKOFF_BOUNDS),
+    /// Folds one event into the counters and histograms: the single
+    /// derivation of metrics from events, shared by the live tracer and
+    /// by offline analysis of a recorded stream.
+    ///
+    /// `steps_in_search` counts STP steps since the last
+    /// [`TraceEvent::SearchStarted`]; keep one per span (searches within
+    /// a span are strictly sequential), starting at zero.
+    pub fn observe(&self, event: &TraceEvent, steps_in_search: &mut u64) {
+        let c = &self.counters;
+        match event {
+            TraceEvent::CampaignPhaseChanged { .. } => bump(&c.phases, 1),
+            TraceEvent::ProbeIssued { speculative, .. } => {
+                bump(&c.probes_issued, 1);
+                if *speculative {
+                    bump(&c.probes_speculative, 1);
+                }
+            }
+            TraceEvent::ProbeResolved { cached, .. } => {
+                bump(&c.probes_resolved, 1);
+                if *cached {
+                    bump(&c.probes_cached, 1);
+                }
+            }
+            TraceEvent::SearchStarted { .. } => {
+                bump(&c.searches_started, 1);
+                *steps_in_search = 0;
+            }
+            TraceEvent::StepTaken { .. } => {
+                bump(&c.search_steps, 1);
+                *steps_in_search += 1;
+            }
+            TraceEvent::Bracketed { .. } => bump(&c.brackets, 1),
+            TraceEvent::SearchFinished {
+                converged, probes, ..
+            } => {
+                bump(&c.searches_finished, 1);
+                if *converged {
+                    bump(&c.searches_converged, 1);
+                }
+                self.hist_probes_per_search.observe(*probes);
+                self.hist_search_steps.observe(*steps_in_search);
+                *steps_in_search = 0;
+            }
+            TraceEvent::RetryScheduled {
+                attempt,
+                backoff_us,
+            } => {
+                bump(&c.retries, 1);
+                self.hist_retry_depth.observe(*attempt);
+                // Integer nanoseconds: summation stays exact and
+                // order-independent.
+                self.hist_backoff_ns
+                    .observe((backoff_us * 1000.0).round() as u64);
+            }
+            TraceEvent::VoteResolved { .. } => bump(&c.vote_rounds, 1),
+            TraceEvent::FaultInjected { kind } => match kind {
+                FaultKind::Dropout => bump(&c.faults_dropout, 1),
+                FaultKind::Flip => bump(&c.faults_flip, 1),
+                FaultKind::Stuck => bump(&c.faults_stuck, 1),
+                FaultKind::Abort => bump(&c.faults_abort, 1),
+                FaultKind::Stall => bump(&c.faults_stall, 1),
+            },
+            TraceEvent::Quarantined { .. } => bump(&c.quarantined, 1),
+            TraceEvent::WatchdogFired { .. } => bump(&c.watchdog_timeouts, 1),
+            TraceEvent::SiteBreakerTripped { .. } => bump(&c.breaker_trips, 1),
+            TraceEvent::GaGenerationEvaluated { .. } => bump(&c.ga_generations, 1),
+            TraceEvent::CommitteeEpochFinished { .. } => bump(&c.committee_epochs, 1),
+            TraceEvent::AlarmRaised { .. } => bump(&c.alarms_raised, 1),
+            TraceEvent::AlarmCleared { .. } => bump(&c.alarms_cleared, 1),
         }
     }
-
-    /// A deterministic snapshot of every counter and histogram.
-    pub fn snapshot(&self) -> MetricsSnapshot {
-        let mut snap = MetricsSnapshot::default();
-        self.counters.snapshot_into(&mut snap);
-        snap.hist_probes_per_search = self.hist_probes_per_search.snapshot();
-        snap.hist_search_steps = self.hist_search_steps.snapshot();
-        snap.hist_retry_depth = self.hist_retry_depth.snapshot();
-        snap.hist_backoff_ns = self.hist_backoff_ns.snapshot();
-        snap
-    }
-
 }
 
 /// Increments a registry counter (relaxed: see [`ORDER`]).
-pub(crate) fn bump(counter: &AtomicU64, n: u64) {
+fn bump(counter: &AtomicU64, n: u64) {
     counter.fetch_add(n, ORDER);
 }
 

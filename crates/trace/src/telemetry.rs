@@ -3,11 +3,11 @@
 //!
 //! Post-hoc observability (traces, manifests) answers questions after a
 //! campaign ends; this module answers them *mid-flight*. A telemetry-armed
-//! campaign periodically emits a [`HeartbeatSnapshot`] — progress,
-//! probe/fault/quarantine counters, breaker states, throughput — appended
-//! atomically to `heartbeat.jsonl`, and rewrites `metrics.prom`, an
-//! OpenMetrics/Prometheus textfile rendered from the tracer's
-//! [`MetricsSnapshot`]. `cichar-report watch` tails those files.
+//! campaign periodically emits a [`HeartbeatSnapshot`] — its [`Progress`]
+//! sample, the tracer's whole [`MetricsSnapshot`], derived rates and
+//! active alarms — appended atomically to `heartbeat.jsonl`, and rewrites
+//! `metrics.prom`, an OpenMetrics/Prometheus textfile rendered from the
+//! same snapshot. `cichar-report watch` tails those files.
 //!
 //! # Determinism contract
 //!
@@ -57,78 +57,32 @@ pub const DEFAULT_HEARTBEAT_EVERY_MS: u64 = 25;
 /// Heartbeats retained for rolling-window alarm rules.
 const HISTORY_CAP: usize = 64;
 
-/// `skip_serializing_if` helper: omit an empty list from the wire format.
-fn is_empty_vec<T>(v: &[T]) -> bool {
-    v.is_empty()
-}
-
-/// One live progress/health sample of a running campaign.
+/// One live progress/health sample of a running campaign: the
+/// coordinator's progress sample and the tracer's metrics snapshot as of
+/// the heartbeat, the rates derived from them, the active alarms, and the
+/// wall-clock fields.
 ///
-/// The struct splits into deterministic fields (everything derived from
-/// the seeded campaign and its simulated ledger clock) and wall-clock
-/// fields (`wall_ms`, `trips_per_sec`, `eta_ms`), which
-/// [`Self::normalized`] clears so heartbeat sequences can be compared
-/// bit-for-bit across thread counts.
+/// Everything but the wall-clock fields (`wall_ms`, `trips_per_sec`,
+/// `eta_ms`) is a pure function of the seeded campaign and its simulated
+/// ledger clock; [`Self::normalized`] clears those so heartbeat sequences
+/// can be compared bit-for-bit across thread counts.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct HeartbeatSnapshot {
     /// Position in the heartbeat sequence (0-based).
     pub seq: u64,
     /// The campaign name (`wafer`, `fig2`, `table1`, …).
     pub campaign: String,
-    /// The campaign phase the heartbeat was taken in.
-    pub phase: String,
-    /// Simulated tester time of the merged ledger, in microseconds — the
-    /// deterministic clock that paces heartbeats.
-    pub sim_time_us: u64,
-    /// Work units folded so far ((die, test) entries for wafer campaigns,
-    /// tests for DSV sweeps, evaluations for GA hunts).
-    pub units_done: u64,
-    /// Total work units of the campaign (0 when unknown up front).
-    pub units_total: u64,
-    /// Touchdowns folded so far (wafer campaigns; 0 elsewhere).
-    pub touchdowns_done: u64,
-    /// Chunks committed so far (wafer campaigns; 0 elsewhere).
-    pub chunks_done: u64,
-    /// Probe requests that produced a verdict.
-    pub probes_resolved: u64,
-    /// Probe requests issued as physical measurements.
-    pub probes_issued: u64,
-    /// Probe requests answered from the memo cache.
-    pub probes_cached: u64,
-    /// Issued probes that were speculative pre-issues.
-    pub probes_speculative: u64,
-    /// Trip-point searches finished.
-    pub searches_finished: u64,
-    /// Finished searches that converged.
-    pub searches_converged: u64,
-    /// The fault funnel: strobes re-issued after a silent strobe.
-    pub retries: u64,
-    /// The fault funnel: k-of-n majority votes resolved.
-    pub vote_rounds: u64,
-    /// The fault funnel: measurement points quarantined.
-    pub quarantined: u64,
-    /// Injected probe-contact dropouts.
-    pub faults_dropout: u64,
-    /// Injected transient verdict flips.
-    pub faults_flip: u64,
-    /// Injected stuck-channel replays.
-    pub faults_stuck: u64,
-    /// Injected session-abort bursts.
-    pub faults_abort: u64,
-    /// Injected hung-strobe stalls.
-    pub faults_stall: u64,
-    /// Stall-watchdog firings so far.
-    pub watchdog_timeouts: u64,
-    /// Site positions whose health breaker is latched open, ascending.
-    #[serde(default, skip_serializing_if = "is_empty_vec")]
-    pub breaker_open_sites: Vec<u64>,
+    /// The progress sample the heartbeat was taken from.
+    pub progress: Progress,
+    /// The tracer's counters and histograms as of the heartbeat.
+    pub metrics: MetricsSnapshot,
     /// Quarantined fraction of finished searches (0 when none finished).
     pub quarantine_rate: f64,
     /// Finished searches per simulated second — the deterministic
     /// throughput figure.
     pub sim_trips_per_sec: f64,
     /// Names of the alarms active as of this heartbeat, ascending.
-    #[serde(default, skip_serializing_if = "is_empty_vec")]
+    #[serde(default, skip_serializing_if = "Vec::is_empty")]
     pub alarms_active: Vec<String>,
     /// Wall-clock milliseconds since telemetry was armed. Not
     /// deterministic.
@@ -155,10 +109,8 @@ impl HeartbeatSnapshot {
     /// Fraction of the campaign completed, in `[0, 1]` (`None` without a
     /// known total).
     pub fn fraction_done(&self) -> Option<f64> {
-        if self.units_total == 0 {
-            return None;
-        }
-        Some(self.units_done as f64 / self.units_total as f64)
+        let p = &self.progress;
+        (p.units_total > 0).then(|| p.units_done as f64 / p.units_total as f64)
     }
 }
 
@@ -166,30 +118,33 @@ impl HeartbeatSnapshot {
 ///
 /// Built inside the tick closure, so a disabled telemetry handle never
 /// pays for it.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
 pub struct Progress {
     /// The campaign phase (`wafer`, `dsv`, `ga`, …).
-    pub phase: &'static str,
-    /// Simulated tester time of the merged ledger, in microseconds.
+    pub phase: String,
+    /// Simulated tester time of the merged ledger, in microseconds — the
+    /// deterministic clock that paces heartbeats.
     pub sim_time_us: u64,
-    /// Work units folded so far.
+    /// Work units folded so far ((die, test) entries for wafer campaigns,
+    /// tests for DSV sweeps, evaluations for GA hunts).
     pub units_done: u64,
-    /// Total work units (0 when unknown).
+    /// Total work units of the campaign (0 when unknown up front).
     pub units_total: u64,
-    /// Touchdowns folded so far (wafer campaigns).
+    /// Touchdowns folded so far (wafer campaigns; 0 elsewhere).
     pub touchdowns_done: u64,
-    /// Chunks committed so far (wafer campaigns).
+    /// Chunks committed so far (wafer campaigns; 0 elsewhere).
     pub chunks_done: u64,
-    /// Site positions whose breaker is latched open, ascending.
+    /// Site positions whose health breaker is latched open, ascending.
+    #[serde(default, skip_serializing_if = "Vec::is_empty")]
     pub breaker_open_sites: Vec<u64>,
 }
 
 impl Progress {
     /// A progress sample for flat campaigns (DSV sweeps, GA hunts) that
     /// have units but no touchdown/chunk/breaker structure.
-    pub fn units(phase: &'static str, sim_time_us: u64, done: u64, total: u64) -> Self {
+    pub fn units(phase: &str, sim_time_us: u64, done: u64, total: u64) -> Self {
         Self {
-            phase,
+            phase: phase.to_string(),
             sim_time_us,
             units_done: done,
             units_total: total,
@@ -272,18 +227,25 @@ impl AlarmRule {
                     .len()
                     .checked_sub(window.max(1).saturating_sub(1))
                     .map(|i| &history[i])?;
-                let faults = faults_total(current).saturating_sub(faults_total(base));
-                let probes = current.probes_resolved.saturating_sub(base.probes_resolved);
+                let faults = current
+                    .metrics
+                    .faults()
+                    .saturating_sub(base.metrics.faults());
+                let probes = current
+                    .metrics
+                    .probes_resolved
+                    .saturating_sub(base.metrics.probes_resolved);
                 let rate = faults as f64 / probes.max(1) as f64;
                 (rate > max_rate).then(|| {
                     format!("{faults} faults over {probes} probes ({rate:.3} > {max_rate:.3})")
                 })
             }
             AlarmRule::QuarantineRateCeiling { max_rate } => {
-                (current.searches_finished > 0 && current.quarantine_rate > max_rate).then(|| {
+                let m = &current.metrics;
+                (m.searches_finished > 0 && current.quarantine_rate > max_rate).then(|| {
                     format!(
                         "{} of {} searches quarantined ({:.3} > {max_rate:.3})",
-                        current.quarantined, current.searches_finished, current.quarantine_rate
+                        m.quarantined, m.searches_finished, current.quarantine_rate
                     )
                 })
             }
@@ -303,7 +265,7 @@ impl AlarmRule {
                 }
                 mean /= window.max(1) as f64;
                 let last = tail.last().expect("window is non-empty");
-                if current.sim_time_us == last.sim_time_us {
+                if current.progress.sim_time_us == last.progress.sim_time_us {
                     // Zero-length interval (e.g. the final heartbeat
                     // re-sampling the last fold point): no throughput
                     // signal to judge.
@@ -319,8 +281,11 @@ impl AlarmRule {
             }
             AlarmRule::StallSilence { max_silent_ms } => {
                 let prev = history.last()?;
-                let silent_us = current.sim_time_us.saturating_sub(prev.sim_time_us);
-                let silent = current.probes_resolved == prev.probes_resolved
+                let silent_us = current
+                    .progress
+                    .sim_time_us
+                    .saturating_sub(prev.progress.sim_time_us);
+                let silent = current.metrics.probes_resolved == prev.metrics.probes_resolved
                     && silent_us >= max_silent_ms.saturating_mul(1000);
                 silent.then(|| {
                     format!(
@@ -333,14 +298,10 @@ impl AlarmRule {
     }
 }
 
-/// Total injected faults of a snapshot, across every kind.
-fn faults_total(hb: &HeartbeatSnapshot) -> u64 {
-    hb.faults_dropout + hb.faults_flip + hb.faults_stuck + hb.faults_abort + hb.faults_stall
-}
-
 /// Units folded per simulated second between two heartbeats (0 when no
 /// simulated time elapsed).
 fn interval_throughput(prev: &HeartbeatSnapshot, current: &HeartbeatSnapshot) -> f64 {
+    let (prev, current) = (&prev.progress, &current.progress);
     let dt_us = current.sim_time_us.saturating_sub(prev.sim_time_us);
     if dt_us == 0 {
         return 0.0;
@@ -393,8 +354,6 @@ struct TelemetryCore {
     history: Vec<HeartbeatSnapshot>,
     active: BTreeMap<String, usize>,
     incidents: Vec<AlarmIncident>,
-    alarms_raised: u64,
-    alarms_cleared: u64,
     io_error: Option<io::Error>,
 }
 
@@ -475,11 +434,9 @@ impl Telemetry {
             history: Vec::new(),
             active: BTreeMap::new(),
             incidents: Vec::new(),
-            alarms_raised: 0,
-            alarms_cleared: 0,
             io_error: None,
         };
-        core.write_metrics(&MetricsSnapshot::default(), 0, &[])?;
+        core.write_metrics(&MetricsSnapshot::default(), 0, 0)?;
         Ok(Self {
             core: Some(Arc::new(Mutex::new(core))),
         })
@@ -590,28 +547,8 @@ impl TelemetryCore {
         let mut hb = HeartbeatSnapshot {
             seq: self.seq,
             campaign: self.campaign.clone(),
-            phase: progress.phase.to_string(),
-            sim_time_us: progress.sim_time_us,
-            units_done: progress.units_done,
-            units_total: progress.units_total,
-            touchdowns_done: progress.touchdowns_done,
-            chunks_done: progress.chunks_done,
-            probes_resolved: metrics.probes_resolved,
-            probes_issued: metrics.probes_issued,
-            probes_cached: metrics.probes_cached,
-            probes_speculative: metrics.probes_speculative,
-            searches_finished: metrics.searches_finished,
-            searches_converged: metrics.searches_converged,
-            retries: metrics.retries,
-            vote_rounds: metrics.vote_rounds,
-            quarantined: metrics.quarantined,
-            faults_dropout: metrics.faults_dropout,
-            faults_flip: metrics.faults_flip,
-            faults_stuck: metrics.faults_stuck,
-            faults_abort: metrics.faults_abort,
-            faults_stall: metrics.faults_stall,
-            watchdog_timeouts: metrics.watchdog_timeouts,
-            breaker_open_sites: progress.breaker_open_sites,
+            progress,
+            metrics,
             quarantine_rate,
             sim_trips_per_sec,
             alarms_active: Vec::new(),
@@ -620,14 +557,13 @@ impl TelemetryCore {
             eta_ms,
         };
         self.evaluate_alarms(&mut hb);
-        let active: Vec<String> = hb.alarms_active.clone();
         if let Err(err) = self.append_heartbeat(&hb) {
             self.latch(err);
         }
         // Re-snapshot after the alarm events so the textfile's alarm
         // counters include this heartbeat's own transitions.
         let metrics = self.tracer.metrics();
-        if let Err(err) = self.write_metrics(&metrics, self.seq + 1, &active) {
+        if let Err(err) = self.write_metrics(&metrics, self.seq + 1, hb.alarms_active.len()) {
             self.latch(err);
         }
         self.history.push(hb);
@@ -653,7 +589,6 @@ impl TelemetryCore {
                         cleared_at: None,
                         detail: detail.clone(),
                     });
-                    self.alarms_raised += 1;
                     self.tracer.emit_campaign(TraceEvent::AlarmRaised {
                         alarm: name.to_string(),
                         heartbeat: hb.seq,
@@ -664,7 +599,6 @@ impl TelemetryCore {
                     if let Some(index) = self.active.remove(name) {
                         self.incidents[index].cleared_at = Some(hb.seq);
                     }
-                    self.alarms_cleared += 1;
                     self.tracer.emit_campaign(TraceEvent::AlarmCleared {
                         alarm: name.to_string(),
                         heartbeat: hb.seq,
@@ -695,7 +629,7 @@ impl TelemetryCore {
         &self,
         metrics: &MetricsSnapshot,
         heartbeats: u64,
-        active: &[String],
+        active: usize,
     ) -> io::Result<()> {
         let mut body = openmetrics_body(metrics);
         let _ = writeln!(body, "# HELP cichar_heartbeats Heartbeats emitted by the live telemetry sidecar.");
@@ -703,7 +637,7 @@ impl TelemetryCore {
         let _ = writeln!(body, "cichar_heartbeats_total {heartbeats}");
         let _ = writeln!(body, "# HELP cichar_alarms_active Health alarms currently active.");
         let _ = writeln!(body, "# TYPE cichar_alarms_active gauge");
-        let _ = writeln!(body, "cichar_alarms_active {}", active.len());
+        let _ = writeln!(body, "cichar_alarms_active {active}");
         body.push_str("# EOF\n");
         let path = self.dir.join(METRICS_FILE);
         let scratch = self.dir.join(format!("{METRICS_FILE}.tmp"));
@@ -719,73 +653,30 @@ impl TelemetryCore {
         }
     }
 
+    /// The health section; every raise opened one incident and every
+    /// clear closed one, so the incidents are the raise/clear counts.
     fn health(&self) -> HealthSection {
+        let cleared = self.incidents.iter().filter(|i| i.cleared_at.is_some());
         HealthSection {
             heartbeats: self.seq,
-            alarms_raised: self.alarms_raised,
-            alarms_cleared: self.alarms_cleared,
+            alarms_raised: self.incidents.len() as u64,
+            alarms_cleared: cleared.count() as u64,
             active_alarms: self.active.keys().cloned().collect(),
             incidents: self.incidents.clone(),
         }
     }
 }
 
-/// The counter table behind the OpenMetrics exposition: stable metric
-/// name (without the `cichar_` prefix or `_total` suffix), HELP text, and
-/// the snapshot value. A unit test asserts this table covers every
-/// counter field of [`MetricsSnapshot`], so a newly registered counter
-/// cannot silently miss the textfile.
-fn counter_samples(m: &MetricsSnapshot) -> Vec<(&'static str, &'static str, u64)> {
-    vec![
-        ("probes_resolved", "Probe requests that produced a verdict (cached or measured).", m.probes_resolved),
-        ("probes_cached", "Probe requests answered from the oracle memo cache.", m.probes_cached),
-        ("probes_issued", "Probe requests issued to the tester as physical measurements.", m.probes_issued),
-        ("probes_speculative", "Issued probes that were pre-issued speculatively.", m.probes_speculative),
-        ("searches_started", "Trip-point searches started.", m.searches_started),
-        ("searches_finished", "Trip-point searches finished.", m.searches_finished),
-        ("searches_converged", "Finished searches that converged on a trip point.", m.searches_converged),
-        ("search_steps", "STP window-walk iterations taken (eqs. 3/4).", m.search_steps),
-        ("brackets", "Pass/fail brackets established.", m.brackets),
-        ("retries", "Strobes re-issued after a silent strobe.", m.retries),
-        ("vote_rounds", "k-of-n majority votes resolved.", m.vote_rounds),
-        ("quarantined", "Measurement points quarantined after recovery failed.", m.quarantined),
-        ("faults_dropout", "Probe-contact dropouts injected by the fault model.", m.faults_dropout),
-        ("faults_flip", "Transient verdict flips injected by the fault model.", m.faults_flip),
-        ("faults_stuck", "Stuck-channel replays injected by the fault model.", m.faults_stuck),
-        ("faults_abort", "Session-abort bursts injected by the fault model.", m.faults_abort),
-        ("faults_stall", "Hung-strobe stalls injected by the fault model.", m.faults_stall),
-        ("ga_generations", "GA generations evaluated.", m.ga_generations),
-        ("committee_epochs", "Committee learning rounds finished.", m.committee_epochs),
-        ("phases", "Campaign phase transitions.", m.phases),
-        ("watchdog_timeouts", "Stall-watchdog firings.", m.watchdog_timeouts),
-        ("breaker_trips", "Site health circuit breakers latched open.", m.breaker_trips),
-        ("alarms_raised", "Health alarms raised by the telemetry engine.", m.alarms_raised),
-        ("alarms_cleared", "Health alarms cleared by the telemetry engine.", m.alarms_cleared),
-    ]
-}
-
-/// The histogram table behind the OpenMetrics exposition.
-fn histogram_samples(
-    m: &MetricsSnapshot,
-) -> Vec<(&'static str, &'static str, &crate::metrics::HistogramSnapshot)> {
-    vec![
-        ("probes_per_search", "Probe requests consumed per finished trip-point search.", &m.hist_probes_per_search),
-        ("search_steps_per_search", "STP window-walk steps taken per finished search.", &m.hist_search_steps),
-        ("retry_depth", "Retry-ladder depth reached per scheduled retry.", &m.hist_retry_depth),
-        ("backoff_ns", "Simulated backoff settle time per retry, in nanoseconds.", &m.hist_backoff_ns),
-    ]
-}
-
 /// The metrics body without the `# EOF` terminator (the telemetry writer
 /// appends its own sidecar samples before terminating).
 fn openmetrics_body(m: &MetricsSnapshot) -> String {
     let mut out = String::new();
-    for (name, help, value) in counter_samples(m) {
+    for (name, help, value) in m.counters() {
         let _ = writeln!(out, "# HELP cichar_{name} {help}");
         let _ = writeln!(out, "# TYPE cichar_{name} counter");
         let _ = writeln!(out, "cichar_{name}_total {value}");
     }
-    for (name, help, hist) in histogram_samples(m) {
+    for (name, help, hist) in m.histograms() {
         let _ = writeln!(out, "# HELP cichar_{name} {help}");
         let _ = writeln!(out, "# TYPE cichar_{name} histogram");
         let mut cumulative = 0u64;
@@ -869,28 +760,14 @@ mod tests {
         HeartbeatSnapshot {
             seq,
             campaign: String::from("t"),
-            phase: String::from("p"),
-            sim_time_us: sim_ms * 1000,
-            units_done: units,
-            units_total: 100,
-            touchdowns_done: 0,
-            chunks_done: 0,
-            probes_resolved: probes,
-            probes_issued: probes,
-            probes_cached: 0,
-            probes_speculative: 0,
-            searches_finished: units,
-            searches_converged: units,
-            retries: 0,
-            vote_rounds: 0,
-            quarantined: 0,
-            faults_dropout: 0,
-            faults_flip: 0,
-            faults_stuck: 0,
-            faults_abort: 0,
-            faults_stall: 0,
-            watchdog_timeouts: 0,
-            breaker_open_sites: Vec::new(),
+            progress: Progress::units("p", sim_ms * 1000, units, 100),
+            metrics: MetricsSnapshot {
+                probes_resolved: probes,
+                probes_issued: probes,
+                searches_finished: units,
+                searches_converged: units,
+                ..MetricsSnapshot::default()
+            },
             quarantine_rate: 0.0,
             sim_trips_per_sec: 0.0,
             alarms_active: Vec::new(),
@@ -908,8 +785,8 @@ mod tests {
         assert_eq!(norm.trips_per_sec, 0.0);
         assert_eq!(norm.eta_ms, None);
         assert_eq!(norm.seq, hb.seq);
-        assert_eq!(norm.sim_time_us, hb.sim_time_us);
-        assert_eq!(norm.units_done, hb.units_done);
+        assert_eq!(norm.progress, hb.progress);
+        assert_eq!(norm.metrics, hb.metrics);
     }
 
     #[test]
@@ -1023,7 +900,7 @@ mod tests {
     fn quarantine_ceiling_and_fault_spike_fire_on_their_signatures() {
         let quarantine = AlarmRule::QuarantineRateCeiling { max_rate: 0.1 };
         let mut hb = beat(5, 100, 50, 200);
-        hb.quarantined = 20;
+        hb.metrics.quarantined = 20;
         hb.quarantine_rate = 0.4;
         assert!(quarantine.evaluate(&[], &hb).is_some());
         hb.quarantine_rate = 0.05;
@@ -1035,9 +912,9 @@ mod tests {
         };
         let history = vec![beat(0, 10, 10, 100)];
         let mut hb = beat(1, 20, 12, 110);
-        hb.faults_flip = 9; // 9 faults over 10 probes
+        hb.metrics.faults_flip = 9; // 9 faults over 10 probes
         assert!(spike.evaluate(&history, &hb).is_some());
-        hb.faults_flip = 2;
+        hb.metrics.faults_flip = 2;
         assert!(spike.evaluate(&history, &hb).is_none());
         assert!(spike.evaluate(&[], &hb).is_none(), "needs history");
     }
@@ -1102,8 +979,8 @@ mod tests {
     #[test]
     fn counter_table_covers_every_snapshot_counter_field() {
         // Serialize a snapshot and check the exposition names every
-        // integer field: a counter added to the registry macro without a
-        // row in `counter_samples` fails here, not in production.
+        // integer field: the table `registry!` generates must reach the
+        // textfile for every counter the snapshot serializes.
         use serde::{Serialize as _, Value};
         let snapshot = MetricsSnapshot::default();
         let value = snapshot.to_value();
@@ -1122,7 +999,7 @@ mod tests {
             }
         }
         assert_eq!(
-            counter_samples(&snapshot).len(),
+            snapshot.counters().count(),
             counters,
             "table and snapshot disagree on the counter count"
         );

@@ -11,8 +11,8 @@
 //! the same seeded campaign therefore emit identical event streams (up to
 //! wall-clock timestamps) and identical metrics snapshots.
 
-use crate::event::{FaultKind, TraceEvent, TraceRecord};
-use crate::metrics::{bump, MetricsRegistry, MetricsSnapshot};
+use crate::event::{TraceEvent, TraceRecord};
+use crate::metrics::{MetricsRegistry, MetricsSnapshot};
 use crate::sink::TraceSink;
 use crate::timing::{SpanClock, TimingRegistry, TimingSnapshot};
 use std::io;
@@ -52,7 +52,7 @@ impl SpanTrace {
 
     /// An enabled span for `test` carrying a monotonic [`SpanClock`] — the
     /// form a timing-enabled tracer hands out.
-    pub fn for_test_timed(test: u64) -> Self {
+    fn for_test_timed(test: u64) -> Self {
         Self {
             events: Some(Arc::new(Mutex::new(Vec::new()))),
             clock: Some(Arc::new(SpanClock::new())),
@@ -141,7 +141,7 @@ struct TracerCore {
     started: Instant,
     phase_state: Mutex<(Vec<PhaseSummary>, Option<OpenPhase>)>,
     /// The wall-clock timing sidecar, present only for timing-enabled
-    /// tracers ([`TimedTracer`]). Never feeds the event stream: the
+    /// tracers ([`Tracer::timed`]). Never feeds the event stream: the
     /// normalized trace is byte-identical with and without it.
     timing: Option<Arc<TimingRegistry>>,
 }
@@ -173,6 +173,36 @@ impl Tracer {
     /// A tracer recording into `sink`.
     pub fn new(sink: Arc<dyn TraceSink>) -> Self {
         Self::build(sink, None)
+    }
+
+    /// A tracer recording into `sink` with the wall-clock timing sidecar
+    /// armed: spans carry a monotonic [`SpanClock`], and absorbed
+    /// durations aggregate per phase in a [`TimingRegistry`] that
+    /// [`Self::timings`] reads.
+    ///
+    /// The event stream is **byte-identical** to an untimed tracer's
+    /// (timings are a separate artifact — they land in
+    /// `RunManifest.timings`, never in the trace). Golden tests assert
+    /// that identity.
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use cichar_trace::{NullSink, TraceEvent, Tracer};
+    /// use std::sync::Arc;
+    ///
+    /// let timed = Tracer::timed(Arc::new(NullSink));
+    /// timed.phase("dsv");
+    /// let span = timed.span(0);
+    /// span.emit(TraceEvent::ProbeIssued { value: 110.0, speculative: false });
+    /// span.mark_done();
+    /// timed.absorb(span);
+    /// let timings = timed.timings().expect("timing sidecar armed");
+    /// assert_eq!(timings.phases[0].phase, "dsv");
+    /// assert_eq!(timings.phases[0].spans, 1);
+    /// ```
+    pub fn timed(sink: Arc<dyn TraceSink>) -> Self {
+        Self::build(sink, Some(Arc::new(TimingRegistry::new())))
     }
 
     fn build(sink: Arc<dyn TraceSink>, timing: Option<Arc<TimingRegistry>>) -> Self {
@@ -279,7 +309,7 @@ impl Tracer {
     }
 
     /// A snapshot of the wall-clock timing sidecar, or `None` for tracers
-    /// without one (everything except a [`TimedTracer`]).
+    /// without one (everything except a [`Tracer::timed`]).
     pub fn timings(&self) -> Option<TimingSnapshot> {
         self.core
             .as_ref()
@@ -301,75 +331,6 @@ impl Tracer {
     }
 }
 
-/// A [`Tracer`] with the wall-clock timing sidecar armed: spans carry a
-/// monotonic [`SpanClock`], and absorbed durations aggregate per phase in
-/// a [`TimingRegistry`].
-///
-/// Derefs to [`Tracer`], so every traced entry point accepts it
-/// unchanged; the event stream it produces is **byte-identical** to an
-/// untimed tracer's (timings are a separate artifact — they land in
-/// `RunManifest.timings`, never in the trace). Golden tests assert that
-/// identity.
-///
-/// # Examples
-///
-/// ```
-/// use cichar_trace::{NullSink, TimedTracer, TraceEvent};
-/// use std::sync::Arc;
-///
-/// let timed = TimedTracer::new(Arc::new(NullSink));
-/// timed.phase("dsv");
-/// let span = timed.span(0);
-/// span.emit(TraceEvent::ProbeIssued { value: 110.0, speculative: false });
-/// span.mark_done();
-/// timed.absorb(span);
-/// let timings = timed.timing_snapshot();
-/// assert_eq!(timings.phases[0].phase, "dsv");
-/// assert_eq!(timings.phases[0].spans, 1);
-/// ```
-#[derive(Clone)]
-pub struct TimedTracer {
-    tracer: Tracer,
-    registry: Arc<TimingRegistry>,
-}
-
-impl std::fmt::Debug for TimedTracer {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("TimedTracer")
-            .field("tracer", &self.tracer)
-            .finish_non_exhaustive()
-    }
-}
-
-impl TimedTracer {
-    /// A timing-enabled tracer recording events into `sink`.
-    pub fn new(sink: Arc<dyn TraceSink>) -> Self {
-        let registry = Arc::new(TimingRegistry::new());
-        Self {
-            tracer: Tracer::build(sink, Some(registry.clone())),
-            registry,
-        }
-    }
-
-    /// The underlying tracer handle (also reachable through deref).
-    pub fn tracer(&self) -> &Tracer {
-        &self.tracer
-    }
-
-    /// The timing sidecar's current per-phase statistics.
-    pub fn timing_snapshot(&self) -> TimingSnapshot {
-        self.registry.snapshot()
-    }
-}
-
-impl std::ops::Deref for TimedTracer {
-    type Target = Tracer;
-
-    fn deref(&self) -> &Tracer {
-        &self.tracer
-    }
-}
-
 fn close_phase(open: OpenPhase, probes_now: u64) -> PhaseSummary {
     PhaseSummary {
         name: open.name,
@@ -386,7 +347,7 @@ impl TracerCore {
         // strictly sequential, so a local counter suffices.
         let mut steps_in_search = 0u64;
         for event in events {
-            self.derive_metrics(&event, &mut steps_in_search);
+            self.metrics.observe(&event, &mut steps_in_search);
             let seq = self.seq.fetch_add(1, Ordering::Relaxed);
             self.sink.record(&TraceRecord {
                 seq,
@@ -394,72 +355,6 @@ impl TracerCore {
                 ts_us,
                 event,
             });
-        }
-    }
-
-    fn derive_metrics(&self, event: &TraceEvent, steps_in_search: &mut u64) {
-        let c = &self.metrics.counters;
-        match event {
-            TraceEvent::CampaignPhaseChanged { .. } => bump(&c.phases, 1),
-            TraceEvent::ProbeIssued { speculative, .. } => {
-                bump(&c.probes_issued, 1);
-                if *speculative {
-                    bump(&c.probes_speculative, 1);
-                }
-            }
-            TraceEvent::ProbeResolved { cached, .. } => {
-                bump(&c.probes_resolved, 1);
-                if *cached {
-                    bump(&c.probes_cached, 1);
-                }
-            }
-            TraceEvent::SearchStarted { .. } => {
-                bump(&c.searches_started, 1);
-                *steps_in_search = 0;
-            }
-            TraceEvent::StepTaken { .. } => {
-                bump(&c.search_steps, 1);
-                *steps_in_search += 1;
-            }
-            TraceEvent::Bracketed { .. } => bump(&c.brackets, 1),
-            TraceEvent::SearchFinished {
-                converged, probes, ..
-            } => {
-                bump(&c.searches_finished, 1);
-                if *converged {
-                    bump(&c.searches_converged, 1);
-                }
-                self.metrics.hist_probes_per_search.observe(*probes);
-                self.metrics.hist_search_steps.observe(*steps_in_search);
-                *steps_in_search = 0;
-            }
-            TraceEvent::RetryScheduled {
-                attempt,
-                backoff_us,
-            } => {
-                bump(&c.retries, 1);
-                self.metrics.hist_retry_depth.observe(*attempt);
-                // Integer nanoseconds: summation stays exact and
-                // order-independent.
-                self.metrics
-                    .hist_backoff_ns
-                    .observe((backoff_us * 1000.0).round() as u64);
-            }
-            TraceEvent::VoteResolved { .. } => bump(&c.vote_rounds, 1),
-            TraceEvent::FaultInjected { kind } => match kind {
-                FaultKind::Dropout => bump(&c.faults_dropout, 1),
-                FaultKind::Flip => bump(&c.faults_flip, 1),
-                FaultKind::Stuck => bump(&c.faults_stuck, 1),
-                FaultKind::Abort => bump(&c.faults_abort, 1),
-                FaultKind::Stall => bump(&c.faults_stall, 1),
-            },
-            TraceEvent::Quarantined { .. } => bump(&c.quarantined, 1),
-            TraceEvent::WatchdogFired { .. } => bump(&c.watchdog_timeouts, 1),
-            TraceEvent::SiteBreakerTripped { .. } => bump(&c.breaker_trips, 1),
-            TraceEvent::GaGenerationEvaluated { .. } => bump(&c.ga_generations, 1),
-            TraceEvent::CommitteeEpochFinished { .. } => bump(&c.committee_epochs, 1),
-            TraceEvent::AlarmRaised { .. } => bump(&c.alarms_raised, 1),
-            TraceEvent::AlarmCleared { .. } => bump(&c.alarms_cleared, 1),
         }
     }
 }
@@ -583,7 +478,7 @@ mod tests {
     #[test]
     fn timed_tracer_records_span_durations_per_phase() {
         let sink = Arc::new(RingBufferSink::unbounded());
-        let timed = TimedTracer::new(sink.clone());
+        let timed = Tracer::timed(sink.clone());
         timed.phase("full_range");
         for test in 0..2u64 {
             let span = timed.span(test);
@@ -597,13 +492,12 @@ mod tests {
         let span = timed.span(2);
         span.emit(TraceEvent::ProbeIssued { value: 1.0, speculative: false });
         timed.absorb(span); // unmarked: falls back to absorb-time duration
-        let timings = timed.timing_snapshot();
+        let timings = timed.timings().expect("timing sidecar armed");
         assert_eq!(timings.phases.len(), 2);
         assert_eq!(timings.phases[0].phase, "full_range");
         assert_eq!(timings.phases[0].spans, 2);
         assert!(timings.phases[0].total_ns > 0);
         assert_eq!(timings.phases[1].spans, 1);
-        assert_eq!(timed.timings(), Some(timings), "reachable via the Tracer handle");
         // The sidecar never touches the stream: record count matches an
         // untimed tracer's for the same campaign.
         assert_eq!(sink.records().len(), 2 * 6 + 1 + 2, "events + phase changes");

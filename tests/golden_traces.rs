@@ -29,7 +29,7 @@ use cichar::exec::ExecPolicy;
 use cichar::genetic::GaConfig;
 use cichar::neural::TrainConfig;
 use cichar::patterns::{random, ConditionSpace, Test};
-use cichar::trace::{normalize_jsonl, MetricsSnapshot, RingBufferSink, TimedTracer, TraceSink, Tracer};
+use cichar::trace::{normalize_jsonl, MetricsSnapshot, RingBufferSink, Tracer};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::path::PathBuf;
@@ -244,7 +244,7 @@ fn table1_campaign_trace_is_golden() {
 
 /// The wall-clock timing sidecar must stay OUT of the event stream: the
 /// same campaign run through a plain [`Tracer`] and through a
-/// [`TimedTracer`] produces byte-identical normalized streams — only the
+/// [`Tracer::timed`] produces byte-identical normalized streams — only the
 /// side-channel snapshot differs. This is what lets every golden fixture
 /// stay valid whether or not `--timings` is on.
 #[test]
@@ -252,9 +252,7 @@ fn timed_tracer_leaves_the_normalized_stream_byte_identical() {
     let run = |timed: bool| -> (String, bool) {
         let sink = Arc::new(RingBufferSink::unbounded());
         let tracer = if timed {
-            TimedTracer::new(sink.clone() as Arc<dyn TraceSink>)
-                .tracer()
-                .clone()
+            Tracer::timed(sink.clone())
         } else {
             Tracer::new(sink.clone())
         };

@@ -1,15 +1,17 @@
 //! Property tests on the metrics registry: whatever fault mix, recovery
 //! policy, seed and thread count a campaign runs with, the final
-//! [`MetricsSnapshot`] must satisfy the accounting invariants and be
-//! independent of the execution schedule.
+//! [`MetricsSnapshot`] must satisfy the accounting invariants, be
+//! independent of the execution schedule, and be re-derived exactly by
+//! `cichar-report`'s offline fold of the recorded stream.
 
 use cichar::ate::{AteConfig, MeasuredParam, ParallelAte, TesterFaultModel};
 use cichar::core::dsv::{MultiTripRunner, SearchStrategy};
 use cichar::dut::MemoryDevice;
 use cichar::exec::ExecPolicy;
 use cichar::patterns::{random, ConditionSpace, Test};
+use cichar::report::TraceAnalysis;
 use cichar::search::RetryPolicy;
-use cichar::trace::{MetricsSnapshot, NullSink, Tracer};
+use cichar::trace::{MetricsSnapshot, RingBufferSink, Tracer};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -20,8 +22,10 @@ fn suite(seed: u64, n: usize) -> Vec<Test> {
     random::random_suite(&mut StdRng::seed_from_u64(seed), &space, n)
 }
 
-/// Runs a multi-trip campaign against a null-sink tracer (metrics still
-/// accumulate) and returns the final snapshot.
+/// Runs a multi-trip campaign against a recording tracer and returns the
+/// final snapshot, after checking that the trace analysis of the recorded
+/// stream folds to the same snapshot, histograms included: live and
+/// offline counts come from one derivation.
 fn campaign_metrics(
     campaign_seed: u64,
     suite_seed: u64,
@@ -42,7 +46,8 @@ fn campaign_metrics(
     if let Some(policy) = recovery {
         runner = runner.with_recovery(policy);
     }
-    let tracer = Tracer::new(Arc::new(NullSink));
+    let sink = Arc::new(RingBufferSink::unbounded());
+    let tracer = Tracer::new(sink.clone());
     runner.run_parallel_traced(
         &blueprint,
         &suite(suite_seed, 16),
@@ -50,7 +55,12 @@ fn campaign_metrics(
         ExecPolicy::with_threads(threads),
         &tracer,
     );
-    tracer.metrics()
+    let metrics = tracer.metrics();
+    assert_eq!(
+        TraceAnalysis::from_records(&sink.records()).metrics,
+        metrics
+    );
+    metrics
 }
 
 proptest! {

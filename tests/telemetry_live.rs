@@ -12,6 +12,8 @@
 //! - The Table 1 hunt heartbeats from both of its fold points, the Random
 //!   row's DSV merge and the GA's evaluation merge, identically at every
 //!   thread count.
+//! - The sidecar readers (`latest_heartbeat`, `parse_openmetrics`) return
+//!   a value or an error for torn and corrupted files, never a panic.
 
 use cichar::ate::{Ate, AteConfig, MeasuredParam, TesterFaultModel};
 use cichar::core::compare::{quick_config, Comparison};
@@ -20,6 +22,7 @@ use cichar::core::wafer::{WaferConfig, WaferRunner};
 use cichar::dut::{Lot, MemoryDevice};
 use cichar::exec::ExecPolicy;
 use cichar::patterns::{random, Test, TestConditions};
+use cichar::report::latest_heartbeat;
 use cichar::trace::{
     parse_openmetrics, AlarmRule, HeartbeatSnapshot, MetricsSnapshot, NullSink, Telemetry, Tracer,
     HEARTBEAT_FILE, METRICS_FILE,
@@ -123,7 +126,7 @@ proptest! {
         for (i, pair) in serial.windows(2).enumerate() {
             prop_assert_eq!(pair[1].seq, pair[0].seq + 1);
             prop_assert!(
-                pair[1].sim_time_us >= pair[0].sim_time_us,
+                pair[1].progress.sim_time_us >= pair[0].progress.sim_time_us,
                 "sim clock went backwards at heartbeat {i}"
             );
         }
@@ -176,14 +179,14 @@ proptest! {
         let last = beats.last().expect("finish() emits a final heartbeat");
         // The final snapshot reconciles with the campaign totals: every
         // (die, test) entry is accounted, replayed ones included...
-        prop_assert_eq!(last.units_done, report.aggregate.entries);
-        prop_assert_eq!(last.units_total, (dies.len() * tests.len()) as u64);
-        prop_assert_eq!(last.touchdowns_done, report.touchdowns);
+        prop_assert_eq!(last.progress.units_done, report.aggregate.entries);
+        prop_assert_eq!(last.progress.units_total, (dies.len() * tests.len()) as u64);
+        prop_assert_eq!(last.progress.touchdowns_done, report.touchdowns);
         // ...while the probe counters come from the live tracer alone
         // (replay re-emits nothing).
         let metrics = tracer.metrics();
-        prop_assert_eq!(last.probes_resolved, metrics.probes_resolved);
-        prop_assert_eq!(last.searches_finished, metrics.searches_finished);
+        prop_assert_eq!(last.metrics.probes_resolved, metrics.probes_resolved);
+        prop_assert_eq!(last.metrics.searches_finished, metrics.searches_finished);
         prop_assert!(
             stats.chunks_replayed >= 1,
             "the kill point must actually exercise replay"
@@ -192,9 +195,9 @@ proptest! {
         // starts beyond what the journal already held.
         let first = &beats[0];
         prop_assert!(
-            first.units_done > stats.entries_replayed.saturating_sub(1),
+            first.progress.units_done > stats.entries_replayed.saturating_sub(1),
             "first heartbeat ({} units) predates the replayed prefix ({})",
-            first.units_done,
+            first.progress.units_done,
             stats.entries_replayed
         );
         let _ = std::fs::remove_dir_all(&journal);
@@ -329,7 +332,58 @@ fn table1_hunt_heartbeats_are_bit_identical_across_thread_counts() {
     // Both tick sites fire mid-hunt, not only the closing heartbeat.
     let live = &serial[..serial.len() - 1];
     for phase in ["dsv", "ga"] {
-        let ticked = live.iter().any(|b| b.phase == phase);
+        let ticked = live.iter().any(|b| b.progress.phase == phase);
         assert!(ticked, "no live {phase} heartbeat");
     }
+}
+
+/// Feeds `read` every prefix of `text` and every single-byte replacement
+/// by one of `structural`; a panic anywhere fails the calling test.
+fn sweep_prefixes_and_mutations(text: &str, structural: &[u8], read: impl Fn(&str)) {
+    for end in (0..text.len()).filter(|&end| text.is_char_boundary(end)) {
+        read(&text[..end]);
+    }
+    let mut bytes = text.as_bytes().to_vec();
+    let mut mutated = 0usize;
+    for pos in 0..bytes.len() {
+        let original = bytes[pos];
+        for &b in structural.iter().filter(|&&b| b != original) {
+            bytes[pos] = b;
+            if let Ok(text) = std::str::from_utf8(&bytes) {
+                read(text);
+                mutated += 1;
+            }
+        }
+        bytes[pos] = original;
+    }
+    assert!(
+        mutated >= text.len() * (structural.len() - 1),
+        "{mutated} mutations reached the reader"
+    );
+}
+
+/// A live writer, a torn append or a bad disk can leave any bytes in the
+/// telemetry directory. Every prefix of a real heartbeat line and of a
+/// real `metrics.prom`, and each of their bytes replaced by one of the
+/// format's structural bytes, must come back as a value or an error.
+#[test]
+fn no_prefix_or_byte_mutation_of_a_sidecar_panics() {
+    let dir = tmp_dir("sidecar_mutation");
+    wafer_campaign(&dir, 42, 12, 2, 10);
+    let stream = std::fs::read_to_string(dir.join(HEARTBEAT_FILE)).expect("heartbeat stream");
+    let line = stream.lines().last().expect("a heartbeat line");
+    let exposition = std::fs::read_to_string(dir.join(METRICS_FILE)).expect("metrics.prom");
+    let _ = std::fs::remove_dir_all(&dir);
+    assert!(latest_heartbeat(line).0.is_some(), "pristine line parses");
+    assert!(
+        parse_openmetrics(&exposition).is_ok(),
+        "pristine exposition parses"
+    );
+
+    sweep_prefixes_and_mutations(line, b"{}[]:,\"\\ 0-.e", |text| {
+        let _ = latest_heartbeat(text);
+    });
+    sweep_prefixes_and_mutations(&exposition, b"# \n{}=\"", |text| {
+        let _ = parse_openmetrics(text);
+    });
 }
