@@ -285,15 +285,16 @@ pub fn load_artifact<T: Deserialize>(path: impl AsRef<Path>) -> io::Result<T> {
 /// entries this way, so a crash mid-campaign leaves only whole chunk
 /// files behind, never a truncated line.
 ///
+/// Each record is written straight into the file's body, so a derived
+/// record builds no intermediate value or line.
+///
 /// # Errors
 ///
-/// Propagates I/O and serialization errors.
+/// Propagates I/O errors.
 pub fn save_jsonl<T: Serialize>(records: &[T], path: impl AsRef<Path>) -> io::Result<()> {
     let mut body = String::new();
     for record in records {
-        let line = serde_json::to_string(record)
-            .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))?;
-        body.push_str(&line);
+        record.write_json(&mut body);
         body.push('\n');
     }
     commit_atomically(body.as_bytes(), path.as_ref())
@@ -336,8 +337,11 @@ pub struct Salvaged<T> {
 /// # Errors
 ///
 /// Propagates I/O errors, and deserialization errors for any *complete*
-/// line — mid-file corruption is a hard error, not a torn write.
+/// line — mid-file corruption is a hard error, not a torn write. A
+/// deserialization error is [`io::ErrorKind::InvalidData`] and names the
+/// file and the 1-based line.
 pub fn load_jsonl_salvaged<T: Deserialize>(path: impl AsRef<Path>) -> io::Result<Salvaged<T>> {
+    let path = path.as_ref();
     let body = fs::read_to_string(path)?;
     let (complete, torn) = match body.rfind('\n') {
         Some(last) => (&body[..=last], last + 1 < body.len()),
@@ -345,9 +349,13 @@ pub fn load_jsonl_salvaged<T: Deserialize>(path: impl AsRef<Path>) -> io::Result
     };
     let records = complete
         .lines()
-        .filter(|line| !line.trim().is_empty())
-        .map(|line| {
-            serde_json::from_str(line).map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))
+        .enumerate()
+        .filter(|(_, line)| !line.trim().is_empty())
+        .map(|(index, line)| {
+            serde_json::from_str(line).map_err(|e| {
+                let at = format!("{}:{}: {e}", path.display(), index + 1);
+                io::Error::new(io::ErrorKind::InvalidData, at)
+            })
         })
         .collect::<io::Result<Vec<T>>>()?;
     Ok(Salvaged { records, torn })
