@@ -862,6 +862,80 @@ mod tests {
         assert_eq!(parse_rate("--site-fault-threshold", "1", false, true).unwrap(), 1.0);
     }
 
+    /// Feeds `check` every prefix of each of `valid` and every
+    /// replacement of one of its characters by one of `alphabet`, on top
+    /// of the input itself.
+    fn sweep(valid: &[&str], alphabet: &str, check: impl Fn(&str)) {
+        for text in valid {
+            check(text);
+            for (at, _) in text.char_indices() {
+                check(&text[..at]);
+            }
+            for (at, c) in text.char_indices() {
+                for sub in alphabet.chars() {
+                    let mut mutated = String::with_capacity(text.len() + 4);
+                    mutated.push_str(&text[..at]);
+                    mutated.push(sub);
+                    mutated.push_str(&text[at + c.len_utf8()..]);
+                    check(&mutated);
+                }
+            }
+        }
+    }
+
+    /// Characters that shift a token's meaning: separators, signs,
+    /// exponents, special-value spellings, whitespace and non-ASCII.
+    const MUTATIONS: &str = ":,=.+-eE0179aNnifx _\t\u{0}\u{e9}\u{1F600}";
+
+    #[test]
+    fn no_prefix_or_substitution_panics_the_device_spec_parser() {
+        let valid = [
+            "memory",
+            "netlist:levels=16,jitter=0.2",
+            "logic:depth=12",
+            "netlist:levels=1e3,jitter=-0.5,seed=NaN,x=inf",
+        ];
+        sweep(&valid, MUTATIONS, |raw| {
+            let Ok(spec) = raw.parse::<DeviceSpec>() else {
+                return;
+            };
+            let shown = spec.to_string();
+            let back: DeviceSpec = shown
+                .parse()
+                .unwrap_or_else(|e| panic!("{raw:?} displays as {shown:?}, which fails: {e}"));
+            assert_eq!(back.name, spec.name, "{raw:?}");
+            assert_eq!(back.overrides.len(), spec.overrides.len(), "{raw:?}");
+            for ((k, v), (bk, bv)) in spec.overrides.iter().zip(&back.overrides) {
+                assert_eq!(bk, k, "{raw:?}");
+                assert!(bv == v || (v.is_nan() && bv.is_nan()), "{raw:?}: {v} re-parsed as {bv}");
+            }
+        });
+    }
+
+    #[test]
+    fn no_prefix_or_substitution_panics_the_count_and_rate_parsers() {
+        let counts = ["1", "8", " 640 ", "18446744073709551615"];
+        sweep(&counts, MUTATIONS, |raw| {
+            if let Ok(n) = parse_count("--dies", raw) {
+                assert!(n > 0, "{raw:?} -> {n}");
+                assert_eq!(parse_count("--dies", &n.to_string()), Ok(n), "{raw:?}");
+            }
+        });
+        let rates = ["0", "1", "0.5", "0.02", "1e-3", " 0.25 ", "9.99e-1"];
+        let intervals = [(true, false), (false, true), (true, true), (false, false)];
+        for (include_zero, include_one) in intervals {
+            sweep(&rates, MUTATIONS, |raw| {
+                if let Ok(r) = parse_rate("--rate", raw, include_zero, include_one) {
+                    assert!(r.is_finite() && (0.0..=1.0).contains(&r), "{raw:?} -> {r}");
+                    assert!(include_zero || r > 0.0, "{raw:?} -> {r}");
+                    assert!(include_one || r < 1.0, "{raw:?} -> {r}");
+                    let again = parse_rate("--rate", &r.to_string(), include_zero, include_one);
+                    assert_eq!(again, Ok(r), "{raw:?}");
+                }
+            });
+        }
+    }
+
     #[test]
     fn telemetry_setup_parses_both_flags_in_both_spellings() {
         let t = telemetry_setup_from(strings(&["--telemetry", "tele", "--heartbeat-every=10"]))

@@ -47,15 +47,23 @@ pub enum QuarantineReason {
     SiteBreaker,
 }
 
-impl fmt::Display for QuarantineReason {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(match self {
+impl QuarantineReason {
+    /// The reason's name, as displayed and as a `Quarantined` trace event
+    /// carries it.
+    pub fn as_str(self) -> &'static str {
+        match self {
             QuarantineReason::Dropout => "dropout",
             QuarantineReason::Unconverged => "unconverged",
             QuarantineReason::InconsistentTrace => "inconsistent trace",
             QuarantineReason::TimedOut => "timed out",
             QuarantineReason::SiteBreaker => "site breaker",
-        })
+        }
+    }
+}
+
+impl fmt::Display for QuarantineReason {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str(self.as_str())
     }
 }
 
@@ -530,7 +538,7 @@ impl MultiTripRunner {
                 let span = with_span(index);
                 ate.time_out();
                 span.emit_with(|| TraceEvent::Quarantined {
-                    reason: QuarantineReason::TimedOut.to_string(),
+                    reason: QuarantineReason::TimedOut.as_str().into(),
                 });
                 span.mark_done();
                 done(span);
@@ -937,7 +945,7 @@ fn measure_traced(
                     QuarantineReason::Unconverged
                 };
                 span.emit_with(|| TraceEvent::Quarantined {
-                    reason: reason.to_string(),
+                    reason: reason.as_str().into(),
                 });
                 TripStatus::Quarantined { reason }
             }
@@ -989,7 +997,7 @@ fn measure_traced(
             QuarantineReason::Unconverged
         };
         span.emit_with(|| TraceEvent::Quarantined {
-            reason: reason.to_string(),
+            reason: reason.as_str().into(),
         });
         return Measured {
             trip_point: None,
@@ -1000,7 +1008,7 @@ fn measure_traced(
     if !consistent {
         ate.quarantine();
         span.emit_with(|| TraceEvent::Quarantined {
-            reason: QuarantineReason::InconsistentTrace.to_string(),
+            reason: QuarantineReason::InconsistentTrace.as_str().into(),
         });
         return Measured {
             trip_point: None,

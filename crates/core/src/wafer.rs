@@ -887,7 +887,7 @@ impl WaferRunner {
                 for test_index in 0..tests.len() {
                     session.quarantine();
                     span.emit_with(|| TraceEvent::Quarantined {
-                        reason: QuarantineReason::SiteBreaker.to_string(),
+                        reason: QuarantineReason::SiteBreaker.as_str().into(),
                     });
                     entries.push(WaferEntry {
                         die: die_id,

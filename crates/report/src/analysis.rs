@@ -215,8 +215,8 @@ impl TraceAnalysis {
                         OpenSearch {
                             anatomy: SearchAnatomy {
                                 test: record.test,
-                                strategy: strategy.clone(),
-                                order: order.clone(),
+                                strategy: strategy.to_string(),
+                                order: order.to_string(),
                                 reference: *reference,
                                 steps: 0,
                                 clamped_steps: 0,
@@ -255,7 +255,7 @@ impl TraceAnalysis {
                     }
                 }
                 TraceEvent::Quarantined { reason } => {
-                    *analysis.quarantined.entry(reason.clone()).or_insert(0) += 1;
+                    *analysis.quarantined.entry(reason.to_string()).or_insert(0) += 1;
                 }
                 TraceEvent::GaGenerationEvaluated {
                     generation,

@@ -74,15 +74,15 @@ impl BinarySearch {
         span: &SpanTrace,
     ) -> SearchOutcome {
         span.emit_with(|| TraceEvent::SearchStarted {
-            strategy: String::from("binary"),
-            order: String::from(order.equation_tag()),
+            strategy: "binary".into(),
+            order: order.equation_tag().into(),
             window: [self.range.start(), self.range.end()],
             reference: None,
             sf: None,
         });
         let outcome = self.halve(order, oracle, span);
         span.emit_with(|| TraceEvent::SearchFinished {
-            strategy: String::from("binary"),
+            strategy: "binary".into(),
             trip_point: outcome.trip_point,
             converged: outcome.converged,
             probes: outcome.measurements() as u64,

@@ -77,15 +77,15 @@ impl LinearSearch {
         span: &SpanTrace,
     ) -> SearchOutcome {
         span.emit_with(|| TraceEvent::SearchStarted {
-            strategy: String::from("linear"),
-            order: String::from(order.equation_tag()),
+            strategy: "linear".into(),
+            order: order.equation_tag().into(),
             window: [self.range.start(), self.range.end()],
             reference: None,
             sf: None,
         });
         let outcome = self.sweep(order, oracle);
         span.emit_with(|| TraceEvent::SearchFinished {
-            strategy: String::from("linear"),
+            strategy: "linear".into(),
             trip_point: outcome.trip_point,
             converged: outcome.converged,
             probes: outcome.measurements() as u64,

@@ -169,8 +169,8 @@ impl SearchUntilTrip {
         scratch: &mut SearchScratch,
     ) -> SearchSummary {
         span.emit_with(|| TraceEvent::SearchStarted {
-            strategy: String::from("stp"),
-            order: String::from(order.equation_tag()),
+            strategy: "stp".into(),
+            order: order.equation_tag().into(),
             window: [self.range.start(), self.range.end()],
             reference: Some(rtp),
             sf: Some(self.sf),
@@ -178,7 +178,7 @@ impl SearchUntilTrip {
         let start = scratch.trace.len();
         let summary = self.walk(rtp, order, oracle, span, &mut scratch.trace);
         span.emit_with(|| TraceEvent::SearchFinished {
-            strategy: String::from("stp"),
+            strategy: "stp".into(),
             trip_point: summary.trip_point,
             converged: summary.converged,
             probes: (scratch.trace.len() - start) as u64,

@@ -146,8 +146,8 @@ impl SuccessiveApproximation {
         scratch: &mut SearchScratch,
     ) -> SearchSummary {
         span.emit_with(|| TraceEvent::SearchStarted {
-            strategy: String::from("successive_approximation"),
-            order: String::from(order.equation_tag()),
+            strategy: "successive_approximation".into(),
+            order: order.equation_tag().into(),
             window: [self.range.start(), self.range.end()],
             reference: None,
             sf: None,
@@ -155,7 +155,7 @@ impl SuccessiveApproximation {
         let start = scratch.trace.len();
         let summary = self.approximate(order, oracle, span, scratch);
         span.emit_with(|| TraceEvent::SearchFinished {
-            strategy: String::from("successive_approximation"),
+            strategy: "successive_approximation".into(),
             trip_point: summary.trip_point,
             converged: summary.converged,
             probes: (scratch.trace.len() - start) as u64,

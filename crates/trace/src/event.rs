@@ -6,6 +6,7 @@
 //! and golden tests can diff normalized streams.
 
 use serde::{Deserialize, Serialize};
+use std::borrow::Cow;
 
 /// `skip_serializing_if` helper: omit a `false` flag from the wire format.
 #[allow(clippy::trivially_copy_pass_by_ref)]
@@ -81,11 +82,12 @@ pub enum TraceEvent {
     /// A trip-point search began.
     SearchStarted {
         /// The algorithm: `stp`, `successive_approximation`, `binary`,
-        /// `linear`.
-        strategy: String,
+        /// `linear`. Emitters borrow a static name, so building the
+        /// event allocates nothing; a parsed stream owns its text.
+        strategy: Cow<'static, str>,
         /// The region order: `eq3` (pass below fail) or `eq4` (pass above
         /// fail), the paper's two step-factor orientations.
-        order: String,
+        order: Cow<'static, str>,
         /// The generous range `CR` as `[start, end]`.
         window: [f64; 2],
         /// The reference trip point anchoring an STP walk, if any.
@@ -116,7 +118,7 @@ pub enum TraceEvent {
     /// A trip-point search finished.
     SearchFinished {
         /// The algorithm (same names as [`TraceEvent::SearchStarted`]).
-        strategy: String,
+        strategy: Cow<'static, str>,
         /// The reported trip point, when converged.
         trip_point: Option<f64>,
         /// Whether the search converged.
@@ -150,9 +152,10 @@ pub enum TraceEvent {
     /// A measurement point was quarantined: the recovery ladder could not
     /// produce a trustworthy trip point.
     Quarantined {
-        /// Why: `dropout`, `unconverged`, `inconsistent_trace`, `timed_out`
-        /// or `site_breaker`.
-        reason: String,
+        /// Why: `dropout`, `unconverged`, `inconsistent trace`, `timed out`
+        /// or `site breaker` (a static name, as for
+        /// [`TraceEvent::SearchStarted`]'s `strategy`).
+        reason: Cow<'static, str>,
     },
     /// A site's stall watchdog expired mid test program: the remaining
     /// tests of the touchdown were quarantined instead of waiting on a

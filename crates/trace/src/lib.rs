@@ -8,11 +8,14 @@
 //!
 //! * **Events** ([`TraceEvent`], [`TraceRecord`]): a typed taxonomy of what
 //!   the machinery did, streamed to a [`TraceSink`] ([`NullSink`],
-//!   [`RingBufferSink`], or the atomically-committed [`JsonlSink`]).
+//!   [`RingBufferSink`], or the atomically-committed [`JsonlSink`]). Events
+//!   are built only for a sink that keeps them
+//!   ([`TraceSink::keeps_events`]).
 //! * **Metrics** ([`MetricsRegistry`], [`MetricsSnapshot`]): lock-free
-//!   counters and fixed-bucket histograms derived from the event stream by
-//!   one fold ([`MetricsRegistry::observe`]), merged deterministically
-//!   across worker shards like ledgers are.
+//!   counters and fixed-bucket histograms derived from events by one fold
+//!   ([`MetricsRegistry::observe`]) where they are emitted, whatever the
+//!   sink, and merged deterministically across worker shards like ledgers
+//!   are.
 //! * **Manifests** ([`RunManifest`]): the per-run artifact tying seed,
 //!   config, code version, metrics and per-phase totals together.
 //! * **Timings** ([`Tracer::timed`], [`TimingRegistry`]): an opt-in
@@ -23,11 +26,12 @@
 //!
 //! # Determinism contract
 //!
-//! Per-test events are collected in [`SpanTrace`]s by whichever thread
-//! runs the test, and absorbed by the coordinator **in input-index order**
-//! ([`Tracer::absorb`]). Sequence numbers are assigned at absorb time, so
-//! `threads=1` and `threads=8` runs of a seeded campaign emit identical
-//! event streams up to wall-clock timestamps — which
+//! Per-test events are counted (and, for a keeping sink, collected) in
+//! [`SpanTrace`]s by whichever thread runs the test, and absorbed by the
+//! coordinator **in input-index order** ([`Tracer::absorb`]). Counts are
+//! added and sequence numbers assigned at absorb time, so `threads=1` and
+//! `threads=8` runs of a seeded campaign emit identical event streams up
+//! to wall-clock timestamps — which
 //! [`TraceRecord::normalized`] / [`normalize_jsonl`] strip, making golden
 //! traces diffable byte-for-byte.
 //!

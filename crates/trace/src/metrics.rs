@@ -6,6 +6,9 @@
 //! totals are independent of scheduling. Anything that is a duration is
 //! accumulated in integer nanoseconds for the same reason (summing `f64`
 //! microseconds would make the total depend on absorb order).
+//!
+//! A registry holds its histogram buckets inline, so each enabled span
+//! carries one as its counter delta without touching the heap.
 
 use crate::event::{FaultKind, TraceEvent};
 use serde::{Deserialize, Serialize};
@@ -16,22 +19,30 @@ use std::sync::atomic::{AtomicU64, Ordering};
 /// join/merge structure.
 const ORDER: Ordering = Ordering::Relaxed;
 
+/// Bucket slots a [`Histogram`] holds inline: the longest bound list
+/// (ten bounds) plus its overflow bucket.
+const MAX_BUCKETS: usize = 11;
+
 /// A fixed-bucket histogram: `bounds[i]` is the inclusive upper bound of
 /// bucket `i`, with one final overflow bucket after the last bound.
+///
+/// The buckets live inline, so a registry allocates nothing: every
+/// counting span carries one.
 #[derive(Debug)]
 pub(crate) struct Histogram {
     bounds: &'static [u64],
-    counts: Vec<AtomicU64>,
+    /// Per-bucket counts; only the first `bounds.len() + 1` are used.
+    counts: [AtomicU64; MAX_BUCKETS],
     count: AtomicU64,
     sum: AtomicU64,
 }
 
 impl Histogram {
     pub(crate) fn new(bounds: &'static [u64]) -> Self {
-        let counts = (0..=bounds.len()).map(|_| AtomicU64::new(0)).collect();
+        assert!(bounds.len() < MAX_BUCKETS, "{} bounds exceed the inline buckets", bounds.len());
         Self {
             bounds,
-            counts,
+            counts: [const { AtomicU64::new(0) }; MAX_BUCKETS],
             count: AtomicU64::new(0),
             sum: AtomicU64::new(0),
         }
@@ -51,10 +62,26 @@ impl Histogram {
     pub(crate) fn snapshot(&self) -> HistogramSnapshot {
         HistogramSnapshot {
             bounds: self.bounds.to_vec(),
-            counts: self.counts.iter().map(|c| c.load(ORDER)).collect(),
+            counts: self.counts[..=self.bounds.len()]
+                .iter()
+                .map(|c| c.load(ORDER))
+                .collect(),
             count: self.count.load(ORDER),
             sum: self.sum.load(ORDER),
         }
+    }
+
+    /// Moves `delta`'s observations into `self`, leaving `delta` empty.
+    fn absorb(&self, delta: &Histogram) {
+        debug_assert_eq!(self.bounds, delta.bounds, "histogram bucket layouts differ");
+        if delta.count.load(ORDER) == 0 {
+            return;
+        }
+        for (total, part) in self.counts.iter().zip(&delta.counts) {
+            move_count(total, part);
+        }
+        move_count(&self.count, &delta.count);
+        move_count(&self.sum, &delta.sum);
     }
 }
 
@@ -129,6 +156,16 @@ macro_rules! registry {
                     counters: Counters::default(),
                     $($hist: Histogram::new($bounds),)+
                 }
+            }
+
+            /// Moves every counter and histogram of `delta` into `self`,
+            /// leaving `delta` zeroed: how [`Tracer::absorb`](crate::Tracer::absorb)
+            /// adds a span's counts to the campaign's.
+            pub(crate) fn absorb(&self, delta: &MetricsRegistry) {
+                let (c, d) = (&self.counters, &delta.counters);
+                $(move_count(&c.$name, &d.$name);)+
+                $(move_count(&c.$dname, &d.$dname);)+
+                $(self.$hist.absorb(&delta.$hist);)+
             }
 
             /// A deterministic snapshot of every counter and histogram.
@@ -327,8 +364,11 @@ impl Default for MetricsRegistry {
 
 impl MetricsRegistry {
     /// Folds one event into the counters and histograms: the single
-    /// derivation of metrics from events, shared by the live tracer and
-    /// by offline analysis of a recorded stream.
+    /// derivation of metrics from events. Every enabled span folds its
+    /// events into a registry of its own as they are emitted (the delta
+    /// [`Tracer::absorb`](crate::Tracer::absorb) adds to the campaign's),
+    /// the tracer folds its campaign-scoped events straight into its own,
+    /// and offline analysis folds a recorded stream.
     ///
     /// `steps_in_search` counts STP steps since the last
     /// [`TraceEvent::SearchStarted`]; keep one per span (searches within
@@ -404,6 +444,13 @@ fn bump(counter: &AtomicU64, n: u64) {
     counter.fetch_add(n, ORDER);
 }
 
+/// Adds `part` to `total` and zeroes it; a zero part costs one load.
+fn move_count(total: &AtomicU64, part: &AtomicU64) {
+    if part.load(ORDER) != 0 {
+        bump(total, part.swap(0, ORDER));
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -437,6 +484,28 @@ mod tests {
         assert_eq!(ab, ba);
         assert_eq!(ab.probes_resolved, 7);
         assert_eq!(ab.hist_probes_per_search.count, 2);
+    }
+
+    #[test]
+    fn absorb_moves_a_delta_and_leaves_it_empty() {
+        let (total, delta) = (MetricsRegistry::new(), MetricsRegistry::new());
+        bump(&total.counters.retries, 1);
+        total.hist_retry_depth.observe(1);
+        let mut steps = 0;
+        for event in [
+            TraceEvent::RetryScheduled { attempt: 2, backoff_us: 100.0 },
+            TraceEvent::FaultInjected { kind: FaultKind::Stall },
+        ] {
+            delta.observe(&event, &mut steps);
+        }
+        total.absorb(&delta);
+        let snap = total.snapshot();
+        assert_eq!((snap.retries, snap.faults_stall), (2, 1));
+        assert_eq!(snap.hist_retry_depth.counts, vec![1, 1, 0, 0, 0, 0, 0]);
+        assert_eq!(snap.hist_backoff_ns.sum, 100_000);
+        assert_eq!(delta.snapshot(), MetricsRegistry::new().snapshot());
+        total.absorb(&delta);
+        assert_eq!(total.snapshot(), snap, "an absorbed delta adds nothing twice");
     }
 
     #[test]

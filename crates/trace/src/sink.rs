@@ -1,6 +1,7 @@
 //! Trace sinks: where sequenced records go.
 
 use crate::event::TraceRecord;
+use serde::Serialize;
 use std::collections::VecDeque;
 use std::fs::File;
 use std::io::{self, BufWriter, Write};
@@ -18,6 +19,15 @@ pub trait TraceSink: Send + Sync {
     /// so the hot measurement path never branches on I/O.
     fn record(&self, record: &TraceRecord);
 
+    /// Whether the sink keeps the records it is given. A
+    /// [`Tracer`](crate::Tracer) asks once, when it is built: over a sink
+    /// that keeps nothing, its spans only count (metrics are derived as
+    /// events are emitted) and no event is built, buffered or recorded.
+    /// Every sink keeps by default.
+    fn keeps_events(&self) -> bool {
+        true
+    }
+
     /// Flushes and publishes the stream. For file-backed sinks this is the
     /// atomic commit point; before `finish` succeeds, no partial artifact
     /// is visible at the target path.
@@ -33,12 +43,17 @@ pub trait TraceSink: Send + Sync {
 /// A sink that drops everything — tracing enabled, persistence off.
 ///
 /// Used to collect metrics (which live in the tracer, not the sink)
-/// without keeping the event stream, and by the overhead benchmarks.
+/// without keeping the event stream: telemetry-only, manifest and timing
+/// runs. It keeps nothing, so a tracer over it never builds an event.
 #[derive(Debug, Default, Clone, Copy)]
 pub struct NullSink;
 
 impl TraceSink for NullSink {
     fn record(&self, _record: &TraceRecord) {}
+
+    fn keeps_events(&self) -> bool {
+        false
+    }
 }
 
 /// An in-memory sink retaining records, optionally bounded (oldest records
@@ -104,6 +119,8 @@ impl TraceSink for RingBufferSink {
 struct JsonlState {
     writer: Option<Box<dyn Write + Send>>,
     error: Option<io::Error>,
+    /// The line being written, reused from record to record.
+    line: String,
 }
 
 /// A sink writing one JSON record per line — atomically.
@@ -162,6 +179,7 @@ impl JsonlSink {
             state: Mutex::new(JsonlState {
                 writer: Some(writer),
                 error: None,
+                line: String::new(),
             }),
         }
     }
@@ -183,21 +201,18 @@ fn scratch_path(target: &Path) -> PathBuf {
 
 impl TraceSink for JsonlSink {
     fn record(&self, record: &TraceRecord) {
-        let mut state = self.state.lock().expect("jsonl sink lock");
+        let mut guard = self.state.lock().expect("jsonl sink lock");
+        let state = &mut *guard;
         if state.error.is_some() {
             return;
         }
         let Some(writer) = state.writer.as_mut() else {
             return;
         };
-        let line = match serde_json::to_string(record) {
-            Ok(line) => line,
-            Err(e) => {
-                state.error = Some(io::Error::new(io::ErrorKind::InvalidData, e));
-                return;
-            }
-        };
-        if let Err(e) = writer.write_all(line.as_bytes()).and_then(|()| writer.write_all(b"\n")) {
+        state.line.clear();
+        record.write_json(&mut state.line);
+        state.line.push('\n');
+        if let Err(e) = writer.write_all(state.line.as_bytes()) {
             state.error = Some(e);
         }
     }
@@ -316,8 +331,40 @@ mod tests {
     }
 
     #[test]
+    fn jsonl_lines_match_the_record_serialization() {
+        let dir = std::env::temp_dir().join("cichar_trace_sink_test");
+        std::fs::create_dir_all(&dir).expect("tmp dir");
+        let target = dir.join("lines.jsonl");
+        std::fs::remove_file(&target).ok();
+        let sink = JsonlSink::create(&target).expect("writable");
+        // A long line, then a shorter one: the reused buffer must not
+        // leak the first line's tail into the second.
+        let long = TraceRecord {
+            event: TraceEvent::AlarmRaised {
+                alarm: String::from("stall_silence"),
+                heartbeat: 12,
+                detail: "x".repeat(200),
+            },
+            ..record(0)
+        };
+        let records = [long, record(1)];
+        for r in &records {
+            sink.record(r);
+        }
+        sink.finish().expect("commit");
+        let expected: String = records
+            .iter()
+            .map(|r| serde_json::to_string(r).expect("serializes") + "\n")
+            .collect();
+        assert_eq!(std::fs::read_to_string(&target).expect("published"), expected);
+        std::fs::remove_file(&target).ok();
+    }
+
+    #[test]
     fn null_sink_finishes_cleanly() {
         NullSink.record(&record(0));
         NullSink.finish().expect("trivially ok");
+        assert!(!NullSink.keeps_events());
+        assert!(RingBufferSink::unbounded().keeps_events(), "sinks keep by default");
     }
 }

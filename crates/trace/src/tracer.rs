@@ -3,13 +3,16 @@
 //!
 //! # Determinism contract
 //!
-//! Worker threads never write to the sink directly. Each unit of parallel
-//! work (one test index) collects its events into a [`SpanTrace`]; the
+//! Worker threads never write to the sink or the registry directly. Each
+//! unit of parallel work (one test index) counts its events into a
+//! [`SpanTrace`], and keeps them too when the sink keeps events; the
 //! coordinating thread absorbs finished spans **in input-index order** —
-//! exactly how measurement ledgers already merge — assigning the global
-//! sequence numbers at absorb time. A `threads=1` and a `threads=8` run of
-//! the same seeded campaign therefore emit identical event streams (up to
-//! wall-clock timestamps) and identical metrics snapshots.
+//! exactly how measurement ledgers already merge — adding each span's
+//! counts to the registry and assigning the global sequence numbers at
+//! absorb time. A `threads=1` and a `threads=8` run of the same seeded
+//! campaign therefore emit identical event streams (up to wall-clock
+//! timestamps) and identical metrics snapshots, and heartbeats read the
+//! same counts at the same fold points whatever the sink.
 
 use crate::event::{TraceEvent, TraceRecord};
 use crate::metrics::{MetricsRegistry, MetricsSnapshot};
@@ -20,18 +23,36 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
-/// A per-test event collector handed down through the measurement stack.
+/// A per-test collector handed down through the measurement stack.
 ///
-/// Cloning shares the underlying buffer, so the tester's fault model, the
-/// recovery ladder and the search walk all interleave their events in true
-/// probe order even though they hold separate clones. A disabled span
-/// (the default everywhere tracing is not requested) reduces every
-/// operation to one branch on a `None`.
+/// Cloning shares one state, so the tester's fault model, the recovery
+/// ladder and the search walk all report in true probe order even though
+/// they hold separate clones. An enabled span **counts at the source**:
+/// each emit folds the event into the span's own counter delta through
+/// [`MetricsRegistry::observe`], the one derivation of metrics from
+/// events. It keeps the event itself only when its tracer's sink keeps
+/// events ([`TraceSink::keeps_events`]); a counting span takes no lock
+/// and allocates nothing per emit. A disabled span (the default
+/// everywhere tracing is not requested) reduces every operation to one
+/// branch on a `None`.
 #[derive(Debug, Clone, Default)]
 pub struct SpanTrace {
-    events: Option<Arc<Mutex<Vec<TraceEvent>>>>,
-    clock: Option<Arc<SpanClock>>,
+    state: Option<Arc<SpanState>>,
+}
+
+/// What the clones of one enabled span share: a single allocation.
+#[derive(Debug)]
+struct SpanState {
     test: u64,
+    /// The span's counters, moved into the tracer's registry on absorb.
+    delta: MetricsRegistry,
+    /// STP steps since the span's last `SearchStarted`: the fold's
+    /// per-span state (searches within a span are strictly sequential).
+    steps_in_search: AtomicU64,
+    /// The events themselves, present only for a sink that keeps them.
+    events: Option<Mutex<Vec<TraceEvent>>>,
+    /// The wall-clock stopwatch of a timing-enabled tracer's span.
+    clock: Option<SpanClock>,
 }
 
 impl SpanTrace {
@@ -40,23 +61,22 @@ impl SpanTrace {
         Self::default()
     }
 
-    /// An enabled span for `test`, unattached to any tracer — useful in
-    /// unit tests that assert on emitted events directly.
+    /// An enabled span for `test` that keeps its events, unattached to
+    /// any tracer — useful in unit tests that assert on emitted events
+    /// directly.
     pub fn for_test(test: u64) -> Self {
-        Self {
-            events: Some(Arc::new(Mutex::new(Vec::new()))),
-            clock: None,
-            test,
-        }
+        Self::enabled(test, true, false)
     }
 
-    /// An enabled span for `test` carrying a monotonic [`SpanClock`] — the
-    /// form a timing-enabled tracer hands out.
-    fn for_test_timed(test: u64) -> Self {
+    fn enabled(test: u64, keeps_events: bool, clocked: bool) -> Self {
         Self {
-            events: Some(Arc::new(Mutex::new(Vec::new()))),
-            clock: Some(Arc::new(SpanClock::new())),
-            test,
+            state: Some(Arc::new(SpanState {
+                test,
+                delta: MetricsRegistry::new(),
+                steps_in_search: AtomicU64::new(0),
+                events: keeps_events.then(|| Mutex::new(Vec::new())),
+                clock: clocked.then(SpanClock::new),
+            })),
         }
     }
 
@@ -67,52 +87,59 @@ impl SpanTrace {
     /// work finishes on its worker thread, so the recorded duration
     /// excludes the coordinator's absorb latency.
     pub fn mark_done(&self) {
-        if let Some(clock) = &self.clock {
+        if let Some(clock) = self.state.as_ref().and_then(|s| s.clock.as_ref()) {
             clock.mark_done();
         }
     }
 
-    fn duration_ns(&self) -> Option<u64> {
-        self.clock.as_ref().map(|clock| clock.duration_ns())
-    }
-
-    /// Whether events are being collected.
+    /// Whether the span is enabled: counting, and keeping events when its
+    /// sink does.
     pub fn is_enabled(&self) -> bool {
-        self.events.is_some()
+        self.state.is_some()
     }
 
-    /// The test index this span belongs to.
+    /// The test index this span belongs to (0 for a disabled span).
     pub fn test_index(&self) -> u64 {
-        self.test
+        self.state.as_ref().map_or(0, |s| s.test)
     }
 
     /// Records an event (no-op when disabled).
     pub fn emit(&self, event: TraceEvent) {
-        if let Some(events) = &self.events {
-            events.lock().expect("span lock").push(event);
+        if let Some(state) = &self.state {
+            state.record(event);
         }
     }
 
     /// Records the event built by `f`, building it only when enabled —
-    /// use when constructing the event allocates.
+    /// use when the payload takes work to compute.
     pub fn emit_with(&self, f: impl FnOnce() -> TraceEvent) {
-        if let Some(events) = &self.events {
-            events.lock().expect("span lock").push(f());
+        if let Some(state) = &self.state {
+            state.record(f());
         }
     }
 
-    /// A copy of the collected events.
+    /// A copy of the kept events (empty for a disabled or counting span).
     pub fn events(&self) -> Vec<TraceEvent> {
-        match &self.events {
+        match self.state.as_ref().and_then(|s| s.events.as_ref()) {
             Some(events) => events.lock().expect("span lock").clone(),
             None => Vec::new(),
         }
     }
+}
 
-    fn drain(&self) -> Vec<TraceEvent> {
-        match &self.events {
-            Some(events) => std::mem::take(&mut *events.lock().expect("span lock")),
-            None => Vec::new(),
+impl SpanState {
+    /// Counts `event` into the delta, then keeps it if the span keeps
+    /// events.
+    ///
+    /// Relaxed loads and stores suffice: a span's clones report from one
+    /// thread at a time (its test's worker), and the finished span reaches
+    /// the coordinator through the join that ends the parallel work.
+    fn record(&self, event: TraceEvent) {
+        let mut steps = self.steps_in_search.load(Ordering::Relaxed);
+        self.delta.observe(&event, &mut steps);
+        self.steps_in_search.store(steps, Ordering::Relaxed);
+        if let Some(events) = &self.events {
+            events.lock().expect("span lock").push(event);
         }
     }
 }
@@ -136,6 +163,8 @@ struct OpenPhase {
 
 struct TracerCore {
     sink: Arc<dyn TraceSink>,
+    /// The sink's [`TraceSink::keeps_events`], asked once.
+    keeps_events: bool,
     metrics: MetricsRegistry,
     seq: AtomicU64,
     started: Instant,
@@ -208,6 +237,7 @@ impl Tracer {
     fn build(sink: Arc<dyn TraceSink>, timing: Option<Arc<TimingRegistry>>) -> Self {
         Self {
             core: Some(Arc::new(TracerCore {
+                keeps_events: sink.keeps_events(),
                 sink,
                 metrics: MetricsRegistry::new(),
                 seq: AtomicU64::new(0),
@@ -223,31 +253,37 @@ impl Tracer {
         self.core.is_some()
     }
 
-    /// A span for test index `test` (disabled when the tracer is; clocked
-    /// when the tracer carries a timing sidecar).
+    /// A span for test index `test`: disabled when the tracer is,
+    /// keeping events only when the sink does, clocked when the tracer
+    /// carries a timing sidecar.
     pub fn span(&self, test: u64) -> SpanTrace {
         match &self.core {
-            Some(core) if core.timing.is_some() => SpanTrace::for_test_timed(test),
-            Some(_) => SpanTrace::for_test(test),
+            Some(core) => SpanTrace::enabled(test, core.keeps_events, core.timing.is_some()),
             None => SpanTrace::disabled(),
         }
     }
 
-    /// Absorbs a finished span: stamps its events with the next sequence
-    /// numbers, the span's test index and a wall timestamp, forwards them
-    /// to the sink, and derives metrics. With a timing sidecar, the span's
-    /// wall-clock duration is also folded into the open phase's timing —
-    /// after the events are written, so timing can never perturb the
-    /// deterministic stream.
+    /// Absorbs a finished span. Its counter delta moves into the metrics
+    /// registry, which heartbeats, phases and manifests read; for a sink
+    /// that keeps events, its events are then stamped with the next
+    /// sequence numbers, the span's test index and a wall timestamp, and
+    /// recorded. With a timing sidecar, the span's wall-clock duration is
+    /// also folded into the open phase's timing — after the events are
+    /// written, so timing can never perturb the deterministic stream.
     ///
     /// Call this from the coordinating thread in **input-index order** —
     /// that ordering is the whole determinism contract.
     pub fn absorb(&self, span: SpanTrace) {
-        let Some(core) = &self.core else { return };
-        let events = span.drain();
-        core.write(Some(span.test_index()), events);
-        if let (Some(timing), Some(dur_ns)) = (&core.timing, span.duration_ns()) {
-            timing.record_span(dur_ns);
+        let (Some(core), Some(state)) = (&self.core, &span.state) else {
+            return;
+        };
+        core.metrics.absorb(&state.delta);
+        if let Some(events) = &state.events {
+            let events = std::mem::take(&mut *events.lock().expect("span lock"));
+            core.write(Some(state.test), events);
+        }
+        if let (Some(timing), Some(clock)) = (&core.timing, &state.clock) {
+            timing.record_span(clock.duration_ns());
         }
     }
 
@@ -255,7 +291,7 @@ impl Tracer {
     /// carrying no test index.
     pub fn emit_campaign(&self, event: TraceEvent) {
         let Some(core) = &self.core else { return };
-        core.write(None, vec![event]);
+        core.emit_campaign(event);
     }
 
     /// Enters a campaign phase: emits [`TraceEvent::CampaignPhaseChanged`]
@@ -263,12 +299,9 @@ impl Tracer {
     /// phase.
     pub fn phase(&self, name: &str) {
         let Some(core) = &self.core else { return };
-        core.write(
-            None,
-            vec![TraceEvent::CampaignPhaseChanged {
-                phase: name.to_string(),
-            }],
-        );
+        core.emit_campaign(TraceEvent::CampaignPhaseChanged {
+            phase: name.to_string(),
+        });
         let probes = core.metrics.snapshot().probes_resolved;
         let mut state = core.phase_state.lock().expect("phase lock");
         let (summaries, open) = &mut *state;
@@ -340,14 +373,19 @@ fn close_phase(open: OpenPhase, probes_now: u64) -> PhaseSummary {
 }
 
 impl TracerCore {
-    /// Sequences `events` into the sink and folds them into the metrics.
-    fn write(&self, test: Option<u64>, events: Vec<TraceEvent>) {
+    /// Counts a campaign-scoped event, then records it if the sink keeps
+    /// events.
+    fn emit_campaign(&self, event: TraceEvent) {
+        self.metrics.observe(&event, &mut 0);
+        if self.keeps_events {
+            self.write(None, [event]);
+        }
+    }
+
+    /// Sequences `events` into the sink. Metrics are already counted.
+    fn write(&self, test: Option<u64>, events: impl IntoIterator<Item = TraceEvent>) {
         let ts_us = self.started.elapsed().as_micros() as u64;
-        // Steps since the last SearchStarted: searches within one span are
-        // strictly sequential, so a local counter suffices.
-        let mut steps_in_search = 0u64;
         for event in events {
-            self.metrics.observe(&event, &mut steps_in_search);
             let seq = self.seq.fetch_add(1, Ordering::Relaxed);
             self.sink.record(&TraceRecord {
                 seq,
@@ -363,13 +401,13 @@ impl TracerCore {
 mod tests {
     use super::*;
     use crate::event::TraceVerdict;
-    use crate::sink::RingBufferSink;
+    use crate::sink::{NullSink, RingBufferSink};
 
     fn search_events() -> Vec<TraceEvent> {
         vec![
             TraceEvent::SearchStarted {
-                strategy: String::from("stp"),
-                order: String::from("eq3"),
+                strategy: "stp".into(),
+                order: "eq3".into(),
                 window: [80.0, 130.0],
                 reference: Some(110.0),
                 sf: Some(1.0),
@@ -392,7 +430,7 @@ mod tests {
                 fail_value: 111.0,
             },
             TraceEvent::SearchFinished {
-                strategy: String::from("stp"),
+                strategy: "stp".into(),
                 trip_point: Some(110.0),
                 converged: true,
                 probes: 2,
@@ -459,6 +497,47 @@ mod tests {
         assert_eq!(m.hist_search_steps.sum, 1);
         assert_eq!(m.hist_backoff_ns.sum, 100_000);
         assert_eq!(m.check_invariants(), None);
+    }
+
+    #[test]
+    fn counting_spans_derive_the_same_metrics_and_keep_nothing() {
+        let ring = Arc::new(RingBufferSink::unbounded());
+        let keeping = Tracer::new(ring.clone());
+        let counting = Tracer::new(Arc::new(NullSink));
+        for tracer in [&keeping, &counting] {
+            tracer.phase("dsv");
+            for test in 0..3u64 {
+                let span = tracer.span(test);
+                for event in search_events() {
+                    span.emit(event);
+                }
+                tracer.absorb(span);
+            }
+        }
+        let span = counting.span(3);
+        span.emit(TraceEvent::ProbeIssued { value: 1.0, speculative: true });
+        assert!(span.is_enabled());
+        assert!(span.events().is_empty(), "a counting span keeps no events");
+        assert_eq!(ring.len(), 1 + 3 * 6);
+        assert_eq!(counting.metrics(), keeping.metrics());
+        let probes = |t: &Tracer| t.phases().iter().map(|p| p.probes).collect::<Vec<_>>();
+        assert_eq!(probes(&counting), probes(&keeping));
+    }
+
+    #[test]
+    fn a_timed_counting_tracer_keeps_its_span_clocks() {
+        let timed = Tracer::timed(Arc::new(NullSink));
+        timed.phase("wafer");
+        for test in 0..4u64 {
+            let span = timed.span(test);
+            span.emit(TraceEvent::ProbeIssued { value: 1.0, speculative: false });
+            span.mark_done();
+            timed.absorb(span);
+        }
+        let timings = timed.timings().expect("timing sidecar armed");
+        assert_eq!(timings.phases[0].spans, 4);
+        assert!(timings.phases[0].total_ns > 0);
+        assert_eq!(timed.metrics().probes_issued, 4);
     }
 
     #[test]

@@ -828,8 +828,8 @@ fn random_trace_records(rng: &mut StdRng) -> Vec<TraceRecord> {
             cached: rng.gen(),
         },
         TraceEvent::SearchStarted {
-            strategy: random_string(rng),
-            order: random_string(rng),
+            strategy: random_string(rng).into(),
+            order: random_string(rng).into(),
             window: [random_f64(rng), random_f64(rng)],
             reference: option_f64(rng),
             sf: option_f64(rng),
@@ -846,7 +846,7 @@ fn random_trace_records(rng: &mut StdRng) -> Vec<TraceRecord> {
             fail_value: random_f64(rng),
         },
         TraceEvent::SearchFinished {
-            strategy: random_string(rng),
+            strategy: random_string(rng).into(),
             trip_point: option_f64(rng),
             converged: rng.gen(),
             probes: random_u64(rng),
@@ -871,7 +871,7 @@ fn random_trace_records(rng: &mut StdRng) -> Vec<TraceRecord> {
             ][rng.gen_range(0..5usize)],
         },
         TraceEvent::Quarantined {
-            reason: random_string(rng),
+            reason: random_string(rng).into(),
         },
         TraceEvent::WatchdogFired {
             site: random_u64(rng),
