@@ -68,7 +68,14 @@ impl DriftModel {
     }
 
     /// Die temperature rise after `cycles` total applied vector cycles.
+    ///
+    /// A drift-free model returns `+0.0` without evaluating the `exp` it
+    /// would multiply by zero (every strobe asks): the formula gives
+    /// `+0.0` too.
     pub fn temperature_rise(&self, cycles: u64) -> f64 {
+        if self.max_rise == 0.0 {
+            return 0.0;
+        }
         self.max_rise * (1.0 - (-(cycles as f64) / self.time_constant_cycles).exp())
     }
 }
@@ -85,8 +92,29 @@ mod tests {
 
     #[test]
     fn none_never_drifts() {
-        let d = DriftModel::none();
-        assert_eq!(d.temperature_rise(u64::MAX / 2), 0.0);
+        // `+0.0`, sign bit clear, at any cycle count.
+        for d in [
+            DriftModel::none(),
+            DriftModel::new(0.0, 1.0),
+            DriftModel::new(0.0, 5e6),
+        ] {
+            for c in [0, 1, 1u64 << 53, u64::MAX / 2, u64::MAX] {
+                let rise = d.temperature_rise(c);
+                assert_eq!(rise.to_bits(), 0.0f64.to_bits(), "{d:?} at {c}");
+            }
+        }
+    }
+
+    #[test]
+    fn drifting_models_follow_the_formula_bit_for_bit() {
+        for (rise, tau) in [(8.0, 5e6), (60.0, 2e5), (1e-3, 1.0)] {
+            let d = DriftModel::new(rise, tau);
+            for c in [0, 1, 2_000_000, 20_000_000, 1u64 << 53, u64::MAX] {
+                let formula = rise * (1.0 - (-(c as f64) / tau).exp());
+                let got = d.temperature_rise(c);
+                assert_eq!(got.to_bits(), formula.to_bits(), "{d:?} at {c}");
+            }
+        }
     }
 
     #[test]

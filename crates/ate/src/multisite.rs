@@ -39,11 +39,13 @@ use cichar_units::ParamKind;
 /// let test = Test::deterministic("march_x", march::march_x(96));
 /// let pattern = test.pattern();
 /// let features = PatternFeatures::extract(&pattern);
-/// let verdicts = sites.measure_sites(
+/// let mut verdicts = Vec::new();
+/// sites.measure_sites_into(
 ///     &features,
 ///     pattern.len() as u64,
 ///     &test,
 ///     &[(ParamKind::StrobeDelay, 15.0)],
+///     &mut verdicts,
 /// );
 /// assert_eq!(verdicts.len(), 2);
 /// ```
@@ -151,25 +153,12 @@ impl MultiSiteAte {
     }
 
     /// Strobes every site once with the same stimulus and forces — the
-    /// shared-test-program touchdown strobe. One stress hoist serves the
-    /// whole batch; each site's verdict, noise draws, drift cycles and
-    /// fault transitions are bit-identical to a scalar
+    /// shared-test-program touchdown strobe — appending exactly
+    /// [`Self::site_count`] verdicts in site order to a caller-owned
+    /// buffer (never clearing it). One stress hoist serves the whole
+    /// batch; each site's verdict, noise draws, drift cycles and fault
+    /// transitions are bit-identical to a scalar
     /// [`Ate::measure_features`] call on that site alone.
-    pub fn measure_sites(
-        &mut self,
-        features: &PatternFeatures,
-        pattern_cycles: u64,
-        test: &Test,
-        forces: &[(ParamKind, f64)],
-    ) -> Vec<Probe> {
-        let mut out = Vec::with_capacity(self.sites.len());
-        self.measure_sites_into(features, pattern_cycles, test, forces, &mut out);
-        out
-    }
-
-    /// [`Self::measure_sites`] appending into a caller-owned buffer — the
-    /// allocation-free form. Appends exactly [`Self::site_count`] verdicts
-    /// in site order and never clears `out`.
     pub fn measure_sites_into(
         &mut self,
         features: &PatternFeatures,
@@ -391,14 +380,17 @@ mod tests {
 
         let values: Vec<f64> = (0..40).map(|i| 25.0 + 0.3 * f64::from(i)).collect();
         let mut batched: Vec<Vec<Probe>> = vec![Vec::new(); 4];
+        let mut verdicts = Vec::new();
         for &v in &values {
-            let verdicts = touchdown.measure_sites(
+            verdicts.clear();
+            touchdown.measure_sites_into(
                 &features,
                 cycles,
                 &t,
                 &[(ParamKind::StrobeDelay, v)],
+                &mut verdicts,
             );
-            for (site, verdict) in verdicts.into_iter().enumerate() {
+            for (site, &verdict) in verdicts.iter().enumerate() {
                 batched[site].push(verdict);
             }
         }
@@ -433,14 +425,17 @@ mod tests {
         let features = PatternFeatures::extract(&pattern);
         let cycles = pattern.len() as u64;
         let mut touchdown = MultiSiteAte::new(corner_devices(3), config);
+        let mut verdicts = Vec::new();
         for i in 0..30 {
-            let _ = touchdown.measure_sites(
+            touchdown.measure_sites_into(
                 &features,
                 cycles,
                 &t,
                 &[(ParamKind::StrobeDelay, 28.0 + 0.2 * f64::from(i))],
+                &mut verdicts,
             );
         }
+        assert_eq!(verdicts.len(), 3 * 30);
         touchdown.site_mut(1).quarantine();
 
         let merged = touchdown.merged_ledger();

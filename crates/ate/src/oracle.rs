@@ -52,7 +52,9 @@ pub struct TripOracle<'a> {
     /// verdicts. Each probe extends it with the strobed value.
     memo_base: Option<u64>,
     /// The tester's trace span at construction; probes report
-    /// `ProbeIssued` / `ProbeResolved` into it.
+    /// `ProbeIssued` / `ProbeResolved` into it through
+    /// [`SpanTrace::emit_with`], so a disabled span never builds (or
+    /// drops) an event.
     trace: SpanTrace,
 }
 
@@ -132,7 +134,7 @@ impl<'a> TripOracle<'a> {
         });
         if let Some(key) = key {
             if let Some(verdict) = self.ate.cache_lookup(key) {
-                self.trace.emit(TraceEvent::ProbeResolved {
+                self.trace.emit_with(|| TraceEvent::ProbeResolved {
                     value,
                     verdict: verdict.into(),
                     cached: true,
@@ -140,7 +142,8 @@ impl<'a> TripOracle<'a> {
                 return verdict;
             }
         }
-        self.trace.emit(TraceEvent::ProbeIssued { value, speculative });
+        self.trace
+            .emit_with(|| TraceEvent::ProbeIssued { value, speculative });
         // §4 relaxation: non-measured parameters are forced to relaxed
         // values so only the strobed parameter can cause failure. The
         // strobed value lands in the preallocated trailing slot.
@@ -157,7 +160,7 @@ impl<'a> TripOracle<'a> {
         if let Some(key) = key {
             self.ate.cache_store(key, verdict);
         }
-        self.trace.emit(TraceEvent::ProbeResolved {
+        self.trace.emit_with(|| TraceEvent::ProbeResolved {
             value,
             verdict: verdict.into(),
             cached: false,
@@ -201,7 +204,7 @@ impl BatchOracle for TripOracle<'_> {
             return;
         }
         for (i, &value) in values.iter().enumerate() {
-            self.trace.emit(TraceEvent::ProbeIssued {
+            self.trace.emit_with(|| TraceEvent::ProbeIssued {
                 value,
                 speculative: i >= first_speculative,
             });
@@ -224,7 +227,7 @@ impl BatchOracle for TripOracle<'_> {
             self.ate.record_speculative(speculated);
         }
         for (&value, &verdict) in values.iter().zip(&out[start..]) {
-            self.trace.emit(TraceEvent::ProbeResolved {
+            self.trace.emit_with(|| TraceEvent::ProbeResolved {
                 value,
                 verdict: verdict.into(),
                 cached: false,

@@ -1,29 +1,31 @@
 //! The allocation-parity battery: every buffer-reusing `_into`/`_in`
-//! variant on the hot path must be bit-identical to its allocating twin —
-//! same verdicts, same ledger — for **every** registered device backend,
-//! and a dirty [`SearchScratch`] must never leak state between searches.
+//! form on the hot path must be bit-identical to its reference — same
+//! verdicts, same ledger — for **every** registered device backend, and a
+//! dirty [`SearchScratch`] must never leak state between searches.
 //!
 //! Property-tested (seeds, batch shapes and sweep values are generated)
 //! because the `_into` forms are the wafer engine's steady state: a
-//! divergence here would silently corrupt every campaign artifact while
-//! the allocating twins — which the goldens exercise — stay green.
+//! divergence here would silently corrupt every campaign artifact.
 //!
 //! Layers covered, bottom to top:
 //!
 //! 1. `Device::evaluate_batch_into` vs `evaluate_batch` (the SoA device
 //!    fast path), including the append-without-clearing contract;
-//! 2. `Ate::measure_features_batch_into` vs `measure_features_batch`
-//!    (the batched tester seam), ledgers compared too;
-//! 3. `MultiSiteAte::measure_sites_into` vs `measure_sites` (the
-//!    touchdown strobe);
+//! 2. `Ate::measure_features_batch_into` vs a scalar
+//!    `Ate::measure_features` loop, one call per value (the batched
+//!    tester seam), ledgers compared too;
+//! 3. `MultiSiteAte::measure_sites_into` vs one scalar
+//!    `Ate::measure_features` call per solo-site session (the touchdown
+//!    strobe), per-site and merged ledgers compared too;
 //! 4. `TripOracle::probe_batch_into` / `probe_batch_speculative_into`
 //!    vs their allocating defaults (the search↔ATE seam);
 //! 5. the `*_in` search entry points fed a deliberately polluted
 //!    scratch: summaries, traces and ledgers must match a fresh-buffer
 //!    run exactly.
 
-use cichar::ate::{Ate, AteConfig, MeasuredParam, MultiSiteAte};
+use cichar::ate::{Ate, AteConfig, MeasuredParam, MeasurementLedger, MultiSiteAte};
 use cichar::dut::{Device, Registry};
+use cichar::exec::derive_seed;
 use cichar::patterns::{random, ConditionSpace, PatternFeatures, TestConditions};
 use cichar::search::{
     BatchOracle, Probe, SearchScratch, SearchUntilTrip, SuccessiveApproximation,
@@ -99,10 +101,10 @@ proptest! {
     }
 
     /// Layer 2: the batched tester seam. Same config seed, same stimulus:
-    /// the `_into` session must produce the same verdicts *and* the same
-    /// ledger as the allocating one.
+    /// the `_into` session must produce the verdicts *and* the ledger of
+    /// one scalar measurement per value, in order.
     #[test]
-    fn ate_measure_features_batch_into_matches_twin(
+    fn ate_measure_features_batch_into_matches_scalar_loop(
         seed in 0u64..1024,
         base in 20.0f64..30.0,
         step in 0.05f64..0.75,
@@ -117,10 +119,16 @@ proptest! {
             let cycles = pattern.len() as u64;
             let relax = MeasuredParam::DataValidTime.relax_forces();
 
-            let mut twin = Ate::with_config(device.clone(), config.clone());
-            let fresh = twin.measure_features_batch(
-                &features, cycles, &test, relax, ParamKind::StrobeDelay, &values,
-            );
+            let mut scalar = Ate::with_config(device.clone(), config.clone());
+            let mut forces = relax.to_vec();
+            forces.push((ParamKind::StrobeDelay, f64::NAN));
+            let expected: Vec<Probe> = values
+                .iter()
+                .map(|&v| {
+                    *forces.last_mut().expect("strobe slot") = (ParamKind::StrobeDelay, v);
+                    scalar.measure_features(&features, cycles, &test, &forces)
+                })
+                .collect();
 
             let mut reusing = Ate::with_config(device.clone(), config);
             let mut out = vec![Probe::Invalid; 3];
@@ -128,15 +136,16 @@ proptest! {
                 &features, cycles, &test, relax, ParamKind::StrobeDelay, &values, &mut out,
             );
             prop_assert_eq!(&out[..3], &[Probe::Invalid; 3][..], "`{}`: prefix clobbered", name);
-            prop_assert_eq!(&out[3..], &fresh[..], "`{}`: batch verdicts diverge", name);
-            prop_assert_eq!(twin.ledger(), reusing.ledger(), "`{}`: ledgers diverge", name);
+            prop_assert_eq!(&out[3..], &expected[..], "`{}`: batch verdicts diverge", name);
+            prop_assert_eq!(scalar.ledger(), reusing.ledger(), "`{}`: ledgers diverge", name);
         }
     }
 
-    /// Layer 3: the touchdown strobe. Site verdicts and the merged ledger
-    /// must match between the allocating and appending forms.
+    /// Layer 3: the touchdown strobe. Each site's verdict and ledger must
+    /// match a solo session seeded as that site, measured scalar, and the
+    /// merged ledger their fold in site order.
     #[test]
-    fn multisite_measure_sites_into_matches_twin(
+    fn multisite_measure_sites_into_matches_solo_sessions(
         seed in 0u64..1024,
         strobe in 20.0f64..34.0,
     ) {
@@ -149,20 +158,32 @@ proptest! {
             let cycles = pattern.len() as u64;
             let mut forces = MeasuredParam::DataValidTime.relax_forces().to_vec();
             forces.push((ParamKind::StrobeDelay, strobe));
-            let sites = || vec![device.clone(); 4];
 
-            let mut twin = MultiSiteAte::new(sites(), config.clone());
-            let fresh = twin.measure_sites(&features, cycles, &test, &forces);
+            let mut solos: Vec<Ate> = (0..4u64)
+                .map(|site| {
+                    let seed = derive_seed(config.seed, site);
+                    Ate::with_config(device.clone(), AteConfig { seed, ..config.clone() })
+                })
+                .collect();
+            let expected: Vec<Probe> = solos
+                .iter_mut()
+                .map(|solo| solo.measure_features(&features, cycles, &test, &forces))
+                .collect();
 
-            let mut reusing = MultiSiteAte::new(sites(), config);
+            let mut reusing = MultiSiteAte::new(vec![device.clone(); 4], config);
             let mut out = vec![Probe::Invalid; 2];
             reusing.measure_sites_into(&features, cycles, &test, &forces, &mut out);
             prop_assert_eq!(&out[..2], &[Probe::Invalid; 2][..], "`{}`: prefix clobbered", name);
-            prop_assert_eq!(&out[2..], &fresh[..], "`{}`: site verdicts diverge", name);
-            prop_assert_eq!(
-                twin.merged_ledger(), reusing.merged_ledger(),
-                "`{}`: merged ledgers diverge", name
-            );
+            prop_assert_eq!(&out[2..], &expected[..], "`{}`: site verdicts diverge", name);
+            let mut merged = MeasurementLedger::new();
+            for (site, solo) in solos.iter().enumerate() {
+                prop_assert_eq!(
+                    reusing.site(site).ledger(), solo.ledger(),
+                    "`{}`: site {} ledger diverges", name, site
+                );
+                merged.merge(solo.ledger());
+            }
+            prop_assert_eq!(reusing.merged_ledger(), merged, "`{}`: merged ledgers diverge", name);
         }
     }
 

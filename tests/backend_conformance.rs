@@ -152,13 +152,15 @@ fn batched_hot_path_matches_scalar_probes() {
             .collect();
 
         let mut batched = Ate::with_config(device.clone(), config);
-        let batch = batched.measure_features_batch(
+        let mut batch = Vec::new();
+        batched.measure_features_batch_into(
             &features,
             cycles,
             &test,
             &base,
             ParamKind::StrobeDelay,
             &values,
+            &mut batch,
         );
         assert_eq!(batch, scalar_verdicts, "`{name}`: batch diverges from scalar");
         assert_eq!(
