@@ -1,10 +1,10 @@
 //! Per-test hoisted measurement context.
 
-use cichar_patterns::{PatternFeatures, Test};
+use cichar_patterns::{PatternFeatures, StimulusDigest, Test};
 
 /// Everything a trip-point search needs from a [`Test`], hoisted once:
-/// the stimulus expanded to its vector stream, the pattern features
-/// extracted, the cycle count and the content hash computed.
+/// the pattern features, the cycle count and the content hash, from one
+/// walk over the stimulus ([`Stimulus::digest`]).
 ///
 /// [`crate::TripOracle`] construction historically re-expanded the
 /// pattern for every search — for program stimuli that is a full vector
@@ -13,6 +13,8 @@ use cichar_patterns::{PatternFeatures, Test};
 /// to [`crate::Ate::trip_oracle_prepared`] performs no per-search
 /// pattern work at all, mirroring how real ATE loads a pattern into
 /// vector memory once and re-strobes it from there.
+///
+/// [`Stimulus::digest`]: cichar_patterns::Stimulus::digest
 ///
 /// # Examples
 ///
@@ -34,20 +36,16 @@ use cichar_patterns::{PatternFeatures, Test};
 #[derive(Debug, Clone, Copy)]
 pub struct PreparedTest<'t> {
     test: &'t Test,
-    features: PatternFeatures,
-    pattern_cycles: u64,
-    pattern_hash: u64,
+    digest: StimulusDigest,
 }
 
 impl<'t> PreparedTest<'t> {
-    /// Expands the test's stimulus once and captures the derived context.
+    /// Walks the test's stimulus once and captures the derived context.
+    /// No pattern is built, so preparation makes no allocator call.
     pub fn new(test: &'t Test) -> Self {
-        let pattern = test.pattern();
         Self {
             test,
-            features: PatternFeatures::extract(&pattern),
-            pattern_cycles: pattern.len() as u64,
-            pattern_hash: pattern.content_hash(),
+            digest: test.stimulus().digest(),
         }
     }
 
@@ -58,23 +56,23 @@ impl<'t> PreparedTest<'t> {
 
     /// The stimulus' extracted features.
     pub fn features(&self) -> &PatternFeatures {
-        &self.features
+        &self.digest.features
     }
 
     /// Cycles one application of the pattern costs.
     pub fn pattern_cycles(&self) -> u64 {
-        self.pattern_cycles
+        self.digest.cycles
     }
 
     /// The pattern's stable content hash (memoization-key prefix).
     pub(crate) fn pattern_hash(&self) -> u64 {
-        self.pattern_hash
+        self.digest.content_hash
     }
 
     /// The test's [`Test::identity`], from the content hash hoisted at
-    /// preparation instead of a second expansion.
+    /// preparation instead of a second walk.
     pub fn identity(&self) -> u64 {
-        self.test.identity_from_hash(self.pattern_hash)
+        self.test.identity_from_hash(self.digest.content_hash)
     }
 }
 

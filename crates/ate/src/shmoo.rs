@@ -10,7 +10,7 @@ use crate::ledger::MeasurementLedger;
 use crate::parallel::ParallelAte;
 use crate::tester::Ate;
 use cichar_exec::ExecPolicy;
-use cichar_patterns::{PatternFeatures, Test};
+use cichar_patterns::{StimulusDigest, Test};
 use cichar_search::RegionOrder;
 use cichar_units::Axis;
 use serde::{Deserialize, Serialize};
@@ -50,9 +50,9 @@ impl ShmooPlot {
     /// Pattern features are extracted once; each cell forces both axis
     /// parameters and strobes the device.
     pub fn capture(ate: &mut Ate, test: &Test, x: Axis, y: Axis) -> Self {
-        let pattern = test.pattern();
-        let features = PatternFeatures::extract(&pattern);
-        let cycles = pattern.len() as u64;
+        let StimulusDigest {
+            features, cycles, ..
+        } = test.stimulus().digest();
         let mut grid = Vec::with_capacity(x.len() * y.len());
         for yi in 0..y.len() {
             for xi in 0..x.len() {
@@ -87,9 +87,9 @@ impl ShmooPlot {
         y: Axis,
         policy: ExecPolicy,
     ) -> (Self, MeasurementLedger) {
-        let pattern = test.pattern();
-        let features = PatternFeatures::extract(&pattern);
-        let cycles = pattern.len() as u64;
+        let StimulusDigest {
+            features, cycles, ..
+        } = test.stimulus().digest();
         let rows = cichar_exec::par_map(policy, (0..y.len()).collect(), |_, yi| {
             let mut session = blueprint.session(yi as u64);
             let row: Vec<bool> = (0..x.len())

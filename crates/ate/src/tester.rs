@@ -348,19 +348,17 @@ impl Ate {
     /// Measures the test with an arbitrary set of forced parameters
     /// (the shmoo engine forces two at once).
     pub fn measure_forced(&mut self, test: &Test, forces: &[(ParamKind, f64)]) -> Probe {
-        let pattern = test.pattern();
+        let digest = test.stimulus().digest();
         if self.memo_active() {
-            let key = probe_identity(pattern.content_hash(), test.conditions(), forces);
+            let key = probe_identity(digest.content_hash, test.conditions(), forces);
             if let Some(verdict) = self.cache_lookup(key) {
                 return verdict;
             }
-            let features = PatternFeatures::extract(&pattern);
-            let verdict = self.measure_features(&features, pattern.len() as u64, test, forces);
+            let verdict = self.measure_features(&digest.features, digest.cycles, test, forces);
             self.cache_store(key, verdict);
             return verdict;
         }
-        let features = PatternFeatures::extract(&pattern);
-        self.measure_features(&features, pattern.len() as u64, test, forces)
+        self.measure_features(&digest.features, digest.cycles, test, forces)
     }
 
     /// Hot path: measure with pre-extracted features (search loops apply

@@ -188,8 +188,7 @@ impl WeaknessAnalyzer {
 
     /// Analyzes a complete test (features extracted internally).
     pub fn analyze(&self, test: &Test) -> WeaknessReport {
-        let features = PatternFeatures::extract(&test.pattern());
-        self.analyze_features(&features, test.conditions().vdd.value())
+        self.analyze_features(&test.stimulus().features(), test.conditions().vdd.value())
     }
 
     /// Analyzes pre-extracted features at a given supply.

@@ -11,6 +11,7 @@ use std::cmp::Ordering;
 use std::collections::HashSet;
 use std::fmt;
 use std::fs;
+use std::hash::{BuildHasherDefault, Hasher};
 use std::io;
 use std::path::Path;
 
@@ -75,7 +76,34 @@ pub struct WorstCaseDatabase {
     entry_ids: Vec<u64>,
     /// The identities of every entry and failure.
     #[serde(skip)]
-    seen: HashSet<u64>,
+    seen: IdentitySet,
+}
+
+/// The database's dedup index.
+type IdentitySet = HashSet<u64, BuildHasherDefault<IdentityHasher>>;
+
+/// Keys the dedup index on each identity as it is: identities are already
+/// mixed 64-bit hashes. Unlike `RandomState`, which seeds every process
+/// differently, a fixed hasher puts each identity in the same slot in
+/// every run, so when inserts and evictions grow the index, and with it
+/// the allocations a run makes, repeats exactly.
+#[derive(Debug, Default)]
+struct IdentityHasher(u64);
+
+impl Hasher for IdentityHasher {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        for &byte in bytes {
+            self.0 = self.0.rotate_left(8) ^ u64::from(byte);
+        }
+    }
+
+    fn write_u64(&mut self, id: u64) {
+        self.0 = id;
+    }
 }
 
 impl WorstCaseDatabase {
@@ -92,7 +120,7 @@ impl WorstCaseDatabase {
             entries: Vec::new(),
             failures: Vec::new(),
             entry_ids: Vec::new(),
-            seen: HashSet::new(),
+            seen: IdentitySet::default(),
         }
     }
 
@@ -220,7 +248,10 @@ impl Deserialize for WorstCaseDatabase {
             return refuse("a record classed unlike its WCR or stored on the wrong side");
         }
         let entry_ids: Vec<u64> = entries.iter().map(|r| r.test.identity()).collect();
-        let mut seen = HashSet::with_capacity(entries.len() + failures.len());
+        let mut seen = IdentitySet::with_capacity_and_hasher(
+            entries.len() + failures.len(),
+            Default::default(),
+        );
         let unique = entry_ids
             .iter()
             .copied()
@@ -566,7 +597,7 @@ mod tests {
         if ids != db.entry_ids {
             return fail("stored identities differ from the entries'");
         }
-        let all: HashSet<u64> = ids
+        let all: IdentitySet = ids
             .iter()
             .copied()
             .chain(db.failures.iter().map(|f| f.test.identity()))
@@ -617,6 +648,23 @@ mod tests {
             class: WcrClass::from_wcr(wcr),
             predicted_severity: None,
         }
+    }
+
+    /// One insert/evict stream fed to two databases leaves their dedup
+    /// indexes with the same capacity after every step, so how the index
+    /// grows, and the allocations it makes, do not hang on a hash seed
+    /// (every `RandomState` in a process is seeded differently).
+    #[test]
+    fn every_database_grows_its_dedup_index_alike() {
+        // Enough entries that evictions leave tombstones in the index.
+        let (mut a, mut b) = (WorstCaseDatabase::new(200), WorstCaseDatabase::new(200));
+        for step in 0..3_000u32 {
+            let wcr = 0.05 + f64::from(step.wrapping_mul(2_654_435_761) >> 22) / 1024.0 * 0.9;
+            let r = record(&format!("t{step}"), wcr, 1_000 + step);
+            assert_eq!(a.insert(r.clone()), b.insert(r), "step {step}");
+            assert_eq!(a.seen.capacity(), b.seen.capacity(), "step {step}");
+        }
+        assert_eq!(fingerprint(&a.entries), fingerprint(&b.entries));
     }
 
     #[test]

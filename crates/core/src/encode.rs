@@ -1,6 +1,6 @@
 //! Neural-network input encoding of tests.
 
-use cichar_patterns::{ConditionSpace, PatternFeatures, Test, FEATURE_COUNT};
+use cichar_patterns::{ConditionSpace, Test, FEATURE_COUNT};
 use serde::{Deserialize, Serialize};
 
 /// Width of the NN input vector: the pattern stress features plus the
@@ -9,7 +9,8 @@ pub const INPUT_WIDTH: usize = FEATURE_COUNT + 3;
 
 /// Encodes a [`Test`] into the committee's input vector.
 ///
-/// The encoding concatenates the normalized [`PatternFeatures`] with the
+/// The encoding concatenates the normalized
+/// [`PatternFeatures`](cichar_patterns::PatternFeatures) with the
 /// test's conditions, each mapped into `[0, 1]` over the
 /// [`ConditionSpace`] — the complete "input test" of fig. 4 as the network
 /// sees it.
@@ -42,27 +43,28 @@ impl TestEncoder {
         &self.space
     }
 
-    /// Encodes a test (extracting its features).
+    /// Encodes a test (one features pass over its stimulus).
     pub fn encode(&self, test: &Test) -> Vec<f64> {
-        let features = PatternFeatures::extract(&test.pattern());
-        self.encode_features(&features, test)
+        self.input(test).to_vec()
     }
 
-    /// Encodes with pre-extracted features (hot path).
-    pub fn encode_features(&self, features: &PatternFeatures, test: &Test) -> Vec<f64> {
-        let mut x = features.to_vec();
+    /// [`Self::encode`] on the stack, for callers that encode many tests.
+    pub(crate) fn input(&self, test: &Test) -> [f64; INPUT_WIDTH] {
+        let mut x = [0.0; INPUT_WIDTH];
+        x[..FEATURE_COUNT].copy_from_slice(&test.stimulus().features().to_array());
         let c = test.conditions();
-        x.push(self.space.vdd().unlerp(self.space.vdd().clamp(c.vdd.value())));
-        x.push(
-            self.space
-                .temperature()
-                .unlerp(self.space.temperature().clamp(c.temperature.value())),
-        );
-        x.push(
-            self.space
-                .clock()
-                .unlerp(self.space.clock().clamp(c.clock.value())),
-        );
+        x[FEATURE_COUNT] = self
+            .space
+            .vdd()
+            .unlerp(self.space.vdd().clamp(c.vdd.value()));
+        x[FEATURE_COUNT + 1] = self
+            .space
+            .temperature()
+            .unlerp(self.space.temperature().clamp(c.temperature.value()));
+        x[FEATURE_COUNT + 2] = self
+            .space
+            .clock()
+            .unlerp(self.space.clock().clamp(c.clock.value()));
         x
     }
 }
@@ -70,7 +72,7 @@ impl TestEncoder {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cichar_patterns::{march, TestConditions};
+    use cichar_patterns::{march, PatternFeatures, TestConditions};
     use cichar_units::Volts;
 
     #[test]
@@ -106,10 +108,10 @@ mod tests {
     }
 
     #[test]
-    fn encode_features_matches_encode() {
+    fn encoding_starts_with_the_pattern_features() {
         let enc = TestEncoder::new(ConditionSpace::default());
         let t = Test::deterministic("m", march::march_x(96));
         let f = PatternFeatures::extract(&t.pattern());
-        assert_eq!(enc.encode_features(&f, &t), enc.encode(&t));
+        assert_eq!(enc.encode(&t)[..FEATURE_COUNT], f.to_array());
     }
 }

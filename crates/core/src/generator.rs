@@ -12,9 +12,11 @@
 //! time, so thousands of candidates can be sifted for each measured one.
 
 use crate::learning::LearnedModel;
+use cichar_neural::VoteScratch;
 use cichar_patterns::{random, Test, TestConditions, TestSource};
 use rand::Rng;
 use serde::{Deserialize, Serialize};
+use std::cmp::Ordering;
 
 /// One screened candidate.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -54,11 +56,16 @@ impl<'a> NeuralTestGenerator<'a> {
     }
 
     /// Samples `candidates` random tests, votes on each, and returns the
-    /// `top_k` most severe, ordered worst-first.
+    /// `top_k` most severe, ordered worst-first; candidates of equal
+    /// severity keep their sampling order.
     ///
     /// With `conditions` set, every candidate is pinned to those
     /// conditions (Table 1's fixed corner); otherwise conditions randomize
     /// over the model's space.
+    ///
+    /// Only the best `top_k` seen so far are held, and every vote reuses
+    /// one scratch, so a screened candidate costs the allocations of its
+    /// random test and nothing more.
     ///
     /// # Panics
     ///
@@ -71,23 +78,45 @@ impl<'a> NeuralTestGenerator<'a> {
         rng: &mut R,
     ) -> Vec<Candidate> {
         assert!(top_k > 0 && top_k <= candidates, "invalid top_k {top_k}");
-        let mut scored: Vec<Candidate> = (0..candidates)
-            .map(|i| {
-                let test = match conditions {
-                    Some(c) => random::random_test_at(rng, c),
-                    None => random::random_test(rng, self.model.encoder.space()),
-                };
-                let (severity, confidence) = self.model.predict_severity(&test);
-                Candidate {
-                    test: test.relabel(format!("nn_candidate_{i:05}"), TestSource::Neural),
-                    predicted_severity: severity,
-                    confidence,
-                }
+        let mut scratch = VoteScratch::default();
+        let mut kept: Vec<(usize, Candidate)> = Vec::with_capacity(top_k + 1);
+        for i in 0..candidates {
+            let test = match conditions {
+                Some(c) => random::random_test_at(rng, c),
+                None => random::random_test(rng, self.model.encoder.space()),
+            };
+            let (severity, confidence) = self.model.predict_severity(&test, &mut scratch);
+            let candidate = Candidate {
+                test,
+                predicted_severity: severity,
+                confidence,
+            };
+            keep_top(&mut kept, top_k, (i, candidate), |(_, c)| {
+                c.predicted_severity
+            });
+        }
+        kept.into_iter()
+            .map(|(i, c)| Candidate {
+                test: c
+                    .test
+                    .relabel(format!("nn_candidate_{i:05}"), TestSource::Neural),
+                ..c
             })
-            .collect();
-        scored.sort_by(|a, b| b.predicted_severity.total_cmp(&a.predicted_severity));
-        scored.truncate(top_k);
-        scored
+            .collect()
+    }
+}
+
+/// Offers `item` to `kept`, the at most `k` items of largest `key` seen so
+/// far, largest first under `total_cmp`.
+///
+/// A newcomer goes after every kept item of equal key, so `kept` always
+/// holds what a stable descending `sort_by` of every item offered,
+/// truncated to `k`, would hold.
+fn keep_top<T>(kept: &mut Vec<T>, k: usize, item: T, key: impl Fn(&T) -> f64) {
+    let at = kept.partition_point(|e| key(e).total_cmp(&key(&item)) != Ordering::Less);
+    if at < k {
+        kept.insert(at, item);
+        kept.truncate(k);
     }
 }
 
@@ -118,6 +147,101 @@ mod tests {
             ..LearningConfig::default()
         })
         .run(&mut ate, &mut rng)
+    }
+
+    /// The screen before bounded selection: every candidate scored and
+    /// named, then a stable sort, worst first, and a truncation.
+    fn propose_reference(
+        model: &LearnedModel,
+        candidates: usize,
+        top_k: usize,
+        conditions: Option<TestConditions>,
+        rng: &mut StdRng,
+    ) -> Vec<Candidate> {
+        let mut scratch = VoteScratch::default();
+        let mut scored: Vec<Candidate> = (0..candidates)
+            .map(|i| {
+                let test = match conditions {
+                    Some(c) => random::random_test_at(rng, c),
+                    None => random::random_test(rng, model.encoder.space()),
+                };
+                let (severity, confidence) = model.predict_severity(&test, &mut scratch);
+                Candidate {
+                    test: test.relabel(format!("nn_candidate_{i:05}"), TestSource::Neural),
+                    predicted_severity: severity,
+                    confidence,
+                }
+            })
+            .collect();
+        scored.sort_by(|a, b| b.predicted_severity.total_cmp(&a.predicted_severity));
+        scored.truncate(top_k);
+        scored
+    }
+
+    /// Severities drawn from a small pool, so ties are common, with both
+    /// zeros, both infinities and NaNs of either sign.
+    #[test]
+    fn keep_top_matches_a_stable_sort_and_truncate() {
+        let pool = [
+            0.25,
+            0.5,
+            0.75,
+            0.0,
+            -0.0,
+            1.0,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            f64::NAN,
+            -f64::NAN,
+            0.5 + f64::EPSILON,
+        ];
+        let mut rng = StdRng::seed_from_u64(21);
+        for round in 0..200 {
+            let n = rng.gen_range(1..60);
+            let keys: Vec<f64> = (0..n).map(|_| pool[rng.gen_range(0..pool.len())]).collect();
+            let k = rng.gen_range(1..=n);
+            let mut reference: Vec<(usize, f64)> = keys.iter().copied().enumerate().collect();
+            reference.sort_by(|a, b| b.1.total_cmp(&a.1));
+            reference.truncate(k);
+            let mut kept = Vec::new();
+            for item in keys.iter().copied().enumerate() {
+                keep_top(&mut kept, k, item, |&(_, key)| key);
+            }
+            let bits = |v: &[(usize, f64)]| -> Vec<(usize, u64)> {
+                v.iter().map(|&(i, key)| (i, key.to_bits())).collect()
+            };
+            assert_eq!(
+                bits(&kept),
+                bits(&reference),
+                "round {round}: {keys:?}, k = {k}"
+            );
+        }
+    }
+
+    /// Same tests, names, severities and confidences as scoring every
+    /// candidate and sorting, with free and pinned conditions.
+    #[test]
+    fn propose_matches_score_all_then_sort() {
+        let model = model();
+        let generator = NeuralTestGenerator::new(&model);
+        for (seed, top_k, conditions) in [(17, 10, None), (18, 1, Some(TestConditions::nominal()))]
+        {
+            let got = generator.propose(300, top_k, conditions, &mut StdRng::seed_from_u64(seed));
+            let want = propose_reference(
+                &model,
+                300,
+                top_k,
+                conditions,
+                &mut StdRng::seed_from_u64(seed),
+            );
+            assert_eq!(got, want);
+            let bits = |c: &[Candidate]| -> Vec<(u64, u64)> {
+                c.iter()
+                    .map(|c| (c.predicted_severity.to_bits(), c.confidence.to_bits()))
+                    .collect()
+            };
+            assert_eq!(bits(&got), bits(&want));
+        }
     }
 
     #[test]

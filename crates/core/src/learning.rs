@@ -19,7 +19,7 @@ use crate::encode::{TestEncoder, INPUT_WIDTH};
 use crate::wcr::CharacterizationObjective;
 use cichar_ate::{Ate, MeasuredParam};
 use cichar_fuzzy::coding::{CodingScheme, TripPointCoder};
-use cichar_neural::{Committee, Dataset, MinMaxScaler, TrainConfig};
+use cichar_neural::{Committee, Dataset, MinMaxScaler, TrainConfig, VoteScratch};
 use cichar_patterns::{random, ConditionSpace, Test};
 use cichar_search::TripPrediction;
 use cichar_trace::{TraceEvent, Tracer};
@@ -134,9 +134,11 @@ impl LearnedModel {
     /// codings report the scaler-normalized WCR, fuzzy codings the coder's
     /// band-weighted severity. Both rank candidates identically well;
     /// only rankings (not absolute severities) cross scheme boundaries.
-    pub fn predict_severity(&self, test: &Test) -> (f64, f64) {
-        let x = self.encoder.encode(test);
-        let vote = self.committee.vote(&x);
+    ///
+    /// The vote runs in `scratch`, which a screening loop reuses for every
+    /// candidate.
+    pub fn predict_severity(&self, test: &Test, scratch: &mut VoteScratch) -> (f64, f64) {
+        let vote = self.committee.vote_in(&self.encoder.input(test), scratch);
         let severity = match self.coder.scheme() {
             CodingScheme::Numeric => vote.mean.first().copied().unwrap_or(0.0),
             CodingScheme::Fuzzy => self.coder.severity(&vote.mean),
@@ -164,8 +166,7 @@ impl LearnedModel {
         if !self.accepted || self.coder.scheme() != CodingScheme::Numeric {
             return None;
         }
-        let x = self.encoder.encode(test);
-        let vote = self.committee.vote(&x);
+        let vote = self.committee.vote(&self.encoder.input(test));
         let z = *vote.mean.first()?;
         let dz = vote.std_dev.first().copied().unwrap_or(0.0);
         let trip = self.objective.value_for_wcr(self.wcr_scaler.inverse(z));
@@ -402,8 +403,9 @@ mod tests {
             }
         }
         let storm = Test::deterministic("storm", cichar_patterns::Pattern::new_clamped(v));
-        let (benign_sev, _) = model.predict_severity(&benign);
-        let (storm_sev, _) = model.predict_severity(&storm);
+        let scratch = &mut VoteScratch::default();
+        let (benign_sev, _) = model.predict_severity(&benign, scratch);
+        let (storm_sev, _) = model.predict_severity(&storm, scratch);
         assert!(
             storm_sev > benign_sev,
             "storm {storm_sev} must out-rank benign {benign_sev}"
@@ -432,7 +434,7 @@ mod tests {
         let model = learn(CodingScheme::Numeric, 2);
         let t = Test::deterministic("m", cichar_patterns::march::march_y(96));
         let p = model.predict_trip(&t).expect("accepted numeric model");
-        let (severity, _) = model.predict_severity(&t);
+        let (severity, _) = model.predict_severity(&t, &mut VoteScratch::default());
         let wcr = model.wcr_scaler.inverse(severity);
         assert!(
             (model.objective.wcr(p.trip_point) - wcr).abs() < 1e-9,
@@ -468,7 +470,7 @@ mod tests {
         let model = learn(CodingScheme::Numeric, 5);
         let before = model.measurements_used;
         let t = Test::deterministic("m", cichar_patterns::march::march_x(96));
-        let _ = model.predict_severity(&t);
+        let _ = model.predict_severity(&t, &mut VoteScratch::default());
         // `predict_severity` has no tester access at all; the field is a
         // snapshot and cannot change.
         assert_eq!(model.measurements_used, before);
@@ -484,7 +486,11 @@ mod tests {
         let loaded = LearnedModel::load_weight_file(&path).expect("load");
         assert_eq!(loaded.committee, model.committee);
         let t = Test::deterministic("m", cichar_patterns::march::march_y(96));
-        assert_eq!(loaded.predict_severity(&t), model.predict_severity(&t));
+        let scratch = &mut VoteScratch::default();
+        assert_eq!(
+            loaded.predict_severity(&t, scratch),
+            model.predict_severity(&t, scratch)
+        );
         std::fs::remove_file(&path).ok();
     }
 

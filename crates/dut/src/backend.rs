@@ -458,8 +458,7 @@ impl Device {
 
     /// Evaluates a test's stimulus at overridden conditions.
     pub fn evaluate_at(&self, test: &Test, conditions: &TestConditions) -> Parametrics {
-        let features = PatternFeatures::extract(&test.pattern());
-        self.evaluate_features(&features, conditions)
+        self.evaluate_features(&test.stimulus().features(), conditions)
     }
 
     /// Functionally executes a pattern against the device's array.

@@ -115,8 +115,7 @@ impl MemoryDevice {
     /// Evaluates a test's stimulus at *overridden* conditions — the shmoo
     /// engine forces conditions along its axes while keeping the stimulus.
     pub fn evaluate_at(&self, test: &Test, conditions: &TestConditions) -> Parametrics {
-        let features = PatternFeatures::extract(&test.pattern());
-        self.evaluate_features(&features, conditions)
+        self.evaluate_features(&test.stimulus().features(), conditions)
     }
 
     /// Evaluates pre-extracted features (hot path for search loops that

@@ -13,7 +13,7 @@ use std::fmt;
 /// classification, we propose to use the NN voting machine algorithm, such
 /// that multiple NNs are trained on different subsets of the training input
 /// tests, then vote in parallel on unknown input tests."
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct Vote {
     /// Mean of the member outputs (element-wise).
     pub mean: Vec<f64>,
@@ -42,6 +42,14 @@ impl fmt::Display for Vote {
             self.confidence()
         )
     }
+}
+
+/// The buffers [`Committee::vote_in`] reuses from one input to the next:
+/// the members' forward-pass scratch and the vote it fills.
+#[derive(Debug, Default)]
+pub struct VoteScratch {
+    forward: Scratch,
+    vote: Vote,
 }
 
 /// A bagged committee of identically-shaped networks.
@@ -240,12 +248,63 @@ impl Committee {
     ///
     /// Panics if `input` has the wrong width.
     pub fn vote(&self, input: &[f64]) -> Vote {
-        let mut scratch = Scratch::default();
-        let members: Vec<Vec<f64>> = self
-            .members
-            .iter()
-            .map(|m| m.forward(input, &mut scratch).to_vec())
-            .collect();
+        let mut scratch = VoteScratch::default();
+        self.vote_in(input, &mut scratch);
+        scratch.vote
+    }
+
+    /// [`Self::vote`] into `scratch`'s buffers, which later votes reuse:
+    /// once they have grown to this committee's shape, a vote makes no
+    /// allocator call.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `input` has the wrong width.
+    pub fn vote_in<'s>(&self, input: &[f64], scratch: &'s mut VoteScratch) -> &'s Vote {
+        let VoteScratch { forward, vote } = scratch;
+        let Vote {
+            mean,
+            std_dev,
+            members,
+        } = vote;
+        members.resize_with(self.members.len(), Vec::new);
+        for (mlp, output) in self.members.iter().zip(members.iter_mut()) {
+            output.clear();
+            output.extend_from_slice(mlp.forward(input, forward));
+        }
+        let width = members[0].len();
+        let n = members.len() as f64;
+        mean.clear();
+        mean.extend((0..width).map(|i| members.iter().map(|v| v[i]).sum::<f64>() / n));
+        std_dev.clear();
+        std_dev.extend((0..width).map(|i| {
+            let var = members
+                .iter()
+                .map(|v| (v[i] - mean[i]).powi(2))
+                .sum::<f64>()
+                / n;
+            var.sqrt()
+        }));
+        vote
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use rand::rngs::StdRng;
+    use rand::SeedableRng;
+
+    fn line_dataset(n: usize) -> Dataset {
+        let inputs: Vec<Vec<f64>> = (0..n).map(|i| vec![i as f64 / (n - 1) as f64]).collect();
+        let targets: Vec<Vec<f64>> = inputs.iter().map(|x| vec![0.1 + 0.8 * x[0]]).collect();
+        Dataset::new(inputs, targets).expect("valid")
+    }
+
+    /// The vote as the committee computed it before [`VoteScratch`]: every
+    /// member's output collected, then the mean and spread summed over them.
+    fn vote_reference(committee: &Committee, input: &[f64]) -> Vote {
+        let members: Vec<Vec<f64>> = committee.members.iter().map(|m| m.predict(input)).collect();
         let width = members[0].len();
         let n = members.len() as f64;
         let mean: Vec<f64> = (0..width)
@@ -264,18 +323,36 @@ impl Committee {
             members,
         }
     }
-}
 
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use rand::rngs::StdRng;
-    use rand::SeedableRng;
+    fn vote_bits(vote: &Vote) -> Vec<u64> {
+        let rows = [&vote.mean, &vote.std_dev].into_iter().chain(&vote.members);
+        rows.flatten().map(|v| v.to_bits()).collect()
+    }
 
-    fn line_dataset(n: usize) -> Dataset {
-        let inputs: Vec<Vec<f64>> = (0..n).map(|i| vec![i as f64 / (n - 1) as f64]).collect();
-        let targets: Vec<Vec<f64>> = inputs.iter().map(|x| vec![0.1 + 0.8 * x[0]]).collect();
-        Dataset::new(inputs, targets).expect("valid")
+    /// One scratch serves many inputs, and two committees of different
+    /// shapes in turn; every vote matches the reference bit for bit.
+    #[test]
+    fn vote_in_reuses_one_scratch_and_matches_the_reference() {
+        use rand::Rng;
+        let mut rng = StdRng::seed_from_u64(20);
+        let committees: Vec<Committee> = [[3, 5, 2].as_slice(), &[3, 4, 4, 1]]
+            .iter()
+            .zip([4, 2])
+            .map(|(topology, size)| {
+                let members = (0..size)
+                    .map(|_| Mlp::new(topology, &mut rng).expect("valid"))
+                    .collect();
+                Committee::from_members(members).expect("homogeneous")
+            })
+            .collect();
+        let mut scratch = VoteScratch::default();
+        for round in 0..24 {
+            let committee = &committees[round % 2];
+            let input: Vec<f64> = (0..3).map(|_| rng.gen_range(-1.0..2.0)).collect();
+            let want = vote_bits(&vote_reference(committee, &input));
+            assert_eq!(vote_bits(committee.vote_in(&input, &mut scratch)), want);
+            assert_eq!(vote_bits(&committee.vote(&input)), want);
+        }
     }
 
     #[test]

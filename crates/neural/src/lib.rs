@@ -53,7 +53,7 @@ mod scale;
 mod train;
 
 pub use activation::Activation;
-pub use committee::{Committee, Vote};
+pub use committee::{Committee, Vote, VoteScratch};
 pub use dataset::{Dataset, NeuralError};
 pub use mlp::Mlp;
 pub use scale::MinMaxScaler;

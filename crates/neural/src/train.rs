@@ -144,6 +144,10 @@ impl Trainer {
         let mut stale = 0usize;
         let mut order: Vec<usize> = (0..train.len()).collect();
         let mut epochs_run = 0;
+        // Validation feeds only the patience counter, which rises at most
+        // once per epoch: with more patience than epochs it can never stop
+        // training, so the pass is skipped.
+        let validate = c.patience <= c.epochs;
         for _ in 0..c.epochs {
             epochs_run += 1;
             order.shuffle(rng);
@@ -163,6 +167,9 @@ impl Trainer {
             history.push(train_mse);
             if train_mse < c.target_mse {
                 break;
+            }
+            if !validate {
+                continue;
             }
             let val_mse = mlp.mse_in(val.inputs(), val.targets(), &mut scratch);
             if val_mse + 1e-12 < best_val {
@@ -288,6 +295,30 @@ mod tests {
         })
         .train(&mut mlp, &data, &mut rng);
         assert!(report.epochs_run <= 12, "stopped at {}", report.epochs_run);
+    }
+
+    /// `patience = epochs` validates every epoch but cannot fire on
+    /// finite data (the first epoch always improves on infinity);
+    /// `usize::MAX` skips validation. Networks and reports agree bit for
+    /// bit.
+    #[test]
+    fn skipping_validation_that_cannot_stop_training_changes_nothing() {
+        let train = |patience: usize| {
+            let mut rng = StdRng::seed_from_u64(9);
+            let mut mlp = Mlp::new(&[2, 6, 1], &mut rng).expect("valid");
+            let report = Trainer::new(TrainConfig {
+                epochs: 40,
+                target_mse: 0.0,
+                patience,
+                ..TrainConfig::default()
+            })
+            .train(&mut mlp, &smooth_dataset(50), &mut rng);
+            // `Debug` prints every float exactly, `-0.0` included.
+            (format!("{mlp:?}"), format!("{report:?}"))
+        };
+        let (validated, skipped) = (train(40), train(usize::MAX));
+        assert_eq!(validated, skipped);
+        assert!(validated.1.contains("epochs_run: 40"), "{}", validated.1);
     }
 
     #[test]

@@ -17,11 +17,11 @@
 //!   to interaction terms, not trivially linear.
 
 use crate::pattern::Pattern;
-use crate::vector::{hamming, MemOp};
+use crate::vector::{hamming, MemOp, TestVector, DATA_BITS, ROW_SHIFT};
 use serde::{Deserialize, Serialize};
 use std::fmt;
 
-/// Number of scalar features in [`PatternFeatures::to_vec`].
+/// Number of scalar features in [`PatternFeatures::to_array`].
 pub const FEATURE_COUNT: usize = 14;
 
 /// Read-burst length (cycles) at which the simulated power-delivery network
@@ -31,7 +31,7 @@ pub const RESONANT_BURST_LEN: f64 = 12.0;
 /// Width (standard deviation, cycles) of the resonance window.
 pub const RESONANCE_SIGMA: f64 = 3.0;
 
-/// Names of the features, index-aligned with [`PatternFeatures::to_vec`].
+/// Names of the features, index-aligned with [`PatternFeatures::to_array`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FeatureNames;
 
@@ -116,6 +116,246 @@ impl PatternFeatures {
     /// it from a tracked memory image, so it equals what the device drives
     /// out).
     pub fn extract(pattern: &Pattern) -> Self {
+        let mut fold = FeatureFold::new();
+        for &v in pattern {
+            fold.push(v);
+        }
+        fold.finish()
+    }
+
+    /// The features as a fixed-length array, index-aligned with
+    /// [`FeatureNames::ALL`]. This is the neural network's input encoding
+    /// (conditions are appended separately by the learning scheme).
+    pub fn to_array(&self) -> [f64; FEATURE_COUNT] {
+        [
+            self.read_fraction,
+            self.write_fraction,
+            self.nop_fraction,
+            self.addr_ham_mean,
+            self.addr_ham_max,
+            self.dq_sso_mean,
+            self.dq_sso_max,
+            self.read_burst_max,
+            self.read_burst_mean,
+            self.burst_resonance,
+            self.row_switch_fraction,
+            self.turnaround_density,
+            self.data_toggle_mean,
+            self.read_after_write_fraction,
+        ]
+    }
+
+    /// True when every feature lies in `[0, 1]` — the extractor's
+    /// normalization invariant.
+    pub fn is_normalized(&self) -> bool {
+        self.to_array().iter().all(|&x| (0.0..=1.0).contains(&x))
+    }
+}
+
+impl fmt::Display for PatternFeatures {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let values = self.to_array();
+        for (name, value) in FeatureNames::ALL.iter().zip(values) {
+            writeln!(f, "{name:>26}: {value:.4}")?;
+        }
+        Ok(())
+    }
+}
+
+/// [`PatternFeatures::extract`] as a fold: feed the vectors in order with
+/// [`Self::push`], then [`Self::finish`]. A stimulus can then be walked
+/// as it is generated, without building its [`Pattern`].
+///
+/// Each read burst is folded in as it closes. The per-burst sums
+/// (`burst_lens`, `resonance`) add their terms in burst order from
+/// `-0.0`, as `Iterator::sum` does, so a pattern without a read burst
+/// keeps `burst_resonance == -0.0`; the per-pair sums start at `+0.0`.
+/// Every feature is bit-identical to the collected-bursts extraction.
+#[derive(Debug)]
+pub(crate) struct FeatureFold {
+    reads: usize,
+    writes: usize,
+    nops: usize,
+    /// Consecutive active pairs; address, row, turnaround and data-toggle
+    /// features all average over them.
+    pairs: usize,
+    addr_ham_sum: f64,
+    addr_ham_max: u32,
+    sso_sum: f64,
+    sso_max: u32,
+    sso_pairs: usize,
+    row_switches: usize,
+    turnarounds: usize,
+    data_toggle_sum: f64,
+    raw_hits: usize,
+    /// The open read burst.
+    burst_len: usize,
+    burst_sso_sum: f64,
+    burst_sso_pairs: usize,
+    /// The closed read bursts.
+    bursts: usize,
+    burst_max: usize,
+    burst_lens: f64,
+    resonance: f64,
+    prev_active: Option<(MemOp, u16, u16)>,
+    last_write: Option<u16>,
+}
+
+impl FeatureFold {
+    pub(crate) fn new() -> Self {
+        Self {
+            reads: 0,
+            writes: 0,
+            nops: 0,
+            pairs: 0,
+            addr_ham_sum: 0.0,
+            addr_ham_max: 0,
+            sso_sum: 0.0,
+            sso_max: 0,
+            sso_pairs: 0,
+            row_switches: 0,
+            turnarounds: 0,
+            data_toggle_sum: 0.0,
+            raw_hits: 0,
+            burst_len: 0,
+            burst_sso_sum: 0.0,
+            burst_sso_pairs: 0,
+            bursts: 0,
+            burst_max: 0,
+            burst_lens: -0.0,
+            resonance: -0.0,
+            prev_active: None,
+            last_write: None,
+        }
+    }
+
+    /// Vectors pushed so far.
+    pub(crate) fn cycles(&self) -> usize {
+        self.reads + self.writes + self.nops
+    }
+
+    /// Folds in the next vector cycle.
+    #[inline]
+    pub(crate) fn push(&mut self, v: TestVector) {
+        match v.op {
+            MemOp::Read => self.reads += 1,
+            MemOp::Write => self.writes += 1,
+            MemOp::Nop => {
+                // A NOP breaks a read burst but leaves bus state untouched.
+                self.nops += 1;
+                self.close_burst();
+                return;
+            }
+        }
+        if let Some((prev_op, prev_addr, prev_data)) = self.prev_active {
+            let ah = hamming(prev_addr, v.address);
+            self.addr_ham_sum += f64::from(ah);
+            self.addr_ham_max = self.addr_ham_max.max(ah);
+            self.pairs += 1;
+            if (prev_addr >> ROW_SHIFT) != (v.address >> ROW_SHIFT) {
+                self.row_switches += 1;
+            }
+            if prev_op != v.op {
+                self.turnarounds += 1;
+            }
+            let dh = hamming(prev_data, v.data);
+            self.data_toggle_sum += f64::from(dh);
+            if prev_op == MemOp::Read && v.op == MemOp::Read {
+                self.sso_sum += f64::from(dh);
+                self.sso_max = self.sso_max.max(dh);
+                self.sso_pairs += 1;
+                self.burst_sso_sum += f64::from(dh);
+                self.burst_sso_pairs += 1;
+            }
+        }
+        if v.op == MemOp::Read {
+            self.burst_len += 1;
+            if self.last_write == Some(v.address) {
+                self.raw_hits += 1;
+            }
+        } else {
+            self.close_burst();
+            self.last_write = Some(v.address);
+        }
+        self.prev_active = Some((v.op, v.address, v.data));
+    }
+
+    /// Folds the open read burst, if any, into the burst statistics.
+    ///
+    /// Its resonance term is an SSO-weighted Gaussian window around the
+    /// resonant length, scaled by the burst's own switching intensity.
+    #[inline]
+    fn close_burst(&mut self) {
+        if self.burst_len == 0 {
+            return;
+        }
+        let len = self.burst_len;
+        self.bursts += 1;
+        self.burst_max = self.burst_max.max(len);
+        self.burst_lens += len as f64;
+        let burst_sso = mean(self.burst_sso_sum, self.burst_sso_pairs) / BUS_BITS;
+        let window = (-((len as f64 - RESONANT_BURST_LEN).powi(2))
+            / (2.0 * RESONANCE_SIGMA * RESONANCE_SIGMA))
+            .exp();
+        self.resonance += window * burst_sso;
+        self.burst_len = 0;
+        self.burst_sso_sum = 0.0;
+        self.burst_sso_pairs = 0;
+    }
+
+    /// The features of the vectors pushed so far.
+    pub(crate) fn finish(mut self) -> PatternFeatures {
+        self.close_burst();
+        let n = self.cycles() as f64;
+        // The resonance is normalized by the densest possible packing of
+        // resonant bursts in this pattern.
+        let max_bursts = (n / (RESONANT_BURST_LEN + 1.0)).max(1.0);
+        PatternFeatures {
+            read_fraction: self.reads as f64 / n,
+            write_fraction: self.writes as f64 / n,
+            nop_fraction: self.nops as f64 / n,
+            addr_ham_mean: mean(self.addr_ham_sum, self.pairs) / BUS_BITS,
+            addr_ham_max: f64::from(self.addr_ham_max) / BUS_BITS,
+            dq_sso_mean: mean(self.sso_sum, self.sso_pairs) / BUS_BITS,
+            dq_sso_max: f64::from(self.sso_max) / BUS_BITS,
+            read_burst_max: (self.burst_max as f64 / 125.0).min(1.0),
+            read_burst_mean: (mean(self.burst_lens, self.bursts) / 125.0).min(1.0),
+            burst_resonance: (self.resonance / max_bursts).clamp(0.0, 1.0),
+            row_switch_fraction: mean(self.row_switches as f64, self.pairs),
+            turnaround_density: mean(self.turnarounds as f64, self.pairs),
+            data_toggle_mean: mean(self.data_toggle_sum, self.pairs) / BUS_BITS,
+            read_after_write_fraction: mean(self.raw_hits as f64, self.reads),
+        }
+    }
+}
+
+/// Data-bus width, the normalizer of every Hamming feature.
+const BUS_BITS: f64 = DATA_BITS as f64;
+
+/// `sum / count`, or 0 for no terms.
+fn mean(sum: f64, count: usize) -> f64 {
+    if count > 0 {
+        sum / count as f64
+    } else {
+        0.0
+    }
+}
+
+#[cfg(test)]
+pub(crate) mod tests {
+    use super::*;
+    use crate::march;
+    use crate::pattern::Pattern;
+    use crate::program::{AddrMode, DataMode, OpMode, Segment, SegmentProgram};
+    use crate::vector::TestVector;
+    use proptest::prelude::*;
+    use rand::rngs::StdRng;
+    use rand::SeedableRng;
+
+    /// The extraction this module used before [`FeatureFold`], kept as
+    /// the reference: it collects every read burst, then sums their
+    /// lengths and resonance terms with `Iterator::sum`.
+    pub(crate) fn extract_reference(pattern: &Pattern) -> PatternFeatures {
         let n = pattern.len() as f64;
         let mut reads = 0usize;
         let mut writes = 0usize;
@@ -226,7 +466,7 @@ impl PatternFeatures {
         let max_bursts = (n / (RESONANT_BURST_LEN + 1.0)).max(1.0);
         let burst_resonance = (resonance_raw / max_bursts).clamp(0.0, 1.0);
 
-        Self {
+        PatternFeatures {
             read_fraction: reads as f64 / n,
             write_fraction: writes as f64 / n,
             nop_fraction: nops as f64 / n,
@@ -243,56 +483,6 @@ impl PatternFeatures {
             read_after_write_fraction: mean(raw_hits as f64, reads),
         }
     }
-
-    /// The features as a fixed-length vector, index-aligned with
-    /// [`FeatureNames::ALL`]. This is the neural network's input encoding
-    /// (conditions are appended separately by the learning scheme).
-    pub fn to_vec(&self) -> Vec<f64> {
-        vec![
-            self.read_fraction,
-            self.write_fraction,
-            self.nop_fraction,
-            self.addr_ham_mean,
-            self.addr_ham_max,
-            self.dq_sso_mean,
-            self.dq_sso_max,
-            self.read_burst_max,
-            self.read_burst_mean,
-            self.burst_resonance,
-            self.row_switch_fraction,
-            self.turnaround_density,
-            self.data_toggle_mean,
-            self.read_after_write_fraction,
-        ]
-    }
-
-    /// True when every feature lies in `[0, 1]` — the extractor's
-    /// normalization invariant.
-    pub fn is_normalized(&self) -> bool {
-        self.to_vec().iter().all(|&x| (0.0..=1.0).contains(&x))
-    }
-}
-
-impl fmt::Display for PatternFeatures {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let values = self.to_vec();
-        for (name, value) in FeatureNames::ALL.iter().zip(values) {
-            writeln!(f, "{name:>26}: {value:.4}")?;
-        }
-        Ok(())
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::march;
-    use crate::pattern::Pattern;
-    use crate::program::{AddrMode, DataMode, OpMode, Segment, SegmentProgram};
-    use crate::vector::TestVector;
-    use proptest::prelude::*;
-    use rand::rngs::StdRng;
-    use rand::SeedableRng;
 
     /// Writes alternating 0x5555/0xAAAA to addresses, then reads them back
     /// in one long burst: maximal SSO.
@@ -410,7 +600,7 @@ mod tests {
     #[test]
     fn feature_vector_is_aligned_with_names() {
         let f = PatternFeatures::extract(&march::march_x(96));
-        assert_eq!(f.to_vec().len(), FEATURE_COUNT);
+        assert_eq!(f.to_array().len(), FEATURE_COUNT);
         assert_eq!(FeatureNames::ALL.len(), FEATURE_COUNT);
     }
 

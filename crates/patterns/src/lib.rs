@@ -56,7 +56,7 @@ pub use pattern::{Pattern, PatternError, MAX_PATTERN_LEN, MIN_PATTERN_LEN};
 pub use program::{
     power_up_word, AddrMode, DataMode, OpMode, ProgramError, Segment, SegmentProgram,
 };
-pub use test::{Stimulus, Test, TestSource};
+pub use test::{Stimulus, StimulusDigest, Test, TestSource};
 pub use vector::{
     hamming, MemOp, TestVector, ADDR_BITS, ADDR_SPACE, COL_MASK, DATA_BITS, ROW_SHIFT,
 };

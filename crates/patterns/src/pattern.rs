@@ -115,23 +115,43 @@ impl Pattern {
     /// Used to deduplicate tests in the worst-case database without pulling
     /// in a hashing dependency.
     pub fn content_hash(&self) -> u64 {
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-        let mut mix = |byte: u8| {
-            h ^= u64::from(byte);
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
-        };
-        for v in &self.vectors {
-            mix(match v.op {
-                MemOp::Write => 1,
-                MemOp::Read => 2,
-                MemOp::Nop => 3,
-            });
-            mix((v.address & 0xff) as u8);
-            mix((v.address >> 8) as u8);
-            mix((v.data & 0xff) as u8);
-            mix((v.data >> 8) as u8);
+        let mut hash = ContentHash::new();
+        for &v in &self.vectors {
+            hash.push(v);
         }
-        h
+        hash.finish()
+    }
+}
+
+/// [`Pattern::content_hash`] as a fold over the vector stream, so a
+/// stimulus can be hashed as it is generated.
+#[derive(Debug)]
+pub(crate) struct ContentHash(u64);
+
+impl ContentHash {
+    pub(crate) fn new() -> Self {
+        Self(0xcbf2_9ce4_8422_2325)
+    }
+
+    /// Mixes in the next vector: its operation, then the address and the
+    /// data word, low byte first.
+    #[inline]
+    pub(crate) fn push(&mut self, v: TestVector) {
+        let op: u8 = match v.op {
+            MemOp::Write => 1,
+            MemOp::Read => 2,
+            MemOp::Nop => 3,
+        };
+        let [addr_lo, addr_hi] = v.address.to_le_bytes();
+        let [data_lo, data_hi] = v.data.to_le_bytes();
+        for byte in [op, addr_lo, addr_hi, data_lo, data_hi] {
+            self.0 ^= u64::from(byte);
+            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
+
+    pub(crate) fn finish(self) -> u64 {
+        self.0
     }
 }
 
@@ -158,9 +178,31 @@ impl fmt::Display for Pattern {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use proptest::prelude::*;
+
+    /// The hash this module computed before [`ContentHash`], kept as the
+    /// reference.
+    pub(crate) fn content_hash_reference(pattern: &Pattern) -> u64 {
+        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+        let mut mix = |byte: u8| {
+            h ^= u64::from(byte);
+            h = h.wrapping_mul(0x0000_0100_0000_01b3);
+        };
+        for v in pattern.iter() {
+            mix(match v.op {
+                MemOp::Write => 1,
+                MemOp::Read => 2,
+                MemOp::Nop => 3,
+            });
+            mix((v.address & 0xff) as u8);
+            mix((v.address >> 8) as u8);
+            mix((v.data & 0xff) as u8);
+            mix((v.data >> 8) as u8);
+        }
+        h
+    }
 
     fn writes(n: usize) -> Vec<TestVector> {
         (0..n).map(|i| TestVector::write(i as u16, 0)).collect()

@@ -261,11 +261,21 @@ impl SegmentProgram {
     /// actually drive out, the quantity simultaneous-switching stress
     /// depends on.
     pub fn expand(&self) -> Pattern {
-        let mut memory = WrittenCells::new();
         let mut vectors = Vec::with_capacity(
             self.cycle_count()
                 .clamp(crate::MIN_PATTERN_LEN, crate::MAX_PATTERN_LEN),
         );
+        self.for_each_vector(|v| vectors.push(v));
+        Pattern::new_clamped(vectors)
+    }
+
+    /// Calls `emit` on every vector [`Self::expand`] returns, in order,
+    /// without building the pattern: the stream stops at
+    /// [`crate::MAX_PATTERN_LEN`] cycles and is padded with NOPs up to
+    /// [`crate::MIN_PATTERN_LEN`].
+    pub(crate) fn for_each_vector(&self, mut emit: impl FnMut(TestVector)) {
+        let mut memory = WrittenCells::new();
+        let mut emitted = 0usize;
         let mut prev_data: u16 = 0;
         'outer: for _ in 0..self.loops {
         for seg in &self.segments {
@@ -360,14 +370,17 @@ impl SegmentProgram {
                     memory.write(addr, data);
                 }
                 prev_data = data;
-                vectors.push(TestVector::new(op, addr, data));
-                if vectors.len() >= crate::MAX_PATTERN_LEN {
+                emit(TestVector::new(op, addr, data));
+                emitted += 1;
+                if emitted >= crate::MAX_PATTERN_LEN {
                     break 'outer;
                 }
             }
         }
         }
-        Pattern::new_clamped(vectors)
+        for _ in emitted..crate::MIN_PATTERN_LEN {
+            emit(TestVector::nop());
+        }
     }
 
     /// Inclusive `(low, high)` bounds for each locus of the gene encoding.
@@ -591,7 +604,7 @@ impl WrittenCells {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use proptest::prelude::*;
 
@@ -608,7 +621,7 @@ mod tests {
 
     /// Folds arbitrary values into each locus's bounds, the way a GA
     /// initializer would.
-    fn in_bounds(seed_genes: &[u32]) -> Vec<u32> {
+    pub(crate) fn in_bounds(seed_genes: &[u32]) -> Vec<u32> {
         seed_genes
             .iter()
             .zip(&SegmentProgram::gene_bounds())
@@ -619,7 +632,7 @@ mod tests {
     /// The expansion this module used before the written-cell overlay,
     /// kept as the reference: a copy of the full power-up image per call,
     /// indexed directly.
-    fn expand_with_image(program: &SegmentProgram) -> Pattern {
+    pub(crate) fn expand_with_image(program: &SegmentProgram) -> Pattern {
         use std::sync::OnceLock;
         static IMAGE: OnceLock<Vec<u16>> = OnceLock::new();
         let mut image = IMAGE
@@ -872,6 +885,27 @@ mod tests {
         assert!(ProgramError::SegmentCount(0).to_string().contains('0'));
     }
 
+    /// Op × address × data mode combination `combo` (of 125), with 1–8
+    /// segments, 1–10 loops and segment lengths spread over the window:
+    /// some of the 125 programs are cut at the 1,000-vector clamp and
+    /// some are padded up to 100 vectors.
+    pub(crate) fn mode_combination(combo: u32) -> SegmentProgram {
+        let mut genes = vec![1 + combo % 8, 1 + combo % 10];
+        for seg in 0..8u32 {
+            let param = combo.wrapping_mul(2_654_435_761).wrapping_add(seg * 40_503) >> 16;
+            genes.extend_from_slice(&[
+                combo % 5,
+                combo / 5 % 5,
+                param,
+                combo / 25,
+                param ^ 0x5A5A,
+                2 + (combo * 37 + seg * 11) % 124,
+                (param * 7 + seg) % (1 << 16),
+            ]);
+        }
+        SegmentProgram::from_genes(&genes).expect("in-bounds genes")
+    }
+
     /// Every op × address × data mode combination, with 1–8 segments,
     /// 1–10 loops and lengths across the window, expanded back to back,
     /// matches the image-copy reference. The sweep includes programs cut at
@@ -880,20 +914,7 @@ mod tests {
     fn every_mode_combination_matches_the_image_copy_reference() {
         let (mut clamped, mut padded) = (0, 0);
         for combo in 0..125u32 {
-            let mut genes = vec![1 + combo % 8, 1 + combo % 10];
-            for seg in 0..8u32 {
-                let param = combo.wrapping_mul(2_654_435_761).wrapping_add(seg * 40_503) >> 16;
-                genes.extend_from_slice(&[
-                    combo % 5,
-                    combo / 5 % 5,
-                    param,
-                    combo / 25,
-                    param ^ 0x5A5A,
-                    2 + (combo * 37 + seg * 11) % 124,
-                    (param * 7 + seg) % (1 << 16),
-                ]);
-            }
-            let program = SegmentProgram::from_genes(&genes).expect("in-bounds genes");
+            let program = mode_combination(combo);
             let cycles = program.cycle_count();
             clamped += usize::from(cycles > crate::MAX_PATTERN_LEN);
             padded += usize::from(cycles < crate::MIN_PATTERN_LEN);
