@@ -6,7 +6,7 @@ use crate::tester::Ate;
 use cichar_patterns::{PatternFeatures, Test};
 use cichar_units::ParamKind;
 use cichar_search::{BatchOracle, PassFailOracle, Probe};
-use cichar_trace::{SpanTrace, TraceEvent};
+use cichar_trace::TraceEvent;
 
 /// Borrows an [`Ate`] as a [`PassFailOracle`] for one test and one
 /// parameter, so any `cichar-search` algorithm can drive the tester.
@@ -15,6 +15,12 @@ use cichar_trace::{SpanTrace, TraceEvent};
 /// applies the *same* stimulus at many parameter points, so the (pure)
 /// feature extraction is hoisted out of the probe loop, mirroring how real
 /// ATE loads the pattern into vector memory once per search.
+///
+/// Probes report `ProbeIssued` / `ProbeResolved` into the tester's
+/// installed span, read through the borrowed tester at each emit (the
+/// exclusive borrow keeps it from changing mid-search) rather than held
+/// as a clone, with [`cichar_trace::SpanTrace::emit_with`], so a disabled
+/// span never builds (or drops) an event.
 ///
 /// # Examples
 ///
@@ -51,11 +57,6 @@ pub struct TripOracle<'a> {
     /// relaxation forces), present when the session can serve cached
     /// verdicts. Each probe extends it with the strobed value.
     memo_base: Option<u64>,
-    /// The tester's trace span at construction; probes report
-    /// `ProbeIssued` / `ProbeResolved` into it through
-    /// [`SpanTrace::emit_with`], so a disabled span never builds (or
-    /// drops) an event.
-    trace: SpanTrace,
 }
 
 impl<'a> TripOracle<'a> {
@@ -92,7 +93,6 @@ impl<'a> TripOracle<'a> {
         let (relaxed, _) = crate::tester::apply_forces(test.conditions(), param.relax_forces());
         ate.install_plan(&relaxed);
         let stress_total = ate.device().stress_total(prepared.features());
-        let trace = ate.trace().clone();
         forces.clear();
         forces.extend_from_slice(param.relax_forces());
         forces.push((param.kind(), f64::NAN));
@@ -105,7 +105,6 @@ impl<'a> TripOracle<'a> {
             stress_total,
             forces,
             memo_base,
-            trace,
         }
     }
 
@@ -134,7 +133,7 @@ impl<'a> TripOracle<'a> {
         });
         if let Some(key) = key {
             if let Some(verdict) = self.ate.cache_lookup(key) {
-                self.trace.emit_with(|| TraceEvent::ProbeResolved {
+                self.ate.trace().emit_with(|| TraceEvent::ProbeResolved {
                     value,
                     verdict: verdict.into(),
                     cached: true,
@@ -142,7 +141,8 @@ impl<'a> TripOracle<'a> {
                 return verdict;
             }
         }
-        self.trace
+        self.ate
+            .trace()
             .emit_with(|| TraceEvent::ProbeIssued { value, speculative });
         // §4 relaxation: non-measured parameters are forced to relaxed
         // values so only the strobed parameter can cause failure. The
@@ -160,7 +160,7 @@ impl<'a> TripOracle<'a> {
         if let Some(key) = key {
             self.ate.cache_store(key, verdict);
         }
-        self.trace.emit_with(|| TraceEvent::ProbeResolved {
+        self.ate.trace().emit_with(|| TraceEvent::ProbeResolved {
             value,
             verdict: verdict.into(),
             cached: false,
@@ -204,7 +204,7 @@ impl BatchOracle for TripOracle<'_> {
             return;
         }
         for (i, &value) in values.iter().enumerate() {
-            self.trace.emit_with(|| TraceEvent::ProbeIssued {
+            self.ate.trace().emit_with(|| TraceEvent::ProbeIssued {
                 value,
                 speculative: i >= first_speculative,
             });
@@ -227,7 +227,7 @@ impl BatchOracle for TripOracle<'_> {
             self.ate.record_speculative(speculated);
         }
         for (&value, &verdict) in values.iter().zip(&out[start..]) {
-            self.trace.emit_with(|| TraceEvent::ProbeResolved {
+            self.ate.trace().emit_with(|| TraceEvent::ProbeResolved {
                 value,
                 verdict: verdict.into(),
                 cached: false,

@@ -277,19 +277,23 @@ impl Ate {
         }
     }
 
-    /// Installs (or keeps) the prepared evaluator for `conditions`. The
-    /// plan only serves measurements whose effective conditions equal its
-    /// own — everything else falls back to the scalar arithmetic — so a
-    /// stale plan can never change a verdict, only miss.
+    /// Installs the prepared evaluator for `conditions`: keeps a plan
+    /// already there, re-prepares the installed plan in place when it can
+    /// ([`PreparedEvaluator::retarget`]), and prepares a new one only
+    /// otherwise — so a session whose searches move between conditions
+    /// allocates one plan, not one per search. The plan only serves
+    /// measurements whose effective conditions equal its own — everything
+    /// else falls back to the scalar arithmetic — so a stale plan can
+    /// never change a verdict, only miss.
+    ///
+    /// [`PreparedEvaluator::retarget`]: cichar_dut::PreparedEvaluator::retarget
     pub(crate) fn install_plan(&mut self, conditions: &TestConditions) {
-        if self
-            .plan
-            .0
-            .as_ref()
-            .is_none_or(|p| p.conditions() != conditions)
-        {
-            self.plan.0 = Some(self.device.prepare(conditions));
+        if let Some(plan) = self.plan.0.as_mut() {
+            if plan.conditions() == conditions || plan.retarget(conditions) {
+                return;
+            }
         }
+        self.plan.0 = Some(self.device.prepare(conditions));
     }
 
     /// Evaluates through the installed plan when the conditions match it,

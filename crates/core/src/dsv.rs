@@ -15,6 +15,7 @@ use cichar_search::{
 };
 use cichar_trace::{Progress, SpanTrace, Telemetry, TraceEvent, Tracer};
 use serde::{Deserialize, Serialize};
+use std::borrow::Borrow;
 use std::fmt;
 
 /// How each test's trip point is searched.
@@ -417,7 +418,7 @@ impl MultiTripRunner {
         strategy: SearchStrategy,
         span: &SpanTrace,
     ) -> DsvReport {
-        self.run_inner(ate, tests, strategy, |_| span.clone(), |_| {})
+        self.run_inner(ate, tests, strategy, |_| span, |_| {})
     }
 
     /// [`run_in_span`](Self::run_in_span) without materializing a
@@ -455,7 +456,7 @@ impl MultiTripRunner {
             ate,
             tests,
             strategy,
-            |_| span.clone(),
+            |_| span,
             |_| {},
             deadline_us,
             scratch,
@@ -464,16 +465,17 @@ impl MultiTripRunner {
     }
 
     /// The single sequential campaign body, packaged as a report.
-    /// `with_span` produces the span a test's search reports into; `done`
+    /// `with_span` produces the span a test's search reports into, owned
+    /// or borrowed (a shared span is lent, not cloned, per test); `done`
     /// disposes of it afterwards (absorbing it into a tracer, or nothing
     /// for shared/disabled spans).
-    fn run_inner(
+    fn run_inner<S: Borrow<SpanTrace>>(
         &self,
         ate: &mut Ate,
         tests: &[Test],
         strategy: SearchStrategy,
-        with_span: impl FnMut(usize) -> SpanTrace,
-        done: impl FnMut(SpanTrace),
+        with_span: impl FnMut(usize) -> S,
+        done: impl FnMut(S),
     ) -> DsvReport {
         let prepared: Vec<PreparedTest<'_>> = tests.iter().map(PreparedTest::new).collect();
         let mut scratch = SearchScratch::new();
@@ -511,13 +513,13 @@ impl MultiTripRunner {
     /// Both the report-building and the wafer fold paths run exactly this
     /// code. Returns the final reference trip point.
     #[allow(clippy::too_many_arguments)]
-    fn fold_inner(
+    fn fold_inner<S: Borrow<SpanTrace>>(
         &self,
         ate: &mut Ate,
         tests: &[PreparedTest<'_>],
         strategy: SearchStrategy,
-        mut with_span: impl FnMut(usize) -> SpanTrace,
-        mut done: impl FnMut(SpanTrace),
+        mut with_span: impl FnMut(usize) -> S,
+        mut done: impl FnMut(S),
         deadline_us: Option<f64>,
         scratch: &mut SearchScratch,
         mut sink: impl FnMut(usize, StreamedEntry),
@@ -537,10 +539,10 @@ impl MultiTripRunner {
             if expired {
                 let span = with_span(index);
                 ate.time_out();
-                span.emit_with(|| TraceEvent::Quarantined {
+                span.borrow().emit_with(|| TraceEvent::Quarantined {
                     reason: QuarantineReason::TimedOut.as_str().into(),
                 });
-                span.mark_done();
+                span.borrow().mark_done();
                 done(span);
                 sink(
                     index,
@@ -577,10 +579,10 @@ impl MultiTripRunner {
                 &full,
                 &rebracket,
                 self.recovery,
-                &span,
+                span.borrow(),
                 scratch,
             );
-            span.mark_done();
+            span.borrow().mark_done();
             done(span);
             let measurements = ate.ledger().measurements_since(&baseline);
             if strategy == SearchStrategy::SearchUntilTrip {

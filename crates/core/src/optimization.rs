@@ -34,6 +34,7 @@ use cichar_trace::{Progress, SpanTrace, Telemetry, TraceEvent, Tracer};
 use rand::Rng;
 use serde::{Deserialize, Serialize};
 use std::fmt;
+use std::fmt::Write as _;
 
 /// Configuration of the optimization scheme.
 #[derive(Debug, Clone, PartialEq)]
@@ -356,7 +357,7 @@ impl OptimizationScheme {
         scratch: &mut SearchScratch,
     ) -> Scored {
         let c = &self.config;
-        let test = self.decode(individual, format!("ga_{:06}", index + 1));
+        let test = self.decode(individual, ga_name(index + 1));
         let prepared = PreparedTest::new(&test);
         let measured = measure_with_recovery(
             ate, &prepared, c.param, reference, full, rebracket, c.recovery, span, scratch,
@@ -442,6 +443,15 @@ impl OptimizationScheme {
         ate.set_trace(SpanTrace::disabled());
         verified
     }
+}
+
+/// `ga_` and the evaluation number, zero-padded to six digits, written
+/// into a string sized for it (`format!` would reserve less, then grow).
+fn ga_name(number: usize) -> String {
+    let digits = number.checked_ilog10().map_or(1, |d| d as usize + 1);
+    let mut name = String::with_capacity("ga_".len() + digits.max(6));
+    let _ = write!(name, "ga_{number:06}");
+    name
 }
 
 /// Packages a finished run: emits one
@@ -672,6 +682,15 @@ mod tests {
         assert!(without_ref.reference_trip_point.is_some());
         assert_eq!(with_ref.reference_trip_point, without_ref.reference_trip_point);
         assert!(with_ref.measurements_used <= without_ref.measurements_used);
+    }
+
+    #[test]
+    fn ga_names_are_zero_padded_into_strings_sized_for_them() {
+        for (number, want) in [(1, "ga_000001"), (999_999, "ga_999999"), (1_234_567, "ga_1234567")] {
+            let name = ga_name(number);
+            assert_eq!(name, want);
+            assert_eq!(name.capacity(), want.len(), "{want}");
+        }
     }
 
     #[test]

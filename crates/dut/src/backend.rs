@@ -73,6 +73,22 @@ pub trait PreparedEvaluator: fmt::Debug + Send + Sync {
 
     /// Evaluates a stress total at the prepared conditions.
     fn evaluate_with_stress(&self, stress_total: f64) -> Parametrics;
+
+    /// Re-prepares the plan in place for `conditions`, returning whether
+    /// it did. A session whose searches move between conditions then
+    /// keeps one plan allocation instead of boxing a fresh plan each
+    /// time.
+    ///
+    /// An override must leave the plan equal to what
+    /// [`DeviceBackend::prepare`] returns at `conditions`, which it can
+    /// only do if the plan kept the plain-data inputs of its hoist;
+    /// [`crate::conformance::check_prepared_parity`] holds a retargeted
+    /// plan to bit-identity with both a fresh plan and the scalar path.
+    /// The default leaves the plan untouched and returns `false`, and
+    /// the caller prepares a new plan.
+    fn retarget(&mut self, _conditions: &TestConditions) -> bool {
+        false
+    }
 }
 
 /// A boxed prepared plan — what [`DeviceBackend::prepare`] returns.

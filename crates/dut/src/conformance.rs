@@ -21,8 +21,11 @@
 //! ```
 
 use crate::backend::Device;
-use cichar_patterns::{march, Pattern, PatternFeatures, TestConditions};
+use crate::device::Parametrics;
+use cichar_patterns::{march, ConditionSpace, Pattern, PatternFeatures, TestConditions};
 use cichar_units::{Megahertz, Volts};
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 
 /// The stimulus suite the battery sweeps: a benign march, a stressier
 /// march and a hand-built worst-case-style toggle pattern, giving the
@@ -201,8 +204,12 @@ pub fn check_batch_parity(device: &Device, features: &PatternFeatures) -> Result
 
 /// Prepared plans ([`crate::backend::PreparedEvaluator`]) must be
 /// bit-identical to the scalar arithmetic: the hoisted fast path at the
-/// plan's own conditions, and the fallback for any other conditions the
-/// plan is asked to serve.
+/// plan's own conditions, the fallback for any other conditions the plan
+/// is asked to serve, and a plan retargeted in place
+/// ([`PreparedEvaluator::retarget`]), which must equal a plan freshly
+/// prepared at its new conditions — or, declining, stay as it was.
+///
+/// [`PreparedEvaluator::retarget`]: crate::backend::PreparedEvaluator::retarget
 pub fn check_prepared_parity(device: &Device, features: &PatternFeatures) -> Result<(), String> {
     let stress = device.stress_total(features);
     let grid = condition_grid();
@@ -234,6 +241,47 @@ pub fn check_prepared_parity(device: &Device, features: &PatternFeatures) -> Res
             return Err(format!(
                 "planned fallback diverges from scalar at {c:?}: {got} vs {want}"
             ));
+        }
+    }
+    check_retarget_parity(device, stress)
+}
+
+/// One plan retargeted along a seeded walk of random conditions, probed
+/// at random stress totals around `stress` after every move.
+fn check_retarget_parity(device: &Device, stress: f64) -> Result<(), String> {
+    let bits = |p: Parametrics| [p.t_dq.value(), p.f_max.value(), p.vdd_min.value()].map(f64::to_bits);
+    let space = ConditionSpace::default();
+    let mut rng = StdRng::seed_from_u64(0x7E7A_4DE7);
+    let mut plan = device.prepare(&space.sample(&mut rng));
+    for _ in 0..48 {
+        let from = *plan.conditions();
+        let to = space.sample(&mut rng);
+        let fresh = device.prepare(&to);
+        let retargeted = plan.retarget(&to);
+        let at = if retargeted { to } else { from };
+        if *plan.conditions() != at {
+            return Err(format!(
+                "retarget from {from:?} to {to:?} (returning {retargeted}) left the plan at {:?}",
+                plan.conditions()
+            ));
+        }
+        for _ in 0..8 {
+            let s = stress * rng.gen_range(0.0..2.0);
+            let got = bits(plan.evaluate_with_stress(s));
+            let scalar = bits(device.evaluate_with_stress(s, &at));
+            if got != scalar {
+                return Err(format!(
+                    "plan retargeted from {from:?} to {to:?} diverges from scalar at stress {s}"
+                ));
+            }
+            if retargeted && got != bits(fresh.evaluate_with_stress(s)) {
+                return Err(format!(
+                    "plan retargeted from {from:?} to {to:?} diverges from a fresh plan at stress {s}"
+                ));
+            }
+        }
+        if !retargeted {
+            plan = fresh;
         }
     }
     Ok(())

@@ -130,27 +130,38 @@ impl NetlistDevice {
         self.critical_path_ns
     }
 
-    /// Supply/temperature derating of gate delay (1.0 at nominal; no
-    /// clock term — propagation does not depend on how fast you strobe,
-    /// which is exactly the single-crossing property `f_max` sweeps
-    /// need). The slopes are gentle enough that `f_max` keeps headroom
-    /// above the §4 relax clock (100 MHz) over the whole characterization
-    /// condition box — otherwise T_DQ searches at hot/low-Vdd corners
-    /// fail through the frequency envelope and quarantine as unconverged,
-    /// the paper's "false convergence" trap in its other orientation.
-    fn delay_scale(&self, c: &TestConditions) -> f64 {
-        let dv = 1.8 - c.vdd.value();
-        let dt = (c.temperature.value() - 25.0) / 100.0;
-        (1.0 + 0.12 * dv + 0.035 * dt).max(0.5)
-    }
-
     /// Critical-path propagation (ns) on this die under given conditions
     /// and stress.
     fn propagation(&self, stress_total: f64, c: &TestConditions) -> f64 {
         let structural = self.critical_path_ns / self.die.speed().max(0.1);
-        structural * self.delay_scale(c)
+        structural * delay_scale(c)
             + 0.30 * self.die.stress_sensitivity() * stress_total
     }
+
+    /// The plain-data inputs a prepared plan hoists from.
+    fn hoist_inputs(&self) -> HoistInputs {
+        HoistInputs {
+            critical_path_ns: self.critical_path_ns,
+            speed: self.die.speed(),
+            sens: self.die.stress_sensitivity(),
+            vdd_min_offset: self.die.vdd_min_offset(),
+            strobe_budget: self.strobe_budget,
+        }
+    }
+}
+
+/// Supply/temperature derating of gate delay (1.0 at nominal; no clock
+/// term — propagation does not depend on how fast you strobe, which is
+/// exactly the single-crossing property `f_max` sweeps need). The slopes
+/// are gentle enough that `f_max` keeps headroom above the §4 relax
+/// clock (100 MHz) over the whole characterization condition box —
+/// otherwise T_DQ searches at hot/low-Vdd corners fail through the
+/// frequency envelope and quarantine as unconverged, the paper's "false
+/// convergence" trap in its other orientation.
+fn delay_scale(c: &TestConditions) -> f64 {
+    let dv = 1.8 - c.vdd.value();
+    let dt = (c.temperature.value() - 25.0) / 100.0;
+    (1.0 + 0.12 * dv + 0.035 * dt).max(0.5)
 }
 
 impl Default for NetlistDevice {
@@ -210,7 +221,7 @@ impl DeviceBackend for NetlistDevice {
         // f_max strobes the same propagation, slightly less
         // stress-sensitive because the launch edge re-arms per cycle.
         let prop_f = self.critical_path_ns / self.die.speed().max(0.1)
-            * self.delay_scale(c)
+            * delay_scale(c)
             + 0.06 * self.die.stress_sensitivity() * stress_total;
         let f_max = (1000.0 / prop_f.max(1.0)).max(10.0);
         // Retention floor of the deepest path: depends on temperature and
@@ -230,34 +241,33 @@ impl DeviceBackend for NetlistDevice {
     }
 
     fn prepare(&self, c: &TestConditions) -> EvalPlan {
-        // Each hoisted constant is a left-associated prefix of the
-        // corresponding expression in `evaluate_with_stress`, so the
-        // plan's arithmetic is bit-identical to the scalar path.
-        let structural = self.critical_path_ns / self.die.speed().max(0.1);
-        let sens = self.die.stress_sensitivity();
-        let dt = (c.temperature.value() - 25.0) / 100.0;
-        Box::new(NetlistPlan {
-            conditions: *c,
-            strobe_budget: self.strobe_budget,
-            prop_base: structural * self.delay_scale(c),
-            k_prop: 0.30 * sens,
-            k_prop_f: 0.06 * sens,
-            v_base: 1.16
-                + 0.024 * self.critical_path_ns
-                + self.die.vdd_min_offset()
-                + 0.025 * dt,
-            k_v: 0.016 * sens,
-        })
+        Box::new(NetlistPlan::hoist(self.hoist_inputs(), c))
     }
+}
+
+/// What a netlist plan hoists from: the device's structure and die terms
+/// as plain data. A plan keeps them, so it re-hoists at new conditions
+/// without its device, through the same [`NetlistPlan::hoist`] that
+/// `prepare` uses.
+#[derive(Debug, Clone, Copy, PartialEq)]
+struct HoistInputs {
+    critical_path_ns: f64,
+    /// The die's speed factor.
+    speed: f64,
+    /// The die's stress sensitivity.
+    sens: f64,
+    /// The die's retention-floor offset.
+    vdd_min_offset: f64,
+    strobe_budget: f64,
 }
 
 /// Condition-hoisted plan for the netlist backend: the derated
 /// structural propagation and the per-die stress slopes folded once per
-/// touchdown.
-#[derive(Debug, Clone, Copy)]
+/// set of conditions.
+#[derive(Debug, Clone, Copy, PartialEq)]
 struct NetlistPlan {
+    inputs: HoistInputs,
     conditions: TestConditions,
-    strobe_budget: f64,
     /// `critical_path / speed · delay_scale(c)` — stress-free propagation.
     prop_base: f64,
     /// `0.30 · sens` — t_dq propagation stress slope.
@@ -270,6 +280,26 @@ struct NetlistPlan {
     k_v: f64,
 }
 
+impl NetlistPlan {
+    /// The plan at `c`. Each hoisted constant is a left-associated prefix
+    /// of the corresponding expression in
+    /// [`NetlistDevice::evaluate_with_stress`], so the plan's arithmetic
+    /// is bit-identical to the scalar path.
+    fn hoist(inputs: HoistInputs, c: &TestConditions) -> Self {
+        let structural = inputs.critical_path_ns / inputs.speed.max(0.1);
+        let dt = (c.temperature.value() - 25.0) / 100.0;
+        Self {
+            inputs,
+            conditions: *c,
+            prop_base: structural * delay_scale(c),
+            k_prop: 0.30 * inputs.sens,
+            k_prop_f: 0.06 * inputs.sens,
+            v_base: 1.16 + 0.024 * inputs.critical_path_ns + inputs.vdd_min_offset + 0.025 * dt,
+            k_v: 0.016 * inputs.sens,
+        }
+    }
+}
+
 impl PreparedEvaluator for NetlistPlan {
     fn conditions(&self) -> &TestConditions {
         &self.conditions
@@ -277,7 +307,7 @@ impl PreparedEvaluator for NetlistPlan {
 
     fn evaluate_with_stress(&self, stress_total: f64) -> Parametrics {
         let prop = self.prop_base + self.k_prop * stress_total;
-        let t_dq = (self.strobe_budget - prop).max(1.0);
+        let t_dq = (self.inputs.strobe_budget - prop).max(1.0);
         let prop_f = self.prop_base + self.k_prop_f * stress_total;
         let f_max = (1000.0 / prop_f.max(1.0)).max(10.0);
         let vdd_min = self.v_base + self.k_v * stress_total;
@@ -286,6 +316,11 @@ impl PreparedEvaluator for NetlistPlan {
             f_max: Megahertz::new(f_max),
             vdd_min: Volts::new(vdd_min),
         }
+    }
+
+    fn retarget(&mut self, conditions: &TestConditions) -> bool {
+        *self = Self::hoist(self.inputs, conditions);
+        true
     }
 }
 
@@ -345,6 +380,24 @@ mod tests {
                     );
                 }
             }
+        }
+    }
+
+    #[test]
+    fn a_retargeted_plan_equals_a_fresh_plan_field_for_field() {
+        use cichar_units::{Celsius, Volts as V};
+        let device = NetlistDevice::new(Die::at_corner(crate::ProcessCorner::Slow), 12, 8, 7, 0.15, 38.0);
+        let at = |vdd: f64, temp: f64| {
+            TestConditions::nominal()
+                .with_vdd(V::new(vdd))
+                .with_temperature(Celsius::new(temp))
+        };
+        let mut plan = NetlistPlan::hoist(device.hoist_inputs(), &at(1.8, 25.0));
+        for c in [at(1.4, 85.0), at(2.0, 0.0), at(1.8, 25.0)] {
+            assert!(plan.retarget(&c));
+            let fresh = NetlistPlan::hoist(device.hoist_inputs(), &c);
+            assert_eq!(plan, fresh);
+            assert_eq!(format!("{plan:?}"), format!("{fresh:?}"), "same bits");
         }
     }
 

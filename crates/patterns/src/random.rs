@@ -12,6 +12,7 @@ use crate::conditions::{ConditionSpace, TestConditions};
 use crate::program::{AddrMode, DataMode, OpMode, Segment, SegmentProgram};
 use crate::test::{Test, TestSource};
 use rand::Rng;
+use std::fmt::Write as _;
 
 /// Draws a random ALPG segment.
 pub fn random_segment<R: Rng + ?Sized>(rng: &mut R) -> Segment {
@@ -69,12 +70,7 @@ pub fn random_program<R: Rng + ?Sized>(rng: &mut R) -> SegmentProgram {
 pub fn random_test<R: Rng + ?Sized>(rng: &mut R, space: &ConditionSpace) -> Test {
     let program = random_program(rng);
     let conditions = space.sample(rng);
-    Test::from_program(
-        format!("random_{:08x}", rng.gen::<u32>()),
-        TestSource::Random,
-        program,
-        conditions,
-    )
+    Test::from_program(random_name(rng), TestSource::Random, program, conditions)
 }
 
 /// Draws a random test at fixed (typically nominal) conditions.
@@ -83,12 +79,15 @@ pub fn random_test<R: Rng + ?Sized>(rng: &mut R, space: &ConditionSpace) -> Test
 /// the generator for that row.
 pub fn random_test_at<R: Rng + ?Sized>(rng: &mut R, conditions: TestConditions) -> Test {
     let program = random_program(rng);
-    Test::from_program(
-        format!("random_{:08x}", rng.gen::<u32>()),
-        TestSource::Random,
-        program,
-        conditions,
-    )
+    Test::from_program(random_name(rng), TestSource::Random, program, conditions)
+}
+
+/// `random_` and eight hex digits of the next draw, written into a string
+/// sized for exactly that (`format!` would reserve less, then grow).
+fn random_name<R: Rng + ?Sized>(rng: &mut R) -> String {
+    let mut name = String::with_capacity("random_".len() + 8);
+    let _ = write!(name, "random_{:08x}", rng.gen::<u32>());
+    name
 }
 
 /// Draws `count` random tests.
@@ -134,6 +133,16 @@ mod tests {
         let b = random_test(&mut StdRng::seed_from_u64(99), &space);
         assert_eq!(a.pattern(), b.pattern());
         assert_eq!(a.conditions(), b.conditions());
+    }
+
+    #[test]
+    fn random_names_fill_exactly_the_string_they_reserve() {
+        let mut rng = StdRng::seed_from_u64(4);
+        for _ in 0..20 {
+            let name = random_name(&mut rng);
+            assert!(name.starts_with("random_"), "{name}");
+            assert_eq!((name.len(), name.capacity()), (15, 15), "{name}");
+        }
     }
 
     #[test]

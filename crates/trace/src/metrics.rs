@@ -8,7 +8,10 @@
 //! microseconds would make the total depend on absorb order).
 //!
 //! A registry holds its histogram buckets inline, so each enabled span
-//! carries one as its counter delta without touching the heap.
+//! carries one as its counter delta without touching the heap. How an
+//! update adds is the fold's type parameter ([`Add`]): a registry any
+//! thread may write uses an atomic read-modify-write, a span's delta —
+//! written by one thread at a time — a plain load and store.
 
 use crate::event::{FaultKind, TraceEvent};
 use serde::{Deserialize, Serialize};
@@ -18,6 +21,38 @@ use std::sync::atomic::{AtomicU64, Ordering};
 /// snapshot happens-after the updates it observes through the surrounding
 /// join/merge structure.
 const ORDER: Ordering = Ordering::Relaxed;
+
+/// How a fold adds `n` to a counter.
+pub(crate) trait Add {
+    fn add(counter: &AtomicU64, n: u64);
+}
+
+/// `fetch_add`, a locked read-modify-write: exact whatever threads write.
+/// A tracer's campaign registry needs it: [`crate::Tracer::emit_campaign`]
+/// is public on a `Sync` handle, and absorb and `summarize` write the
+/// same registry.
+pub(crate) enum Atomic {}
+
+impl Add for Atomic {
+    #[inline]
+    fn add(counter: &AtomicU64, n: u64) {
+        counter.fetch_add(n, ORDER);
+    }
+}
+
+/// A relaxed load plus a store, with no lock prefix: exact only while a
+/// single thread writes the counter, as for a span's delta (its clones
+/// report from one thread at a time, its test's worker, and the finished
+/// span reaches the absorbing thread through the join that ends the
+/// parallel work).
+pub(crate) enum SingleWriter {}
+
+impl Add for SingleWriter {
+    #[inline]
+    fn add(counter: &AtomicU64, n: u64) {
+        counter.store(counter.load(ORDER).wrapping_add(n), ORDER);
+    }
+}
 
 /// Bucket slots a [`Histogram`] holds inline: the longest bound list
 /// (ten bounds) plus its overflow bucket.
@@ -48,15 +83,16 @@ impl Histogram {
         }
     }
 
-    pub(crate) fn observe(&self, value: u64) {
+    #[inline]
+    pub(crate) fn observe<A: Add>(&self, value: u64) {
         let bucket = self
             .bounds
             .iter()
             .position(|&b| value <= b)
             .unwrap_or(self.bounds.len());
-        self.counts[bucket].fetch_add(1, ORDER);
-        self.count.fetch_add(1, ORDER);
-        self.sum.fetch_add(value, ORDER);
+        A::add(&self.counts[bucket], 1);
+        A::add(&self.count, 1);
+        A::add(&self.sum, value);
     }
 
     pub(crate) fn snapshot(&self) -> HistogramSnapshot {
@@ -374,80 +410,83 @@ impl MetricsRegistry {
     /// [`TraceEvent::SearchStarted`]; keep one per span (searches within
     /// a span are strictly sequential), starting at zero.
     pub fn observe(&self, event: &TraceEvent, steps_in_search: &mut u64) {
+        self.fold::<Atomic>(event, steps_in_search);
+    }
+
+    /// The body of [`Self::observe`], generic over how it adds. Always
+    /// inlined, so at a span's emit site, where the event is built, the
+    /// match folds away to the one variant's counters.
+    #[inline(always)]
+    pub(crate) fn fold<A: Add>(&self, event: &TraceEvent, steps_in_search: &mut u64) {
         let c = &self.counters;
         match event {
-            TraceEvent::CampaignPhaseChanged { .. } => bump(&c.phases, 1),
+            TraceEvent::CampaignPhaseChanged { .. } => A::add(&c.phases, 1),
             TraceEvent::ProbeIssued { speculative, .. } => {
-                bump(&c.probes_issued, 1);
+                A::add(&c.probes_issued, 1);
                 if *speculative {
-                    bump(&c.probes_speculative, 1);
+                    A::add(&c.probes_speculative, 1);
                 }
             }
             TraceEvent::ProbeResolved { cached, .. } => {
-                bump(&c.probes_resolved, 1);
+                A::add(&c.probes_resolved, 1);
                 if *cached {
-                    bump(&c.probes_cached, 1);
+                    A::add(&c.probes_cached, 1);
                 }
             }
             TraceEvent::SearchStarted { .. } => {
-                bump(&c.searches_started, 1);
+                A::add(&c.searches_started, 1);
                 *steps_in_search = 0;
             }
             TraceEvent::StepTaken { .. } => {
-                bump(&c.search_steps, 1);
+                A::add(&c.search_steps, 1);
                 *steps_in_search += 1;
             }
-            TraceEvent::Bracketed { .. } => bump(&c.brackets, 1),
+            TraceEvent::Bracketed { .. } => A::add(&c.brackets, 1),
             TraceEvent::SearchFinished {
                 converged, probes, ..
             } => {
-                bump(&c.searches_finished, 1);
+                A::add(&c.searches_finished, 1);
                 if *converged {
-                    bump(&c.searches_converged, 1);
+                    A::add(&c.searches_converged, 1);
                 }
-                self.hist_probes_per_search.observe(*probes);
-                self.hist_search_steps.observe(*steps_in_search);
+                self.hist_probes_per_search.observe::<A>(*probes);
+                self.hist_search_steps.observe::<A>(*steps_in_search);
                 *steps_in_search = 0;
             }
             TraceEvent::RetryScheduled {
                 attempt,
                 backoff_us,
             } => {
-                bump(&c.retries, 1);
-                self.hist_retry_depth.observe(*attempt);
+                A::add(&c.retries, 1);
+                self.hist_retry_depth.observe::<A>(*attempt);
                 // Integer nanoseconds: summation stays exact and
                 // order-independent.
                 self.hist_backoff_ns
-                    .observe((backoff_us * 1000.0).round() as u64);
+                    .observe::<A>((backoff_us * 1000.0).round() as u64);
             }
-            TraceEvent::VoteResolved { .. } => bump(&c.vote_rounds, 1),
+            TraceEvent::VoteResolved { .. } => A::add(&c.vote_rounds, 1),
             TraceEvent::FaultInjected { kind } => match kind {
-                FaultKind::Dropout => bump(&c.faults_dropout, 1),
-                FaultKind::Flip => bump(&c.faults_flip, 1),
-                FaultKind::Stuck => bump(&c.faults_stuck, 1),
-                FaultKind::Abort => bump(&c.faults_abort, 1),
-                FaultKind::Stall => bump(&c.faults_stall, 1),
+                FaultKind::Dropout => A::add(&c.faults_dropout, 1),
+                FaultKind::Flip => A::add(&c.faults_flip, 1),
+                FaultKind::Stuck => A::add(&c.faults_stuck, 1),
+                FaultKind::Abort => A::add(&c.faults_abort, 1),
+                FaultKind::Stall => A::add(&c.faults_stall, 1),
             },
-            TraceEvent::Quarantined { .. } => bump(&c.quarantined, 1),
-            TraceEvent::WatchdogFired { .. } => bump(&c.watchdog_timeouts, 1),
-            TraceEvent::SiteBreakerTripped { .. } => bump(&c.breaker_trips, 1),
-            TraceEvent::GaGenerationEvaluated { .. } => bump(&c.ga_generations, 1),
-            TraceEvent::CommitteeEpochFinished { .. } => bump(&c.committee_epochs, 1),
-            TraceEvent::AlarmRaised { .. } => bump(&c.alarms_raised, 1),
-            TraceEvent::AlarmCleared { .. } => bump(&c.alarms_cleared, 1),
+            TraceEvent::Quarantined { .. } => A::add(&c.quarantined, 1),
+            TraceEvent::WatchdogFired { .. } => A::add(&c.watchdog_timeouts, 1),
+            TraceEvent::SiteBreakerTripped { .. } => A::add(&c.breaker_trips, 1),
+            TraceEvent::GaGenerationEvaluated { .. } => A::add(&c.ga_generations, 1),
+            TraceEvent::CommitteeEpochFinished { .. } => A::add(&c.committee_epochs, 1),
+            TraceEvent::AlarmRaised { .. } => A::add(&c.alarms_raised, 1),
+            TraceEvent::AlarmCleared { .. } => A::add(&c.alarms_cleared, 1),
         }
     }
-}
-
-/// Increments a registry counter (relaxed: see [`ORDER`]).
-fn bump(counter: &AtomicU64, n: u64) {
-    counter.fetch_add(n, ORDER);
 }
 
 /// Adds `part` to `total` and zeroes it; a zero part costs one load.
 fn move_count(total: &AtomicU64, part: &AtomicU64) {
     if part.load(ORDER) != 0 {
-        bump(total, part.swap(0, ORDER));
+        Atomic::add(total, part.swap(0, ORDER));
     }
 }
 
@@ -459,7 +498,7 @@ mod tests {
     fn histogram_buckets_and_overflow() {
         let h = Histogram::new(&[2, 4]);
         for v in [1, 2, 3, 4, 5, 100] {
-            h.observe(v);
+            h.observe::<Atomic>(v);
         }
         let s = h.snapshot();
         assert_eq!(s.counts, vec![2, 2, 2], "≤2, ≤4, overflow");
@@ -472,10 +511,10 @@ mod tests {
     fn snapshot_merge_is_commutative() {
         let a = MetricsRegistry::new();
         let b = MetricsRegistry::new();
-        bump(&a.counters.probes_resolved, 3);
-        a.hist_probes_per_search.observe(5);
-        bump(&b.counters.probes_resolved, 4);
-        b.hist_probes_per_search.observe(30);
+        Atomic::add(&a.counters.probes_resolved, 3);
+        a.hist_probes_per_search.observe::<Atomic>(5);
+        Atomic::add(&b.counters.probes_resolved, 4);
+        b.hist_probes_per_search.observe::<Atomic>(30);
         let (sa, sb) = (a.snapshot(), b.snapshot());
         let mut ab = sa.clone();
         ab.merge(&sb);
@@ -489,8 +528,8 @@ mod tests {
     #[test]
     fn absorb_moves_a_delta_and_leaves_it_empty() {
         let (total, delta) = (MetricsRegistry::new(), MetricsRegistry::new());
-        bump(&total.counters.retries, 1);
-        total.hist_retry_depth.observe(1);
+        Atomic::add(&total.counters.retries, 1);
+        total.hist_retry_depth.observe::<Atomic>(1);
         let mut steps = 0;
         for event in [
             TraceEvent::RetryScheduled { attempt: 2, backoff_us: 100.0 },
@@ -516,7 +555,7 @@ mod tests {
     #[test]
     fn invariant_checker_catches_probe_imbalance() {
         let r = MetricsRegistry::new();
-        bump(&r.counters.probes_resolved, 1);
+        Atomic::add(&r.counters.probes_resolved, 1);
         let violation = r.snapshot().check_invariants().expect("imbalanced");
         assert!(violation.contains("probes_resolved"), "{violation}");
     }
@@ -542,11 +581,11 @@ mod tests {
     #[test]
     fn snapshot_round_trips_through_json() {
         let r = MetricsRegistry::new();
-        bump(&r.counters.retries, 2);
-        r.hist_retry_depth.observe(1);
-        r.hist_retry_depth.observe(2);
-        r.hist_backoff_ns.observe(100_000);
-        r.hist_backoff_ns.observe(200_000);
+        Atomic::add(&r.counters.retries, 2);
+        r.hist_retry_depth.observe::<Atomic>(1);
+        r.hist_retry_depth.observe::<Atomic>(2);
+        r.hist_backoff_ns.observe::<Atomic>(100_000);
+        r.hist_backoff_ns.observe::<Atomic>(200_000);
         let snap = r.snapshot();
         let json = serde_json::to_string(&snap).expect("serializes");
         let back: MetricsSnapshot = serde_json::from_str(&json).expect("parses");

@@ -42,7 +42,7 @@ use crate::tracer::Tracer;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
-use std::fs::OpenOptions;
+use std::fs::{File, OpenOptions};
 use std::io::{self, Write as _};
 use std::path::PathBuf;
 use std::sync::{Arc, Mutex};
@@ -343,6 +343,16 @@ pub struct HealthSection {
 /// The live state behind an enabled [`Telemetry`] handle.
 struct TelemetryCore {
     dir: PathBuf,
+    /// `heartbeat.jsonl`, opened (and truncated) once when telemetry is
+    /// armed and appended to at every heartbeat.
+    stream: File,
+    /// The heartbeat line and the OpenMetrics exposition, built in
+    /// buffers reused from one heartbeat to the next.
+    line: String,
+    exposition: String,
+    /// `metrics.prom` and the temp file it is published from.
+    metrics_path: PathBuf,
+    metrics_scratch: PathBuf,
     campaign: String,
     every_us: u64,
     tracer: Tracer,
@@ -419,9 +429,18 @@ impl Telemetry {
         std::fs::create_dir_all(&dir)?;
         // Fresh stream per process: a resumed campaign's heartbeats cover
         // exactly the work this process performs, like its trace does.
-        std::fs::write(dir.join(HEARTBEAT_FILE), b"")?;
+        let stream = OpenOptions::new()
+            .create(true)
+            .append(true)
+            .open(dir.join(HEARTBEAT_FILE))?;
+        stream.set_len(0)?;
         let every_us = heartbeat_every_ms.max(1).saturating_mul(1000);
-        let core = TelemetryCore {
+        let mut core = TelemetryCore {
+            stream,
+            line: String::new(),
+            exposition: String::new(),
+            metrics_path: dir.join(METRICS_FILE),
+            metrics_scratch: dir.join(format!("{METRICS_FILE}.tmp")),
             dir,
             campaign: campaign.to_string(),
             every_us,
@@ -612,26 +631,25 @@ impl TelemetryCore {
 
     /// Appends one heartbeat line — a single `write` of a full line, so a
     /// concurrent `watch` reader never observes a torn record.
-    fn append_heartbeat(&self, hb: &HeartbeatSnapshot) -> io::Result<()> {
-        let mut line = serde_json::to_string(hb).map_err(io::Error::other)?;
-        line.push('\n');
-        let mut file = OpenOptions::new()
-            .create(true)
-            .append(true)
-            .open(self.dir.join(HEARTBEAT_FILE))?;
-        file.write_all(line.as_bytes())
+    fn append_heartbeat(&mut self, hb: &HeartbeatSnapshot) -> io::Result<()> {
+        self.line.clear();
+        hb.write_json(&mut self.line);
+        self.line.push('\n');
+        self.stream.write_all(self.line.as_bytes())
     }
 
     /// Rewrites the OpenMetrics textfile via temp + rename (the same
     /// atomic-commit contract as `JsonlSink`), so a scraper never reads a
     /// truncated exposition.
     fn write_metrics(
-        &self,
+        &mut self,
         metrics: &MetricsSnapshot,
         heartbeats: u64,
         active: usize,
     ) -> io::Result<()> {
-        let mut body = openmetrics_body(metrics);
+        let body = &mut self.exposition;
+        body.clear();
+        write_openmetrics_body(body, metrics);
         let _ = writeln!(body, "# HELP cichar_heartbeats Heartbeats emitted by the live telemetry sidecar.");
         let _ = writeln!(body, "# TYPE cichar_heartbeats counter");
         let _ = writeln!(body, "cichar_heartbeats_total {heartbeats}");
@@ -639,10 +657,8 @@ impl TelemetryCore {
         let _ = writeln!(body, "# TYPE cichar_alarms_active gauge");
         let _ = writeln!(body, "cichar_alarms_active {active}");
         body.push_str("# EOF\n");
-        let path = self.dir.join(METRICS_FILE);
-        let scratch = self.dir.join(format!("{METRICS_FILE}.tmp"));
-        std::fs::write(&scratch, &body)?;
-        std::fs::rename(&scratch, &path)
+        std::fs::write(&self.metrics_scratch, body.as_bytes())?;
+        std::fs::rename(&self.metrics_scratch, &self.metrics_path)
     }
 
     /// Latches the first I/O error; later heartbeats keep accumulating
@@ -667,10 +683,9 @@ impl TelemetryCore {
     }
 }
 
-/// The metrics body without the `# EOF` terminator (the telemetry writer
-/// appends its own sidecar samples before terminating).
-fn openmetrics_body(m: &MetricsSnapshot) -> String {
-    let mut out = String::new();
+/// Appends the metrics body without the `# EOF` terminator (the
+/// telemetry writer appends its own sidecar samples before terminating).
+fn write_openmetrics_body(out: &mut String, m: &MetricsSnapshot) {
     for (name, help, value) in m.counters() {
         let _ = writeln!(out, "# HELP cichar_{name} {help}");
         let _ = writeln!(out, "# TYPE cichar_{name} counter");
@@ -688,7 +703,6 @@ fn openmetrics_body(m: &MetricsSnapshot) -> String {
         let _ = writeln!(out, "cichar_{name}_sum {}", hist.sum);
         let _ = writeln!(out, "cichar_{name}_count {}", hist.count);
     }
-    out
 }
 
 /// Renders a [`MetricsSnapshot`] as a complete OpenMetrics exposition:
@@ -696,7 +710,8 @@ fn openmetrics_body(m: &MetricsSnapshot) -> String {
 /// classic cumulative histogram encoding, and the mandatory `# EOF`
 /// terminator.
 pub fn render_openmetrics(m: &MetricsSnapshot) -> String {
-    let mut out = openmetrics_body(m);
+    let mut out = String::new();
+    write_openmetrics_body(&mut out, m);
     out.push_str("# EOF\n");
     out
 }

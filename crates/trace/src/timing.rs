@@ -12,7 +12,7 @@
 //! artifact from the trace stream, which stays byte-identical whether
 //! timing is on or off.
 
-use crate::metrics::{Histogram, HistogramSnapshot};
+use crate::metrics::{Atomic, Histogram, HistogramSnapshot};
 use serde::{Deserialize, Serialize};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
@@ -92,7 +92,7 @@ impl PhaseSlot {
         self.total_ns += dur_ns;
         self.min_ns = self.min_ns.min(dur_ns);
         self.max_ns = self.max_ns.max(dur_ns);
-        self.hist_us.observe(dur_ns / 1_000);
+        self.hist_us.observe::<Atomic>(dur_ns / 1_000);
     }
 
     fn snapshot(&self) -> PhaseTiming {

@@ -15,7 +15,7 @@
 //! same counts at the same fold points whatever the sink.
 
 use crate::event::{TraceEvent, TraceRecord};
-use crate::metrics::{MetricsRegistry, MetricsSnapshot};
+use crate::metrics::{MetricsRegistry, MetricsSnapshot, SingleWriter};
 use crate::sink::TraceSink;
 use crate::timing::{SpanClock, TimingRegistry, TimingSnapshot};
 use std::io;
@@ -29,8 +29,9 @@ use std::time::Instant;
 /// ladder and the search walk all report in true probe order even though
 /// they hold separate clones. An enabled span **counts at the source**:
 /// each emit folds the event into the span's own counter delta through
-/// [`MetricsRegistry::observe`], the one derivation of metrics from
-/// events. It keeps the event itself only when its tracer's sink keeps
+/// the body of [`MetricsRegistry::observe`], the one derivation of
+/// metrics from events, with plain adds (one thread writes a span at a
+/// time). It keeps the event itself only when its tracer's sink keeps
 /// events ([`TraceSink::keeps_events`]); a counting span takes no lock
 /// and allocates nothing per emit. A disabled span (the default
 /// everywhere tracing is not requested) reduces every operation to one
@@ -104,14 +105,17 @@ impl SpanTrace {
     }
 
     /// Records an event (no-op when disabled).
+    #[inline(always)]
     pub fn emit(&self, event: TraceEvent) {
-        if let Some(state) = &self.state {
-            state.record(event);
+        match &self.state {
+            Some(state) => state.record(event),
+            None => discard(event),
         }
     }
 
     /// Records the event built by `f`, building it only when enabled —
     /// use when the payload takes work to compute.
+    #[inline(always)]
     pub fn emit_with(&self, f: impl FnOnce() -> TraceEvent) {
         if let Some(state) = &self.state {
             state.record(f());
@@ -131,16 +135,52 @@ impl SpanState {
     /// Counts `event` into the delta, then keeps it if the span keeps
     /// events.
     ///
-    /// Relaxed loads and stores suffice: a span's clones report from one
-    /// thread at a time (its test's worker), and the finished span reaches
-    /// the coordinator through the join that ends the parallel work.
+    /// Relaxed loads and stores suffice, for the step count and for the
+    /// delta's counters alike ([`SingleWriter`]): a span's clones report
+    /// from one thread at a time (its test's worker), and the finished
+    /// span reaches the coordinator through the join that ends the
+    /// parallel work. Inlined into the emit site with the fold, where the
+    /// event's variant is known: the counter it bumps is picked there,
+    /// and a counting span frees the event there (usually nothing to
+    /// free); only a keeping span moves it out of line.
+    #[inline(always)]
     fn record(&self, event: TraceEvent) {
         let mut steps = self.steps_in_search.load(Ordering::Relaxed);
-        self.delta.observe(&event, &mut steps);
+        self.delta.fold::<SingleWriter>(&event, &mut steps);
         self.steps_in_search.store(steps, Ordering::Relaxed);
-        if let Some(events) = &self.events {
-            events.lock().expect("span lock").push(event);
+        match &self.events {
+            Some(events) => keep(events, event),
+            None => discard(event),
         }
+    }
+}
+
+/// Appends an event to a keeping span's buffer.
+#[inline(never)]
+fn keep(events: &Mutex<Vec<TraceEvent>>, event: TraceEvent) {
+    events.lock().expect("span lock").push(event);
+}
+
+/// Drops an event that nothing keeps. The variants that own no text
+/// (every per-probe event) are forgotten, which is a drop that does
+/// nothing; spelled out so that at an emit site, where the variant is
+/// known, no drop call remains. A variant listed here must own nothing:
+/// forgetting one that owned text would leak it.
+#[inline(always)]
+fn discard(event: TraceEvent) {
+    match event {
+        TraceEvent::ProbeIssued { .. }
+        | TraceEvent::ProbeResolved { .. }
+        | TraceEvent::StepTaken { .. }
+        | TraceEvent::Bracketed { .. }
+        | TraceEvent::RetryScheduled { .. }
+        | TraceEvent::VoteResolved { .. }
+        | TraceEvent::FaultInjected { .. }
+        | TraceEvent::WatchdogFired { .. }
+        | TraceEvent::SiteBreakerTripped { .. }
+        | TraceEvent::GaGenerationEvaluated { .. }
+        | TraceEvent::CommitteeEpochFinished { .. } => std::mem::forget(event),
+        owning => drop(owning),
     }
 }
 
@@ -400,7 +440,7 @@ impl TracerCore {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::event::TraceVerdict;
+    use crate::event::{FaultKind, TraceVerdict};
     use crate::sink::{NullSink, RingBufferSink};
 
     fn search_events() -> Vec<TraceEvent> {
@@ -436,6 +476,150 @@ mod tests {
                 probes: 2,
             },
         ]
+    }
+
+    /// xorshift64*: a seeded stream of draws, so the fold test needs no
+    /// RNG crate.
+    struct Draws(u64);
+
+    impl Draws {
+        fn next(&mut self) -> u64 {
+            self.0 ^= self.0 >> 12;
+            self.0 ^= self.0 << 25;
+            self.0 ^= self.0 >> 27;
+            self.0.wrapping_mul(0x2545_F491_4F6C_DD1D)
+        }
+
+        fn below(&mut self, n: u64) -> u64 {
+            self.next() % n
+        }
+
+        fn flag(&mut self) -> bool {
+            self.below(2) == 1
+        }
+
+        fn verdict(&mut self) -> TraceVerdict {
+            [TraceVerdict::Pass, TraceVerdict::Fail, TraceVerdict::Invalid][self.below(3) as usize]
+        }
+    }
+
+    /// Every variant of the taxonomy, by position; the exhaustive match
+    /// fails to compile when a variant is added without a case here.
+    const VARIANTS: usize = 17;
+
+    fn variant(event: &TraceEvent) -> usize {
+        match event {
+            TraceEvent::CampaignPhaseChanged { .. } => 0,
+            TraceEvent::ProbeIssued { .. } => 1,
+            TraceEvent::ProbeResolved { .. } => 2,
+            TraceEvent::SearchStarted { .. } => 3,
+            TraceEvent::StepTaken { .. } => 4,
+            TraceEvent::Bracketed { .. } => 5,
+            TraceEvent::SearchFinished { .. } => 6,
+            TraceEvent::RetryScheduled { .. } => 7,
+            TraceEvent::VoteResolved { .. } => 8,
+            TraceEvent::FaultInjected { .. } => 9,
+            TraceEvent::Quarantined { .. } => 10,
+            TraceEvent::WatchdogFired { .. } => 11,
+            TraceEvent::SiteBreakerTripped { .. } => 12,
+            TraceEvent::GaGenerationEvaluated { .. } => 13,
+            TraceEvent::AlarmRaised { .. } => 14,
+            TraceEvent::AlarmCleared { .. } => 15,
+            TraceEvent::CommitteeEpochFinished { .. } => 16,
+        }
+    }
+
+    /// A random event of any variant, with payloads that reach every
+    /// histogram's overflow bucket.
+    fn random_event(d: &mut Draws) -> TraceEvent {
+        let value = d.below(2_000) as f64 / 10.0;
+        match d.below(VARIANTS as u64) {
+            0 => TraceEvent::CampaignPhaseChanged { phase: format!("phase{}", d.below(4)) },
+            1 => TraceEvent::ProbeIssued { value, speculative: d.flag() },
+            2 => TraceEvent::ProbeResolved { value, verdict: d.verdict(), cached: d.flag() },
+            3 => TraceEvent::SearchStarted {
+                strategy: "stp".into(),
+                order: "eq3".into(),
+                window: [80.0, 130.0],
+                reference: d.flag().then_some(value),
+                sf: None,
+            },
+            4 => TraceEvent::StepTaken {
+                iteration: d.below(30),
+                step_factor: 1.0,
+                value,
+                clamped: d.flag(),
+                verdict: d.verdict(),
+            },
+            5 => TraceEvent::Bracketed { pass_value: value, fail_value: value + 1.0 },
+            6 => TraceEvent::SearchFinished {
+                strategy: "stp".into(),
+                trip_point: d.flag().then_some(value),
+                converged: d.flag(),
+                probes: d.below(100),
+            },
+            7 => TraceEvent::RetryScheduled {
+                attempt: d.below(12),
+                backoff_us: d.below(20_000_000) as f64 / 1000.0,
+            },
+            8 => TraceEvent::VoteResolved {
+                passes: d.below(3),
+                fails: d.below(3),
+                invalids: d.below(3),
+                verdict: d.verdict(),
+            },
+            9 => TraceEvent::FaultInjected {
+                kind: [FaultKind::Dropout, FaultKind::Flip, FaultKind::Stuck, FaultKind::Abort, FaultKind::Stall]
+                    [d.below(5) as usize],
+            },
+            10 => TraceEvent::Quarantined { reason: "dropout".into() },
+            11 => TraceEvent::WatchdogFired { site: 1, touchdown: 2, budget_ms: 3, skipped_tests: 4 },
+            12 => TraceEvent::SiteBreakerTripped { site: 1, chunk: 2, fault_rate: 0.5 },
+            13 => TraceEvent::GaGenerationEvaluated {
+                generation: d.below(50),
+                best_so_far: value,
+                generation_best: value,
+                mean: value,
+            },
+            14 => TraceEvent::AlarmRaised {
+                alarm: "stall_silence".to_string(),
+                heartbeat: d.below(9),
+                detail: "no progress".to_string(),
+            },
+            15 => TraceEvent::AlarmCleared { alarm: "stall_silence".to_string(), heartbeat: d.below(9) },
+            _ => TraceEvent::CommitteeEpochFinished { epoch: d.below(9), members: 5, train_error: value },
+        }
+    }
+
+    #[test]
+    fn span_fold_and_observe_agree_on_random_streams_of_every_variant() {
+        let mut d = Draws(0x9E37_79B9_7F4A_7C15);
+        let mut seen = [false; VARIANTS];
+        for _ in 0..64 {
+            let stream: Vec<TraceEvent> = (0..d.below(300)).map(|_| random_event(&mut d)).collect();
+            let reference = MetricsRegistry::new();
+            let mut steps = 0;
+            for event in &stream {
+                seen[variant(event)] = true;
+                reference.observe(event, &mut steps);
+            }
+            let want = reference.snapshot();
+            // A counting span, a keeping span, and either absorbed.
+            let ring = Arc::new(RingBufferSink::unbounded());
+            for tracer in [Tracer::new(Arc::new(NullSink)), Tracer::new(ring.clone())] {
+                let span = tracer.span(0);
+                for event in &stream {
+                    span.emit(event.clone());
+                }
+                let state = span.state.as_ref().expect("enabled");
+                assert_eq!(state.delta.snapshot(), want, "the span's own delta");
+                tracer.absorb(span);
+                assert_eq!(tracer.metrics(), want, "the absorbed campaign registry");
+            }
+            let kept: Vec<TraceEvent> = ring.records().into_iter().map(|r| r.event).collect();
+            assert_eq!(kept, stream, "a keeping span keeps every event in order");
+        }
+        assert_eq!(seen, [true; VARIANTS], "the streams cover every variant");
     }
 
     #[test]
