@@ -12,18 +12,16 @@
 //! ```
 
 use cichar_ate::Ate;
-use cichar_bench::{thread_policy, Scale};
+use cichar_bench::{Cli, Flags};
 use cichar_core::compare::{Comparison, CompareConfig};
-use cichar_exec::ExecPolicy;
 use cichar_fuzzy::coding::CodingScheme;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-fn run_variant(name: &str, config: &CompareConfig, seed: u64, policy: ExecPolicy) {
-    let device = cichar_bench::device_selection();
-    let mut ate = Ate::new(device.device);
-    let mut rng = StdRng::seed_from_u64(seed);
-    let cmp = Comparison::run_parallel(&mut ate, config, policy, &mut rng);
+fn run_variant(name: &str, config: &CompareConfig, cli: &Cli) {
+    let mut ate = Ate::new(cli.device.clone());
+    let mut rng = StdRng::seed_from_u64(cli.scale.seed());
+    let cmp = Comparison::run_parallel(&mut ate, config, cli.policy, &mut rng);
     let nnga = &cmp.rows[2];
     println!(
         "{name:<34} | t_dq {:>6.2} ns | WCR {:.3} | {:>8} measurements | committee accepted: {}",
@@ -32,30 +30,28 @@ fn run_variant(name: &str, config: &CompareConfig, seed: u64, policy: ExecPolicy
 }
 
 fn main() {
-    let scale = Scale::from_env();
-    let policy = thread_policy();
-    let seed = scale.seed();
-    let base = scale.compare_config();
+    let cli = Cli::parse(&[Flags::Threads, Flags::Device]);
+    let base = cli.scale.compare_config();
 
     println!(
         "== Ablation: §5 design choices (NNGA row of Table 1 under each variant, {} threads) ==\n",
-        policy.threads()
+        cli.policy.threads()
     );
 
-    run_variant("baseline (numeric, committee, seeds)", &base, seed, policy);
+    run_variant("baseline (numeric, committee, seeds)", &base, &cli);
 
     let mut fuzzy = base.clone();
     fuzzy.learning.coding = CodingScheme::Fuzzy;
-    run_variant("fuzzy trip-point coding", &fuzzy, seed, policy);
+    run_variant("fuzzy trip-point coding", &fuzzy, &cli);
 
     let mut single = base.clone();
     single.learning.committee_size = 1;
-    run_variant("single network (no voting machine)", &single, seed, policy);
+    run_variant("single network (no voting machine)", &single, &cli);
 
     let mut unseeded = base;
     unseeded.nn_seeds = 1; // effectively no NN seeding
     unseeded.nn_candidates = 1;
-    run_variant("GA without fuzzy-neural seeding", &unseeded, seed, policy);
+    run_variant("GA without fuzzy-neural seeding", &unseeded, &cli);
 
     println!(
         "\n(all variants share the same random row and March row; only the NN+GA\n\

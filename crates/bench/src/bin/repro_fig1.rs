@@ -8,7 +8,7 @@
 //! ```
 
 use cichar_ate::{Ate, MeasuredParam};
-use cichar_bench::{device_selection, thread_policy};
+use cichar_bench::{Cli, Flags};
 use cichar_core::report::render_search_trace;
 use cichar_patterns::{march, Test};
 use cichar_search::{BinarySearch, LinearSearch};
@@ -17,12 +17,11 @@ fn main() {
     // `--threads` is accepted for symmetry with the other repro binaries,
     // but a single binary search is data-dependent: each probe chooses the
     // next, so there is nothing to fan out.
-    let policy = thread_policy();
-    if !policy.is_serial() {
+    let cli = Cli::parse(&[Flags::Threads, Flags::Device]);
+    if !cli.policy.is_serial() {
         println!("(note: one binary search has no parallel axis; running serially)\n");
     }
-    let device = device_selection();
-    let mut ate = Ate::new(device.device);
+    let mut ate = Ate::new(cli.device);
     let test = Test::deterministic("march_c-", march::march_c_minus(64));
     let param = MeasuredParam::DataValidTime;
 

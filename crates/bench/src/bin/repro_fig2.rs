@@ -18,9 +18,7 @@
 //! historical single-device campaign bit-for-bit.
 
 use cichar_ate::{AteConfig, MeasuredParam, ParallelAte};
-use cichar_bench::{
-    device_selection, robustness, site_count, telemetry_setup, thread_policy, trace_outputs, Scale,
-};
+use cichar_bench::{Cli, Flags};
 use cichar_core::dsv::{MultiTripRunner, SearchStrategy};
 use cichar_core::report::render_multi_trip;
 use cichar_core::wafer::{WaferConfig, WaferRunner};
@@ -31,23 +29,16 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 fn main() {
-    let scale = Scale::from_env();
-    let policy = thread_policy();
-    let robustness = robustness();
-    let outputs = trace_outputs();
-    let sites = site_count();
-    let device = device_selection();
-    let telemetry_cfg = telemetry_setup();
-    let usage = |err: String| -> ! {
-        eprintln!("error: {err}");
-        std::process::exit(2);
-    };
-    let tracer = telemetry_cfg
-        .tracer_for(&outputs)
-        .unwrap_or_else(|err| usage(err));
-    let telemetry = telemetry_cfg
-        .build("fig2", &tracer)
-        .unwrap_or_else(|err| usage(err));
+    let cli = Cli::parse(&[
+        Flags::Threads,
+        Flags::Faults,
+        Flags::TraceOutputs,
+        Flags::Sites,
+        Flags::Device,
+        Flags::Telemetry,
+    ]);
+    let (scale, policy, sites) = (cli.scale, cli.policy, cli.sites);
+    let (tracer, telemetry) = cli.observe("fig2");
     let shown = 24usize;
     let total = scale.random_tests().max(shown);
     let mut rng = StdRng::seed_from_u64(scale.seed());
@@ -56,30 +47,30 @@ fn main() {
         .collect();
 
     let config = AteConfig {
-        faults: robustness.faults,
+        faults: cli.faults,
         ..AteConfig::default()
     };
     let param = MeasuredParam::DataValidTime;
     let mut runner = MultiTripRunner::new(param);
-    if let Some(policy) = robustness.recovery {
+    if let Some(policy) = cli.recovery {
         runner = runner.with_recovery(policy);
     }
 
-    if sites > 1 {
+    let (trip_min, trip_max, health) = if sites > 1 {
         // Multi-site mode: one touchdown of `sites` lot-sampled dies, the
         // full fig. 2 population on each, streamed through the wafer
         // engine.
         // The default memory path keeps the historical sequential-RNG die
         // sampling bit-for-bit; other backends sample through their own
         // process model.
-        let dies = if device.is_default() {
+        let dies = if cli.default_device {
             let mut die_rng = StdRng::seed_from_u64(scale.seed() ^ 0xD1E5);
             Lot::default().sample_dies(&mut die_rng, sites)
         } else {
-            device.sample_dies(scale.seed() ^ 0xD1E5, sites)
+            cli.device.sample_dies(scale.seed() ^ 0xD1E5, sites)
         };
         let wafer = WaferRunner::from_runner(runner)
-            .with_device(device.device.clone())
+            .with_device(cli.device.clone())
             .with_config(WaferConfig {
                 sites,
                 ..WaferConfig::default()
@@ -96,10 +87,7 @@ fn main() {
                 &tracer,
             )
             .expect("no spill directory configured, no I/O to fail");
-        let health = telemetry.finish().unwrap_or_else(|err| {
-            eprintln!("error: telemetry sidecar failed: {err}");
-            std::process::exit(1);
-        });
+        let health = cli.finish(&telemetry);
 
         println!(
             "== Fig. 2 reproduction: multiple trip points ({total} random tests, {sites} sites, {} threads) ==\n",
@@ -122,90 +110,62 @@ fn main() {
             report.contact_faults, report.touchdowns
         );
         println!("\n{ledger}");
+        (agg.min, agg.max, health)
+    } else {
+        let blueprint = ParallelAte::new(cli.device.clone(), config);
+        tracer.phase("dsv");
+        let (report, ledger) = runner.run_parallel_observed(
+            &blueprint,
+            &tests,
+            SearchStrategy::SearchUntilTrip,
+            policy,
+            &tracer,
+            &telemetry,
+        );
+        let health = cli.finish(&telemetry);
 
-        if outputs.enabled() {
-            let mut manifest = RunManifest::new("fig2", scale.seed(), policy.threads())
-                .with_config("scale", format!("{scale:?}"))
-                .with_config("tests", total)
-                .with_config("sites", sites)
-                .with_config("strategy", "search_until_trip")
-                .with_config("fault_rate", robustness.faults.flip_rate())
-                .with_config("trip_min", agg.min.expect("converged"))
-                .with_config("trip_max", agg.max.expect("converged"));
-            if !device.is_default() {
-                manifest = manifest.with_config("device", device.descriptor());
-            }
-            let mut manifest = manifest.capture(&tracer).with_host();
-            manifest.health = health;
-            println!("\n{}", manifest.render());
-            if let Err(err) = outputs.commit(&tracer, &manifest) {
-                eprintln!("error: {err}");
-                std::process::exit(1);
-            }
-        }
-        return;
-    }
+        println!(
+            "== Fig. 2 reproduction: multiple trip points ({total} random tests, {} threads) ==\n",
+            policy.threads()
+        );
+        // Show a readable subset of bars, then the full-population statistics.
+        let mut subset = report.clone();
+        subset.entries.truncate(shown);
+        print!("{}", render_multi_trip(&subset, param.kind().unit_symbol()));
+        println!("\nfull population statistics:");
+        println!("  tests measured:    {}", report.entries.len());
+        println!(
+            "  trip point range:  [{:.3}, {:.3}] ns",
+            report.min().expect("converged"),
+            report.max().expect("converged")
+        );
+        println!(
+            "  worst-case band:   {:.3} ns (mean {:.3}, std {:.3})",
+            report.spread().expect("converged"),
+            report.mean().expect("converged"),
+            report.std_dev().expect("converged")
+        );
+        println!(
+            "  worst-case test:   {}",
+            report.worst_entry().expect("converged").test_name
+        );
+        println!("  reference (eq. 2): {:.3} ns", report.reference_trip_point.expect("converged"));
+        println!("\n{ledger}");
+        (report.min(), report.max(), health)
+    };
 
-    let blueprint = ParallelAte::new(device.device.clone(), config);
-    tracer.phase("dsv");
-    let (report, ledger) = runner.run_parallel_observed(
-        &blueprint,
-        &tests,
-        SearchStrategy::SearchUntilTrip,
-        policy,
-        &tracer,
-        &telemetry,
-    );
-    let health = telemetry.finish().unwrap_or_else(|err| {
-        eprintln!("error: telemetry sidecar failed: {err}");
-        std::process::exit(1);
-    });
-
-    println!(
-        "== Fig. 2 reproduction: multiple trip points ({total} random tests, {} threads) ==\n",
-        policy.threads()
-    );
-    // Show a readable subset of bars, then the full-population statistics.
-    let mut subset = report.clone();
-    subset.entries.truncate(shown);
-    print!("{}", render_multi_trip(&subset, param.kind().unit_symbol()));
-    println!("\nfull population statistics:");
-    println!("  tests measured:    {}", report.entries.len());
-    println!(
-        "  trip point range:  [{:.3}, {:.3}] ns",
-        report.min().expect("converged"),
-        report.max().expect("converged")
-    );
-    println!(
-        "  worst-case band:   {:.3} ns (mean {:.3}, std {:.3})",
-        report.spread().expect("converged"),
-        report.mean().expect("converged"),
-        report.std_dev().expect("converged")
-    );
-    println!(
-        "  worst-case test:   {}",
-        report.worst_entry().expect("converged").test_name
-    );
-    println!("  reference (eq. 2): {:.3} ns", report.reference_trip_point.expect("converged"));
-    println!("\n{ledger}");
-
-    if outputs.enabled() {
-        let mut manifest = RunManifest::new("fig2", scale.seed(), policy.threads())
+    cli.commit(&tracer, health, || {
+        let manifest = RunManifest::new("fig2", scale.seed(), policy.threads())
             .with_config("scale", format!("{scale:?}"))
             .with_config("tests", total)
             .with_config("strategy", "search_until_trip")
-            .with_config("fault_rate", robustness.faults.flip_rate())
-            .with_config("trip_min", report.min().expect("converged"))
-            .with_config("trip_max", report.max().expect("converged"));
-        if !device.is_default() {
-            manifest = manifest.with_config("device", device.descriptor());
+            .with_config("fault_rate", cli.faults.flip_rate())
+            .with_config("trip_min", trip_min.expect("converged"))
+            .with_config("trip_max", trip_max.expect("converged"));
+        if sites > 1 {
+            manifest.with_config("sites", sites)
+        } else {
+            manifest
         }
-        let mut manifest = manifest.capture(&tracer).with_host();
-        manifest.health = health;
-        println!("\n{}", manifest.render());
-        if let Err(err) = outputs.commit(&tracer, &manifest) {
-            eprintln!("error: {err}");
-            std::process::exit(1);
-        }
-    }
+    });
 }

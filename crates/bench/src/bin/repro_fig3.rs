@@ -12,21 +12,23 @@
 //! ```
 
 use cichar_ate::{AteConfig, MeasuredParam, ParallelAte};
-use cichar_bench::{device_selection, robustness, thread_policy, trace_outputs, Scale};
-use cichar_trace::RunManifest;
+use cichar_bench::{Cli, Flags};
 use cichar_core::dsv::{MultiTripRunner, SearchStrategy};
 use cichar_core::report::render_stp_saving;
 use cichar_patterns::{random, Test, TestConditions};
+use cichar_trace::RunManifest;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 fn main() {
-    let scale = Scale::from_env();
-    let policy = thread_policy();
-    let robustness = robustness();
-    let outputs = trace_outputs();
-    let device = device_selection();
-    let tracer = outputs.tracer();
+    let cli = Cli::parse(&[
+        Flags::Threads,
+        Flags::Faults,
+        Flags::TraceOutputs,
+        Flags::Device,
+    ]);
+    let (scale, policy) = (cli.scale, cli.policy);
+    let (tracer, _) = cli.observe("fig3");
     let total = scale.random_tests();
     let mut rng = StdRng::seed_from_u64(scale.seed());
     let tests: Vec<Test> = (0..total)
@@ -35,14 +37,14 @@ fn main() {
 
     let param = MeasuredParam::DataValidTime;
     let mut runner = MultiTripRunner::new(param);
-    if let Some(policy) = robustness.recovery {
+    if let Some(policy) = cli.recovery {
         runner = runner.with_recovery(policy);
     }
     let config = AteConfig {
-        faults: robustness.faults,
+        faults: cli.faults,
         ..AteConfig::default()
     };
-    let blueprint = ParallelAte::new(device.device.clone(), config);
+    let blueprint = ParallelAte::new(cli.device.clone(), config);
     tracer.phase("full_range");
     let (full, ledger_full) =
         runner.run_parallel_traced(&blueprint, &tests, SearchStrategy::FullRange, policy, &tracer);
@@ -88,23 +90,12 @@ fn main() {
         .fold(0.0, f64::max);
     println!("  trip-point agreement: max |delta| = {max_delta:.4} ns");
 
-    if outputs.enabled() {
-        let mut manifest = RunManifest::new("fig3", scale.seed(), policy.threads())
+    cli.commit(&tracer, None, || {
+        RunManifest::new("fig3", scale.seed(), policy.threads())
             .with_config("scale", format!("{scale:?}"))
             .with_config("tests", total)
-            .with_config("fault_rate", robustness.faults.flip_rate())
+            .with_config("fault_rate", cli.faults.flip_rate())
             .with_config("trip_min", stp.min().expect("converged"))
-            .with_config("trip_max", stp.max().expect("converged"));
-        if !device.is_default() {
-            manifest = manifest.with_config("device", device.descriptor());
-        }
-        let manifest = manifest
-            .capture(&tracer)
-            .with_host();
-        println!("\n{}", manifest.render());
-        if let Err(err) = outputs.commit(&tracer, &manifest) {
-            eprintln!("error: {err}");
-            std::process::exit(1);
-        }
-    }
+            .with_config("trip_max", stp.max().expect("converged"))
+    });
 }

@@ -5,7 +5,7 @@
 //! cargo run --release -p cichar-bench --bin repro_fig6
 //! ```
 
-use cichar_bench::thread_policy;
+use cichar_bench::{Cli, Flags};
 use cichar_core::report::render_wcr_bands;
 use cichar_core::wcr::WcrClass;
 use cichar_fuzzy::coding::wcr_variable;
@@ -14,8 +14,7 @@ fn main() {
     // `--threads` and `--device` are accepted (and validated) for
     // symmetry with the other repro binaries; this figure is a pure
     // rendering with no measurements to fan out and no device to load.
-    let _ = thread_policy();
-    let _ = cichar_bench::device_selection();
+    Cli::parse(&[Flags::Threads, Flags::Device]);
     println!("== Fig. 6 reproduction: WCR classification ==\n");
     print!("{}", render_wcr_bands());
 

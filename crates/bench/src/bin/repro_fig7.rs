@@ -7,7 +7,7 @@
 //! ```
 
 use cichar_ate::{Ate, MeasuredParam};
-use cichar_bench::{device_selection, thread_policy};
+use cichar_bench::{Cli, Flags};
 use cichar_core::report::render_timing_diagram;
 use cichar_dut::T_DQ_SPEC;
 use cichar_patterns::{march, Test};
@@ -16,9 +16,8 @@ use cichar_search::BinarySearch;
 fn main() {
     // `--threads` is accepted for symmetry with the other repro binaries;
     // two dependent binary searches leave nothing worth fanning out.
-    let _ = thread_policy();
-    let device = device_selection();
-    let mut ate = Ate::new(device.device);
+    let cli = Cli::parse(&[Flags::Threads, Flags::Device]);
+    let mut ate = Ate::new(cli.device);
     let param = MeasuredParam::DataValidTime;
     let cycle_ns = 60.0;
 

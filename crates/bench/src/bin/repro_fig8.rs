@@ -10,7 +10,7 @@
 //! ```
 
 use cichar_ate::{Ate, OverlayShmoo, ParallelAte};
-use cichar_bench::{device_selection, thread_policy, Scale};
+use cichar_bench::{Cli, Flags};
 use cichar_core::compare::Comparison;
 use cichar_patterns::{random, Test, TestConditions};
 use cichar_search::RegionOrder;
@@ -19,8 +19,8 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 fn main() {
-    let scale = Scale::from_env();
-    let policy = thread_policy();
+    let cli = Cli::parse(&[Flags::Threads, Flags::Device]);
+    let (scale, policy) = (cli.scale, cli.policy);
     let total = scale.random_tests();
     let mut rng = StdRng::seed_from_u64(scale.seed());
 
@@ -31,8 +31,7 @@ fn main() {
         .collect();
 
     // Add the three Table 1 tests so the plot shows the crossover story.
-    let device = device_selection();
-    let mut ate = Ate::new(device.device);
+    let mut ate = Ate::new(cli.device);
     let comparison = Comparison::run(&mut ate, &scale.compare_config(), &mut rng);
     tests.push(Test::deterministic(
         "March Test",

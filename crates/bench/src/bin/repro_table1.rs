@@ -13,37 +13,28 @@
 //! ```
 
 use cichar_ate::{Ate, AteConfig};
-use cichar_bench::{
-    device_selection, robustness, telemetry_setup, thread_policy, trace_outputs, Scale,
-};
-use cichar_trace::RunManifest;
+use cichar_bench::{Cli, Flags};
 use cichar_core::compare::Comparison;
+use cichar_trace::RunManifest;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 fn main() {
-    let scale = Scale::from_env();
-    let policy = thread_policy();
-    let robustness = robustness();
-    let outputs = trace_outputs();
-    let device = device_selection();
-    let telemetry_cfg = telemetry_setup();
-    let usage = |err: String| -> ! {
-        eprintln!("error: {err}");
-        std::process::exit(2);
-    };
-    let tracer = telemetry_cfg
-        .tracer_for(&outputs)
-        .unwrap_or_else(|err| usage(err));
-    let telemetry = telemetry_cfg
-        .build("table1", &tracer)
-        .unwrap_or_else(|err| usage(err));
+    let cli = Cli::parse(&[
+        Flags::Threads,
+        Flags::Faults,
+        Flags::TraceOutputs,
+        Flags::Device,
+        Flags::Telemetry,
+    ]);
+    let (scale, policy) = (cli.scale, cli.policy);
+    let (tracer, telemetry) = cli.observe("table1");
     let mut config = scale.compare_config();
-    config.optimization.recovery = robustness.recovery;
+    config.optimization.recovery = cli.recovery;
     let mut ate = Ate::with_config(
-        device.device.clone(),
+        cli.device.clone(),
         AteConfig {
-            faults: robustness.faults,
+            faults: cli.faults,
             ..AteConfig::default()
         },
     );
@@ -55,10 +46,7 @@ fn main() {
     );
     let comparison =
         Comparison::run_parallel_observed(&mut ate, &config, policy, &mut rng, &tracer, &telemetry);
-    let health = telemetry.finish().unwrap_or_else(|err| {
-        eprintln!("error: telemetry sidecar failed: {err}");
-        std::process::exit(1);
-    });
+    let health = cli.finish(&telemetry);
     println!("{}", comparison.render());
     println!(
         "paper reference:   March 0.619 / 32.3 ns | Random 0.701 / 28.5 ns | NNGA 0.904 / 22.1 ns"
@@ -74,26 +62,17 @@ fn main() {
     let total: u64 = comparison.rows.iter().map(|r| r.measurements).sum();
     println!("\ntotal measurements across the three techniques: {total}");
 
-    if outputs.enabled() {
+    cli.commit(&tracer, health, || {
         let trips: Vec<f64> = comparison.rows.iter().map(|r| r.t_dq).collect();
         let mut manifest = RunManifest::new("table1", scale.seed(), policy.threads())
             .with_config("scale", format!("{scale:?}"))
             .with_config("random_tests", config.random_tests)
-            .with_config("fault_rate", robustness.faults.flip_rate());
-        if !device.is_default() {
-            manifest = manifest.with_config("device", device.descriptor());
-        }
+            .with_config("fault_rate", cli.faults.flip_rate());
         if let Some(min) = trips.iter().copied().reduce(f64::min) {
             manifest = manifest
                 .with_config("trip_min", min)
                 .with_config("trip_max", trips.iter().copied().fold(min, f64::max));
         }
-        let mut manifest = manifest.capture(&tracer).with_host();
-        manifest.health = health;
-        println!("\n{}", manifest.render());
-        if let Err(err) = outputs.commit(&tracer, &manifest) {
-            eprintln!("error: {err}");
-            std::process::exit(1);
-        }
-    }
+        manifest
+    });
 }

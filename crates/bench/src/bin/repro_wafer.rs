@@ -20,10 +20,7 @@
 //! overrides the die count.
 
 use cichar_ate::{AteConfig, MeasuredParam};
-use cichar_bench::{
-    device_selection, positive_count_from, robustness, site_count, telemetry_setup, thread_policy,
-    trace_outputs, wafer_durability, Scale,
-};
+use cichar_bench::{Cli, Flags};
 use cichar_core::dsv::SearchStrategy;
 use cichar_core::journal::ResumeStats;
 use cichar_core::wafer::{WaferConfig, WaferRunner};
@@ -70,61 +67,50 @@ unsafe impl GlobalAlloc for CountingAllocator {
 static ALLOCATOR: CountingAllocator = CountingAllocator;
 
 fn main() {
-    let scale = Scale::from_env();
-    let policy = thread_policy();
-    let robustness = robustness();
-    let outputs = trace_outputs();
-    let sites = site_count();
-    let durability = wafer_durability();
-    let device = device_selection();
-    let telemetry_cfg = telemetry_setup();
-    let usage = |err: String| -> ! {
-        eprintln!("error: {err}");
-        std::process::exit(2);
-    };
-    let tracer = telemetry_cfg
-        .tracer_for(&outputs)
-        .unwrap_or_else(|err| usage(err));
-    let telemetry = telemetry_cfg
-        .build("wafer", &tracer)
-        .unwrap_or_else(|err| usage(err));
+    let cli = Cli::parse(&[
+        Flags::Threads,
+        Flags::Faults,
+        Flags::TraceOutputs,
+        Flags::Sites,
+        Flags::Durability,
+        Flags::Device,
+        Flags::Telemetry,
+        Flags::Dies,
+    ]);
+    let (scale, policy) = (cli.scale, cli.policy);
+    let (tracer, telemetry) = cli.observe("wafer");
 
     let (default_dies, tests_per_die) = scale.wafer_shape();
-    let die_count = positive_count_from(std::env::args().skip(1), "--dies")
-        .unwrap_or_else(|err| {
-            eprintln!("error: {err}");
-            std::process::exit(2);
-        })
-        .unwrap_or(default_dies);
+    let die_count = cli.dies.unwrap_or(default_dies);
 
     // The default memory path samples dies and tests from one sequential
     // RNG stream — the historical, baseline-gated order. Other backends
     // sample dies through their own process model (index-seeded, so the
     // test stream below is unaffected).
     let mut rng = StdRng::seed_from_u64(scale.seed());
-    let dies = if device.is_default() {
+    let dies = if cli.default_device {
         Lot::default().sample_dies(&mut rng, die_count)
     } else {
-        device.sample_dies(scale.seed(), die_count)
+        cli.device.sample_dies(scale.seed(), die_count)
     };
     let tests: Vec<Test> = (0..tests_per_die)
         .map(|_| random::random_test_at(&mut rng, TestConditions::nominal()))
         .collect();
 
     let config = AteConfig {
-        faults: robustness.faults,
+        faults: cli.faults,
         ..AteConfig::default()
     };
     let mut wafer = WaferRunner::new(MeasuredParam::DataValidTime)
-        .with_device(device.device.clone())
+        .with_device(cli.device.clone())
         .with_config(WaferConfig {
-        sites,
-        journal_dir: durability.journal.clone(),
-        chunk_timeout_ms: durability.chunk_timeout_ms,
-        site_fault_threshold: durability.site_fault_threshold,
-        ..WaferConfig::default()
-    });
-    if let Some(policy) = robustness.recovery {
+            sites: cli.sites,
+            journal_dir: cli.journal.clone(),
+            chunk_timeout_ms: cli.chunk_timeout_ms,
+            site_fault_threshold: cli.site_fault_threshold,
+            ..WaferConfig::default()
+        });
+    if let Some(policy) = cli.recovery {
         wafer = wafer.with_recovery(policy);
     }
     wafer = wafer.with_telemetry(telemetry.clone());
@@ -133,7 +119,7 @@ fn main() {
     ALLOC_CALLS.store(0, Ordering::Relaxed);
     let started = std::time::Instant::now();
     let strategy = SearchStrategy::SearchUntilTrip;
-    let (report, ledger, resume_stats) = if durability.resume {
+    let (report, ledger, resume_stats) = if cli.resume {
         match wafer.resume_traced(&config, &dies, &tests, strategy, policy, &tracer) {
             Ok((report, ledger, stats)) => (report, ledger, Some(stats)),
             Err(err) => {
@@ -152,13 +138,7 @@ fn main() {
     };
     let elapsed = started.elapsed();
     let alloc_calls = ALLOC_CALLS.load(Ordering::Relaxed);
-    let health = match telemetry.finish() {
-        Ok(health) => health,
-        Err(err) => {
-            eprintln!("error: telemetry sidecar failed: {err}");
-            std::process::exit(1);
-        }
-    };
+    let health = cli.finish(&telemetry);
 
     let searches = report.dies * report.tests;
     let trips_per_sec = searches as f64 / elapsed.as_secs_f64().max(1e-9);
@@ -219,24 +199,19 @@ fn main() {
     }
     println!("\n{ledger}");
 
-    if outputs.enabled() {
+    cli.commit(&tracer, health, || {
         let mut manifest = RunManifest::new("wafer", scale.seed(), policy.threads())
             .with_config("scale", format!("{scale:?}"))
             .with_config("dies", report.dies)
             .with_config("tests", report.tests)
             .with_config("sites", report.sites)
             .with_config("strategy", "search_until_trip")
-            .with_config("fault_rate", robustness.faults.flip_rate());
-        if !device.is_default() {
-            manifest = manifest.with_config("device", device.descriptor());
-        }
+            .with_config("fault_rate", cli.faults.flip_rate());
         if let (Some(min), Some(max)) = (agg.min, agg.max) {
             manifest = manifest.with_config("trip_min", min).with_config("trip_max", max);
         }
-        let mut manifest = manifest.capture(&tracer).with_host();
-        manifest.health = health;
         manifest.allocs_per_trip = allocs_per_trip;
-        if durability.journal.is_some() {
+        if cli.journal.is_some() {
             let stats = resume_stats.unwrap_or_else(|| ResumeStats {
                 chunks_total: report
                     .touchdowns
@@ -244,7 +219,7 @@ fn main() {
                 ..ResumeStats::default()
             });
             manifest.recovery = Some(RecoverySection {
-                resumed: durability.resume,
+                resumed: cli.resume,
                 chunks_replayed: stats.chunks_replayed,
                 chunks_total: stats.chunks_total,
                 touchdowns_replayed: stats.touchdowns_replayed,
@@ -254,10 +229,6 @@ fn main() {
                 quarantined_sites: report.quarantined_sites.clone(),
             });
         }
-        println!("\n{}", manifest.render());
-        if let Err(err) = outputs.commit(&tracer, &manifest) {
-            eprintln!("error: {err}");
-            std::process::exit(1);
-        }
-    }
+        manifest
+    });
 }

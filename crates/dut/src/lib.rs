@@ -54,7 +54,7 @@ pub use logic::LogicDevice;
 pub use netlist::NetlistDevice;
 pub use physics::{ResponseSurface, StressBreakdown};
 pub use process::{Die, Lot, ProcessCorner};
-pub use registry::{device_from_args, BackendSchema, DeviceSpec, ParamSpec, Registry};
+pub use registry::{BackendSchema, DeviceSpec, ParamSpec, Registry};
 
 use cichar_units::Nanoseconds;
 

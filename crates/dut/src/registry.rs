@@ -364,39 +364,6 @@ impl Default for Registry {
     }
 }
 
-/// Parses an optional strict `--device NAME[:key=val,...]` (either
-/// `--device spec` or `--device=spec`) from an argument list and builds
-/// the selected prototype. Unrecognized arguments are ignored — callers
-/// own the rest of their CLI. On a bad spec the error carries the full
-/// registry listing. Shared by the examples, which don't link the bench
-/// scaffolding.
-pub fn device_from_args<I>(args: I) -> Result<Device, String>
-where
-    I: IntoIterator<Item = String>,
-{
-    let registry = Registry::builtin();
-    let mut spec = DeviceSpec::default_backend();
-    let mut args = args.into_iter();
-    while let Some(arg) = args.next() {
-        let raw = if let Some(v) = arg.strip_prefix("--device=") {
-            Some(v.to_string())
-        } else if arg == "--device" {
-            Some(args.next().ok_or("--device requires a value")?)
-        } else {
-            None
-        };
-        if let Some(raw) = raw {
-            spec = raw
-                .trim()
-                .parse()
-                .map_err(|err| format!("{err}\n{}", registry.listing()))?;
-        }
-    }
-    registry
-        .create_from_spec(&spec)
-        .map_err(|err| format!("{err}\n{}", registry.listing()))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

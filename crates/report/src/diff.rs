@@ -101,17 +101,22 @@ pub struct ManifestDiff {
     pub notes: Vec<String>,
 }
 
-fn growth_pct(baseline: u64, current: u64) -> f64 {
-    if baseline == 0 {
-        if current == 0 {
+/// Percent growth from `baseline` to `current`; from a zero baseline,
+/// any growth is infinite.
+fn growth_pct(baseline: f64, current: f64) -> f64 {
+    if baseline == 0.0 {
+        if current == 0.0 {
             0.0
         } else {
             f64::INFINITY
         }
     } else {
-        100.0 * (current as f64 / baseline as f64 - 1.0)
+        100.0 * (current / baseline - 1.0)
     }
 }
+
+/// How a skipped one-sided metric can be judged again.
+const REARM: &str = " (regenerate the baseline to re-arm)";
 
 fn fmt_pct(p: f64) -> String {
     if p.is_infinite() {
@@ -132,21 +137,42 @@ fn config_f64(manifest: &RunManifest, key: &str) -> Option<f64> {
 }
 
 impl ManifestDiff {
+    fn push(&mut self, row: DiffRow) {
+        if let Some(breach) = &row.breach {
+            self.breaches.push(breach.clone());
+        }
+        self.rows.push(row);
+    }
+
+    /// Reports a metric that only one manifest carries, `how` it is
+    /// carried (`recorded`, `derivable`, ...), and skips it with a note
+    /// ending in `hint` — never a breach, so a baseline from an older
+    /// binary cannot brick the gate.
+    fn one_sided(&mut self, metric: &str, sides: [Option<String>; 2], how: &str, hint: &str) {
+        let [baseline, current] = sides.map(|side| side.unwrap_or_else(|| "absent".into()));
+        self.push(DiffRow {
+            metric: metric.into(),
+            baseline,
+            current,
+            delta: "not comparable — skipped".into(),
+            breach: None,
+        });
+        self.notes.push(format!(
+            "{metric} {how} in only one manifest — not comparable, skipped{hint}"
+        ));
+    }
+
     /// Compares `current` against `baseline` under `gate`.
     pub fn compare(baseline: &RunManifest, current: &RunManifest, gate: &GateConfig) -> Self {
-        let mut rows = Vec::new();
-        let mut breaches = Vec::new();
-        let mut notes = Vec::new();
-        let mut push = |row: DiffRow| {
-            if let Some(breach) = &row.breach {
-                breaches.push(breach.clone());
-            }
-            rows.push(row);
+        let mut diff = ManifestDiff {
+            rows: Vec::new(),
+            breaches: Vec::new(),
+            notes: Vec::new(),
         };
 
         // Identity: comparing different campaigns is a gate failure, not a
         // silent apples-to-oranges report.
-        push(DiffRow {
+        diff.push(DiffRow {
             metric: "campaign".into(),
             baseline: baseline.campaign.clone(),
             current: current.campaign.clone(),
@@ -162,7 +188,7 @@ impl ManifestDiff {
                 )
             }),
         });
-        push(DiffRow {
+        diff.push(DiffRow {
             metric: "seed".into(),
             baseline: format!("{:#x}", baseline.seed),
             current: format!("{:#x}", current.seed),
@@ -183,8 +209,8 @@ impl ManifestDiff {
                 current.metrics.probes_issued,
             ),
         ] {
-            let growth = growth_pct(base, cur);
-            push(DiffRow {
+            let growth = growth_pct(base as f64, cur as f64);
+            diff.push(DiffRow {
                 metric: name.into(),
                 baseline: base.to_string(),
                 current: cur.to_string(),
@@ -206,16 +232,8 @@ impl ManifestDiff {
         // the gate.
         match (baseline.probes_per_trip(), current.probes_per_trip()) {
             (Some(base), Some(cur)) => {
-                let growth = if base == 0.0 {
-                    if cur == 0.0 {
-                        0.0
-                    } else {
-                        f64::INFINITY
-                    }
-                } else {
-                    100.0 * (cur / base - 1.0)
-                };
-                push(DiffRow {
+                let growth = growth_pct(base, cur);
+                diff.push(DiffRow {
                     metric: "probes_per_trip".into(),
                     baseline: format!("{base:.2}"),
                     current: format!("{cur:.2}"),
@@ -230,27 +248,20 @@ impl ManifestDiff {
                 });
             }
             (None, None) => {}
-            (base, cur) => {
-                push(DiffRow {
-                    metric: "probes_per_trip".into(),
-                    baseline: base.map_or("absent".into(), |v| format!("{v:.2}")),
-                    current: cur.map_or("absent".into(), |v| format!("{v:.2}")),
-                    delta: "not comparable — skipped".into(),
-                    breach: None,
-                });
-                notes.push(String::from(
-                    "probes_per_trip computable in only one manifest — \
-                     not comparable, skipped (regenerate the baseline to re-arm)",
-                ));
-            }
+            (base, cur) => diff.one_sided(
+                "probes_per_trip",
+                [base, cur].map(|v| v.map(|v| format!("{v:.2}"))),
+                "computable",
+                REARM,
+            ),
         }
-        push(DiffRow {
+        diff.push(DiffRow {
             metric: "searches_finished".into(),
             baseline: baseline.metrics.searches_finished.to_string(),
             current: current.metrics.searches_finished.to_string(),
             delta: fmt_pct(growth_pct(
-                baseline.metrics.searches_finished,
-                current.metrics.searches_finished,
+                baseline.metrics.searches_finished as f64,
+                current.metrics.searches_finished as f64,
             )),
             breach: None,
         });
@@ -265,7 +276,7 @@ impl ManifestDiff {
         };
         let (base_rate, cur_rate) = (rate(baseline), rate(current));
         let delta_pts = cur_rate - base_rate;
-        push(DiffRow {
+        diff.push(DiffRow {
             metric: "quarantine_rate".into(),
             baseline: format!("{base_rate:.3}%"),
             current: format!("{cur_rate:.3}%"),
@@ -290,14 +301,14 @@ impl ManifestDiff {
         // check is skipped with an explicit note and throughput-per-core
         // carries the gate instead.
         let (base_wall, cur_wall) = (baseline.total_wall_ms(), current.total_wall_ms());
-        let wall_growth = growth_pct(base_wall, cur_wall);
+        let wall_growth = growth_pct(base_wall as f64, cur_wall as f64);
         let underprovisioned = [baseline, current].into_iter().find_map(|m| {
             m.hardware_threads
                 .and_then(|hw| (hw < m.threads).then_some((hw, m.threads)))
         });
         let wall_breach = match (gate.max_wall_growth_pct, underprovisioned) {
             (Some(_), Some((hw, workers))) => {
-                notes.push(format!(
+                diff.notes.push(format!(
                     "wall gate skipped: host offered {hw} hardware threads for {workers} \
                      workers, so wall-clock growth is scheduling noise — \
                      trips_per_sec_per_core carries the throughput gate instead"
@@ -312,7 +323,7 @@ impl ManifestDiff {
             }),
             (None, _) => None,
         };
-        push(DiffRow {
+        diff.push(DiffRow {
             metric: "wall_ms".into(),
             baseline: base_wall.to_string(),
             current: cur_wall.to_string(),
@@ -334,7 +345,7 @@ impl ManifestDiff {
         ) {
             (Some(base), Some(cur)) => {
                 let drop_pct = 100.0 * (1.0 - cur / base);
-                push(DiffRow {
+                diff.push(DiffRow {
                     metric: "trips_per_sec_per_core".into(),
                     baseline: format!("{base:.2}"),
                     current: format!("{cur:.2}"),
@@ -354,25 +365,18 @@ impl ManifestDiff {
                 });
             }
             (None, None) => {}
-            (base, cur) => {
-                push(DiffRow {
-                    metric: "trips_per_sec_per_core".into(),
-                    baseline: base.map_or("absent".into(), |v| format!("{v:.2}")),
-                    current: cur.map_or("absent".into(), |v| format!("{v:.2}")),
-                    delta: "not comparable — skipped".into(),
-                    breach: None,
-                });
-                notes.push(String::from(
-                    "trips_per_sec_per_core derivable in only one manifest — \
-                     not comparable, skipped",
-                ));
-            }
+            (base, cur) => diff.one_sided(
+                "trips_per_sec_per_core",
+                [base, cur].map(|v| v.map(|v| format!("{v:.2}"))),
+                "derivable",
+                "",
+            ),
         }
         let fmt_rss = |bytes: u64| format!("{:.1} MiB", bytes as f64 / (1 << 20) as f64);
         match (baseline.peak_rss_bytes, current.peak_rss_bytes) {
             (Some(base), Some(cur)) => {
-                let growth = growth_pct(base, cur);
-                push(DiffRow {
+                let growth = growth_pct(base as f64, cur as f64);
+                diff.push(DiffRow {
                     metric: "peak_rss".into(),
                     baseline: fmt_rss(base),
                     current: fmt_rss(cur),
@@ -390,18 +394,12 @@ impl ManifestDiff {
                 });
             }
             (None, None) => {}
-            (base, cur) => {
-                push(DiffRow {
-                    metric: "peak_rss".into(),
-                    baseline: base.map_or("absent".into(), fmt_rss),
-                    current: cur.map_or("absent".into(), fmt_rss),
-                    delta: "not comparable — skipped".into(),
-                    breach: None,
-                });
-                notes.push(String::from(
-                    "peak_rss recorded in only one manifest — not comparable, skipped",
-                ));
-            }
+            (base, cur) => diff.one_sided(
+                "peak_rss",
+                [base, cur].map(|v| v.map(fmt_rss)),
+                "recorded",
+                "",
+            ),
         }
         // Allocation economy: allocator calls per finished trip-point
         // search, recorded by allocation-aware campaign binaries. One-sided
@@ -409,16 +407,8 @@ impl ManifestDiff {
         // never a breach — same convention as peak_rss.
         match (baseline.allocs_per_trip, current.allocs_per_trip) {
             (Some(base), Some(cur)) => {
-                let growth = if base == 0.0 {
-                    if cur == 0.0 {
-                        0.0
-                    } else {
-                        f64::INFINITY
-                    }
-                } else {
-                    100.0 * (cur / base - 1.0)
-                };
-                push(DiffRow {
+                let growth = growth_pct(base, cur);
+                diff.push(DiffRow {
                     metric: "allocs_per_trip".into(),
                     baseline: format!("{base:.2}"),
                     current: format!("{cur:.2}"),
@@ -435,19 +425,12 @@ impl ManifestDiff {
                 });
             }
             (None, None) => {}
-            (base, cur) => {
-                push(DiffRow {
-                    metric: "allocs_per_trip".into(),
-                    baseline: base.map_or("absent".into(), |v| format!("{v:.2}")),
-                    current: cur.map_or("absent".into(), |v| format!("{v:.2}")),
-                    delta: "not comparable — skipped".into(),
-                    breach: None,
-                });
-                notes.push(String::from(
-                    "allocs_per_trip recorded in only one manifest — not comparable, \
-                     skipped (regenerate the baseline to re-arm)",
-                ));
-            }
+            (base, cur) => diff.one_sided(
+                "allocs_per_trip",
+                [base, cur].map(|v| v.map(|v| format!("{v:.2}"))),
+                "recorded",
+                REARM,
+            ),
         }
 
         // Recovery overhead: how much of the baseline's probe bill a
@@ -473,7 +456,7 @@ impl ManifestDiff {
                 } else {
                     100.0 * cur as f64 / base as f64
                 };
-                push(DiffRow {
+                diff.push(DiffRow {
                     metric: "recovery_overhead".into(),
                     baseline: format!("{base} probes"),
                     current: format!(
@@ -495,14 +478,14 @@ impl ManifestDiff {
                 });
             }
             (Some(_), None) => {
-                push(DiffRow {
+                diff.push(DiffRow {
                     metric: "recovery_overhead".into(),
                     baseline: "-".into(),
                     current: "not a resumed run".into(),
                     delta: "not comparable — skipped".into(),
                     breach: None,
                 });
-                notes.push(String::from(
+                diff.notes.push(String::from(
                     "recovery overhead gate skipped: current manifest carries no \
                      resumed durability section",
                 ));
@@ -517,7 +500,7 @@ impl ManifestDiff {
                 (Some(base), Some(cur)) => {
                     let scale = base.abs().max(1e-12);
                     let drift_pct = 100.0 * (cur - base).abs() / scale;
-                    push(DiffRow {
+                    diff.push(DiffRow {
                         metric: key.into(),
                         baseline: format!("{base}"),
                         current: format!("{cur}"),
@@ -535,23 +518,16 @@ impl ManifestDiff {
                     });
                 }
                 (None, None) => {}
-                _ => {
-                    push(DiffRow {
-                        metric: key.into(),
-                        baseline: base.map_or("absent".into(), |v| format!("{v}")),
-                        current: cur.map_or("absent".into(), |v| format!("{v}")),
-                        delta: "not comparable — skipped".into(),
-                        breach: None,
-                    });
-                    notes.push(format!(
-                        "{key} recorded in only one manifest — not comparable, skipped \
-                         (regenerate the baseline to re-arm)"
-                    ));
-                }
+                _ => diff.one_sided(
+                    key,
+                    [base, cur].map(|v| v.map(|v| format!("{v}"))),
+                    "recorded",
+                    REARM,
+                ),
             }
         }
 
-        ManifestDiff { rows, breaches, notes }
+        diff
     }
 
     /// Whether the gate passes (no breaches).

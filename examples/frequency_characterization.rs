@@ -8,6 +8,7 @@
 //! ```
 
 use cichar::ate::{Ate, MeasuredParam};
+use cichar::bench::{Cli, Flags};
 use cichar::core::dsv::{MultiTripRunner, SearchStrategy};
 use cichar::core::wcr::CharacterizationObjective;
 use cichar::patterns::{march, random, Test, TestConditions};
@@ -15,10 +16,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 fn main() {
-    let device = cichar::dut::device_from_args(std::env::args().skip(1)).unwrap_or_else(|err| {
-        eprintln!("error: {err}");
-        std::process::exit(2);
-    });
+    let device = Cli::parse(&[Flags::Device]).device;
     let mut rng = StdRng::seed_from_u64(80);
     let mut tests: Vec<Test> = march::standard_suite()
         .into_iter()

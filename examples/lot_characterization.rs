@@ -11,21 +11,17 @@
 //! Each die is characterized on its own tester session, so the per-die
 //! sweeps fan out across `--threads` workers with bit-identical results.
 
+use cichar::ate::MeasuredParam;
+use cichar::bench::{Cli, Flags};
 use cichar::core::sample::{corner_grid, SampleCharacterization};
 use cichar::core::wcr::CharacterizationObjective;
-use cichar::ate::MeasuredParam;
 use cichar::dut::Lot;
 use cichar::patterns::{march, Test};
-use cichar_bench::thread_policy;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 fn main() {
-    let policy = thread_policy();
-    let device = cichar::dut::device_from_args(std::env::args().skip(1)).unwrap_or_else(|err| {
-        eprintln!("error: {err}");
-        std::process::exit(2);
-    });
+    let Cli { policy, device, .. } = Cli::parse(&[Flags::Threads, Flags::Device]);
     let tests: Vec<Test> = march::standard_suite()
         .into_iter()
         .map(|(name, p)| Test::deterministic(name, p))

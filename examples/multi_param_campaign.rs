@@ -14,6 +14,7 @@
 //! workers; the learning rounds stay on the shared session.
 
 use cichar::ate::Ate;
+use cichar::bench::{Cli, Flags};
 use cichar::core::analysis::WeaknessAnalyzer;
 use cichar::core::learning::LearningConfig;
 use cichar::core::multi::{AnalysisTask, MultiParamCampaign};
@@ -21,18 +22,13 @@ use cichar::core::optimization::OptimizationConfig;
 use cichar::genetic::GaConfig;
 use cichar::neural::TrainConfig;
 use cichar::trace::RunManifest;
-use cichar_bench::{thread_policy, trace_outputs};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 fn main() {
-    let device = cichar::dut::device_from_args(std::env::args().skip(1)).unwrap_or_else(|err| {
-        eprintln!("error: {err}");
-        std::process::exit(2);
-    });
-    let policy = thread_policy();
-    let outputs = trace_outputs();
-    let tracer = outputs.tracer();
+    let cli = Cli::parse(&[Flags::Threads, Flags::TraceOutputs, Flags::Device]);
+    let policy = cli.policy;
+    let (tracer, _) = cli.observe("multi_param_campaign");
     let campaign = MultiParamCampaign::new(
         AnalysisTask::data_sheet(),
         LearningConfig {
@@ -59,7 +55,7 @@ fn main() {
     )
     .with_screening(500, 12);
 
-    let mut ate = Ate::new(device);
+    let mut ate = Ate::new(cli.device.clone());
     let mut rng = StdRng::seed_from_u64(3);
     println!(
         "running the figs. 4+5 pipeline once per data-sheet parameter ({} threads)...\n",
@@ -79,14 +75,8 @@ fn main() {
         if report.has_findings() { "YES" } else { "none" }
     );
 
-    if outputs.enabled() {
-        let manifest = RunManifest::new("multi_param_campaign", 3, policy.threads())
+    cli.commit(&tracer, None, || {
+        RunManifest::new("multi_param_campaign", 3, policy.threads())
             .with_config("parameters", report.worst_case_suite().len())
-            .capture(&tracer);
-        println!("\n{}", manifest.render());
-        if let Err(err) = outputs.commit(&tracer, &manifest) {
-            eprintln!("error: {err}");
-            std::process::exit(1);
-        }
-    }
+    });
 }

@@ -8,6 +8,7 @@
 //! ```
 
 use cichar::ate::{Ate, MeasuredParam};
+use cichar::bench::{Cli, Flags};
 use cichar::core::dsv::{MultiTripRunner, SearchStrategy};
 use cichar::core::report::render_multi_trip;
 use cichar::core::wcr::CharacterizationObjective;
@@ -16,10 +17,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 fn main() {
-    let device = cichar::dut::device_from_args(std::env::args().skip(1)).unwrap_or_else(|err| {
-        eprintln!("error: {err}");
-        std::process::exit(2);
-    });
+    let device = Cli::parse(&[Flags::Device]).device;
     // The test population: the full deterministic suite plus 20 random
     // tests at the same nominal corner.
     let mut rng = StdRng::seed_from_u64(2005);

@@ -9,6 +9,7 @@
 //! ```
 
 use cichar::ate::{Ate, MeasuredParam};
+use cichar::bench::{Cli, Flags};
 use cichar::core::compare::{quick_config, Comparison};
 use cichar::core::db::{WorstCaseDatabase, WorstCaseTest};
 use cichar::core::production::{Bin, ProductionProgram};
@@ -19,10 +20,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 fn main() {
-    let device = cichar::dut::device_from_args(std::env::args().skip(1)).unwrap_or_else(|err| {
-        eprintln!("error: {err}");
-        std::process::exit(2);
-    });
+    let device = Cli::parse(&[Flags::Device]).device;
     let objective = CharacterizationObjective::drift_to_minimum(20.0);
 
     // Characterization phase: find the worst-case tests (figs. 4+5).

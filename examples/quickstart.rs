@@ -7,15 +7,13 @@
 //! ```
 
 use cichar::ate::{Ate, MeasuredParam};
+use cichar::bench::{Cli, Flags};
 use cichar::dut::T_DQ_SPEC;
 use cichar::patterns::{march, Test};
 use cichar::search::{BinarySearch, LinearSearch, SearchUntilTrip, SuccessiveApproximation};
 
 fn main() {
-    let device = cichar::dut::device_from_args(std::env::args().skip(1)).unwrap_or_else(|err| {
-        eprintln!("error: {err}");
-        std::process::exit(2);
-    });
+    let device = Cli::parse(&[Flags::Device]).device;
     // Load a nominal die on the tester and pick the production test.
     let mut ate = Ate::new(device);
     let test = Test::deterministic("march_c-", march::march_c_minus(64));

@@ -7,6 +7,7 @@
 //! ```
 
 use cichar::ate::{Ate, OverlayShmoo, ShmooPlot};
+use cichar::bench::{Cli, Flags};
 use cichar::patterns::{march, random, Test, TestConditions};
 use cichar::search::RegionOrder;
 use cichar::units::{Axis, ParamKind};
@@ -14,10 +15,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 fn main() {
-    let device = cichar::dut::device_from_args(std::env::args().skip(1)).unwrap_or_else(|err| {
-        eprintln!("error: {err}");
-        std::process::exit(2);
-    });
+    let device = Cli::parse(&[Flags::Device]).device;
     let mut ate = Ate::new(device);
     let x = Axis::new(ParamKind::StrobeDelay, 16.0, 36.0, 41).expect("static axis");
     let y = Axis::new(ParamKind::SupplyVoltage, 1.5, 2.1, 13).expect("static axis");

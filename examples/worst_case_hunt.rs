@@ -11,7 +11,7 @@
 //! ```
 
 use cichar::ate::{Ate, AteConfig};
-use cichar::bench::{robustness, thread_policy, trace_outputs};
+use cichar::bench::{Cli, Flags};
 use cichar::core::compare::{quick_config, Comparison};
 use cichar::core::report::render_timing_diagram;
 use cichar::dut::T_DQ_SPEC;
@@ -20,33 +20,33 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 fn main() {
-    let device = cichar::dut::device_from_args(std::env::args().skip(1)).unwrap_or_else(|err| {
-        eprintln!("error: {err}");
-        std::process::exit(2);
-    });
-    let robustness = robustness();
-    let policy = thread_policy();
-    let outputs = trace_outputs();
-    let tracer = outputs.tracer();
+    let cli = Cli::parse(&[
+        Flags::Threads,
+        Flags::Faults,
+        Flags::TraceOutputs,
+        Flags::Device,
+    ]);
+    let (policy, faults, recovery) = (cli.policy, cli.faults, cli.recovery);
+    let (tracer, _) = cli.observe("worst_case_hunt");
     let mut ate = Ate::with_config(
-        device,
+        cli.device.clone(),
         AteConfig {
-            faults: robustness.faults,
+            faults,
             ..AteConfig::default()
         },
     );
     let mut rng = StdRng::seed_from_u64(0xDA7E);
     let mut config = quick_config();
-    config.optimization.recovery = robustness.recovery;
+    config.optimization.recovery = recovery;
 
     println!("== intelligent worst-case hunt (figs. 4-5) ==\n");
-    if !robustness.faults.is_none() {
+    if !faults.is_none() {
         println!(
             "injecting tester faults: {:.1}% verdict flips, {:.1}% dropouts; \
              recovery ladder {} retries\n",
-            100.0 * robustness.faults.flip_rate(),
-            100.0 * robustness.faults.dropout_rate(),
-            robustness.recovery.map_or(0, |p| p.max_retries()),
+            100.0 * faults.flip_rate(),
+            100.0 * faults.dropout_rate(),
+            recovery.map_or(0, |p| p.max_retries()),
         );
     }
     let comparison = Comparison::run_parallel_traced(&mut ate, &config, policy, &mut rng, &tracer);
@@ -91,21 +91,16 @@ fn main() {
     }
     println!("\n{}", ate.ledger());
 
-    if outputs.enabled() {
+    cli.commit(&tracer, None, || {
         let trips: Vec<f64> = comparison.rows.iter().map(|r| r.t_dq).collect();
         let mut manifest = RunManifest::new("worst_case_hunt", 0xDA7E, policy.threads())
             .with_config("random_tests", config.random_tests)
-            .with_config("fault_rate", robustness.faults.flip_rate());
+            .with_config("fault_rate", faults.flip_rate());
         if let Some(min) = trips.iter().copied().reduce(f64::min) {
             manifest = manifest
                 .with_config("trip_min", min)
                 .with_config("trip_max", trips.iter().copied().fold(min, f64::max));
         }
-        let manifest = manifest.capture(&tracer);
-        println!("\n{}", manifest.render());
-        if let Err(err) = outputs.commit(&tracer, &manifest) {
-            eprintln!("error: {err}");
-            std::process::exit(1);
-        }
-    }
+        manifest
+    });
 }
