@@ -162,7 +162,7 @@ fn stream(r: &WaferRunner, dies: &[Die], tests: &[Test], policy: ExecPolicy) -> 
         SearchStrategy::SearchUntilTrip,
         policy,
     )
-    .expect("no spill configured, no I/O to fail")
+    .expect("no journal configured, no I/O to fail")
     .0
 }
 

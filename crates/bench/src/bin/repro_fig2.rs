@@ -10,19 +10,23 @@
 //! cargo run --release -p cichar-bench --bin repro_fig2 -- --manifest out.json --timings
 //! cargo run --release -p cichar-bench --bin repro_fig2 -- --sites 4
 //! cargo run --release -p cichar-bench --bin repro_fig2 -- --telemetry tele --heartbeat-every 10
-//! cargo run --release -p cichar-bench --bin repro_fig2 -- --device netlist:levels=16
+//! cargo run --release -p cichar-bench --bin repro_fig2 -- --device netlist:levels=14
 //! ```
 //!
 //! With `--sites N` (N > 1) the same program runs on `N` lot-sampled dies
 //! per touchdown through the wafer engine; the default of 1 preserves the
 //! historical single-device campaign bit-for-bit.
+//!
+//! A device whose trip points the generous range cannot bracket (a
+//! netlist of 15 or more levels, for one) leaves no trip point to draw:
+//! the binary then exits with status 1 and names the device.
 
 use cichar_ate::{AteConfig, MeasuredParam, ParallelAte};
 use cichar_bench::{Cli, Flags};
 use cichar_core::dsv::{MultiTripRunner, SearchStrategy};
 use cichar_core::report::render_multi_trip;
 use cichar_core::wafer::{WaferConfig, WaferRunner};
-use cichar_dut::Lot;
+use cichar_dut::{Device, Lot};
 use cichar_patterns::{random, Test, TestConditions};
 use cichar_trace::RunManifest;
 use rand::rngs::StdRng;
@@ -86,31 +90,28 @@ fn main() {
                 policy,
                 &tracer,
             )
-            .expect("no spill directory configured, no I/O to fail");
+            .expect("no journal configured, no I/O to fail");
         let health = cli.finish(&telemetry);
+        let agg = &report.aggregate;
+        let (Some(min), Some(max), Some(spread), Some(mean)) =
+            (agg.min, agg.max, agg.spread(), agg.mean())
+        else {
+            unconverged(&cli.device, param);
+        };
 
         println!(
             "== Fig. 2 reproduction: multiple trip points ({total} random tests, {sites} sites, {} threads) ==\n",
             policy.threads()
         );
-        let agg = &report.aggregate;
         println!("  entries measured:  {} ({} converged)", agg.entries, agg.converged);
-        println!(
-            "  trip point range:  [{:.3}, {:.3}] ns",
-            agg.min.expect("converged"),
-            agg.max.expect("converged")
-        );
-        println!(
-            "  worst-case band:   {:.3} ns (mean {:.3})",
-            agg.spread().expect("converged"),
-            agg.mean().expect("converged")
-        );
+        println!("  trip point range:  [{min:.3}, {max:.3}] ns");
+        println!("  worst-case band:   {spread:.3} ns (mean {mean:.3})");
         println!(
             "  contact faults:    {} across {} touchdowns",
             report.contact_faults, report.touchdowns
         );
         println!("\n{ledger}");
-        (agg.min, agg.max, health)
+        (min, max, health)
     } else {
         let blueprint = ParallelAte::new(cli.device.clone(), config);
         tracer.phase("dsv");
@@ -123,6 +124,17 @@ fn main() {
             &telemetry,
         );
         let health = cli.finish(&telemetry);
+        let (Some(min), Some(max), Some(spread), Some(mean), Some(std_dev), Some(worst), Some(rtp)) = (
+            report.min(),
+            report.max(),
+            report.spread(),
+            report.mean(),
+            report.std_dev(),
+            report.worst_entry(),
+            report.reference_trip_point,
+        ) else {
+            unconverged(&cli.device, param);
+        };
 
         println!(
             "== Fig. 2 reproduction: multiple trip points ({total} random tests, {} threads) ==\n",
@@ -134,24 +146,12 @@ fn main() {
         print!("{}", render_multi_trip(&subset, param.kind().unit_symbol()));
         println!("\nfull population statistics:");
         println!("  tests measured:    {}", report.entries.len());
-        println!(
-            "  trip point range:  [{:.3}, {:.3}] ns",
-            report.min().expect("converged"),
-            report.max().expect("converged")
-        );
-        println!(
-            "  worst-case band:   {:.3} ns (mean {:.3}, std {:.3})",
-            report.spread().expect("converged"),
-            report.mean().expect("converged"),
-            report.std_dev().expect("converged")
-        );
-        println!(
-            "  worst-case test:   {}",
-            report.worst_entry().expect("converged").test_name
-        );
-        println!("  reference (eq. 2): {:.3} ns", report.reference_trip_point.expect("converged"));
+        println!("  trip point range:  [{min:.3}, {max:.3}] ns");
+        println!("  worst-case band:   {spread:.3} ns (mean {mean:.3}, std {std_dev:.3})");
+        println!("  worst-case test:   {}", worst.test_name);
+        println!("  reference (eq. 2): {rtp:.3} ns");
         println!("\n{ledger}");
-        (report.min(), report.max(), health)
+        (min, max, health)
     };
 
     cli.commit(&tracer, health, || {
@@ -160,12 +160,25 @@ fn main() {
             .with_config("tests", total)
             .with_config("strategy", "search_until_trip")
             .with_config("fault_rate", cli.faults.flip_rate())
-            .with_config("trip_min", trip_min.expect("converged"))
-            .with_config("trip_max", trip_max.expect("converged"));
+            .with_config("trip_min", trip_min)
+            .with_config("trip_max", trip_max);
         if sites > 1 {
             manifest.with_config("sites", sites)
         } else {
             manifest
         }
     });
+}
+
+/// Exits with status 1, naming `device`, when its searches left no trip
+/// point for fig. 2 to draw.
+fn unconverged(device: &Device, param: MeasuredParam) -> ! {
+    eprintln!(
+        "error: device {} has no trip point for fig. 2: its searches did not converge inside \
+         the generous range {} {} of {param}",
+        device.descriptor(),
+        param.generous_range(),
+        param.kind().unit_symbol()
+    );
+    std::process::exit(1);
 }

@@ -8,7 +8,7 @@
 //! cargo run --release -p cichar-bench --bin repro_table1 -- --fault-rate 0.02 --retries 4
 //! cargo run --release -p cichar-bench --bin repro_table1 -- --trace out.jsonl --manifest out.json
 //! cargo run --release -p cichar-bench --bin repro_table1 -- --manifest out.json --timings
-//! cargo run --release -p cichar-bench --bin repro_table1 -- --device netlist:levels=16
+//! cargo run --release -p cichar-bench --bin repro_table1 -- --device netlist:levels=14
 //! cargo run --release -p cichar-bench --bin repro_table1 -- --telemetry tele
 //! ```
 

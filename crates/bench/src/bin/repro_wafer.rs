@@ -9,7 +9,7 @@
 //! cargo run --release -p cichar-bench --bin repro_wafer -- --dies 640 --manifest out.json
 //! cargo run --release -p cichar-bench --bin repro_wafer -- --fault-rate 0.02 --retries 4
 //! cargo run --release -p cichar-bench --bin repro_wafer -- --journal /tmp/j --chunk-timeout-ms 250
-//! cargo run --release -p cichar-bench --bin repro_wafer -- --journal /tmp/j --resume
+//! cargo run --release -p cichar-bench --bin repro_wafer -- --journal /tmp/j --chunk-timeout-ms 250 --resume
 //! cargo run --release -p cichar-bench --bin repro_wafer -- --device logic
 //! cargo run --release -p cichar-bench --bin repro_wafer -- --telemetry tele --heartbeat-every 10
 //! CICHAR_SCALE=full cargo run --release -p cichar-bench --bin repro_wafer
@@ -18,6 +18,11 @@
 //! The campaign shape comes from `CICHAR_SCALE` (`quick`: 96 dies × 4
 //! tests; `full`: 2000 × 50 — the ROADMAP's 10^5 searches); `--dies N`
 //! overrides the die count.
+//!
+//! `--resume` repeats the flags of the run it resumes. Everything that
+//! shapes the results (scale, dies, sites, device, faults, watchdog and
+//! breaker) is in the journal's fingerprint, and a journal of another
+//! campaign is refused with status 1; `--threads` may differ.
 
 use cichar_ate::{AteConfig, MeasuredParam};
 use cichar_bench::{Cli, Flags};

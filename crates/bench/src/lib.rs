@@ -8,7 +8,8 @@
 //! The binaries and the workspace examples read their command line
 //! through one [`Cli`]: each names the [`Flags`] groups it takes, and an
 //! unknown, repeated or untaken flag, a stray operand or a bad
-//! `CICHAR_SCALE` exits with status 2 before any measurement.
+//! `CICHAR_SCALE` or `CICHAR_THREADS` exits with status 2 before any
+//! measurement.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -156,10 +157,11 @@ pub struct Cli {
 }
 
 impl Cli {
-    /// Reads the process's command line and `CICHAR_SCALE`, taking only
-    /// the flags of `groups`. Any error — a bad value, a missing operand,
-    /// an unknown, repeated or untaken flag, a stray operand, bytes that
-    /// are not UTF-8 — prints a diagnostic and exits with status 2.
+    /// Reads the process's command line, `CICHAR_SCALE` and
+    /// `CICHAR_THREADS`, taking only the flags of `groups`. Any error — a
+    /// bad value, a missing operand, an unknown, repeated or untaken flag,
+    /// a stray operand, bytes that are not UTF-8 — prints a diagnostic
+    /// and exits with status 2.
     pub fn parse(groups: &[Flags]) -> Cli {
         std::env::args_os()
             .skip(1)
@@ -174,14 +176,14 @@ impl Cli {
 
     /// [`Cli::parse`] over an explicit argument list, with errors
     /// returned (testable). `CICHAR_SCALE` and `CICHAR_THREADS` are still
-    /// read from the environment.
+    /// read from the environment, and a bad value of either is an error.
     pub fn from_args<I>(groups: &[Flags], args: I) -> Result<Cli, String>
     where
         I: IntoIterator<Item = String>,
     {
         let mut cli = Cli {
             scale: Scale::from_var(std::env::var_os("CICHAR_SCALE"))?,
-            policy: ExecPolicy::from_env(),
+            policy: ExecPolicy::from_env()?,
             faults: TesterFaultModel::none(),
             recovery: None,
             sites: 1,
@@ -579,7 +581,7 @@ mod tests {
     fn absent_flag_defers_to_the_environment() {
         // The test environment does not set CICHAR_THREADS.
         if std::env::var("CICHAR_THREADS").is_err() {
-            assert_eq!(cli(&[]).unwrap().policy, ExecPolicy::from_env());
+            assert_eq!(Ok(cli(&[]).unwrap().policy), ExecPolicy::from_env());
         }
     }
 
@@ -1005,7 +1007,7 @@ mod tests {
                     timed,
                     "--sites 4",
                     "--telemetry tele --heartbeat-every 10",
-                    "--device netlist:levels=16",
+                    "--device netlist:levels=14",
                     "--device logic --manifest fig2_device.json",
                     "--threads 4 --manifest fig2.json --trace fig2.jsonl",
                     "--trace fig2.jsonl --manifest fig2.json --timings",
@@ -1028,7 +1030,7 @@ mod tests {
                     "--fault-rate 0.02 --retries 4",
                     traced,
                     timed,
-                    "--device netlist:levels=16",
+                    "--device netlist:levels=14",
                     "--telemetry tele",
                 ],
             ),
@@ -1042,16 +1044,23 @@ mod tests {
                     "--dies 640 --manifest out.json",
                     "--fault-rate 0.02 --retries 4",
                     "--journal /tmp/j --chunk-timeout-ms 250",
-                    "--journal /tmp/j --resume",
+                    "--journal /tmp/j --chunk-timeout-ms 250 --resume",
                     "--device logic:depth=12",
                     "--telemetry tele --heartbeat-every 10",
-                    "--journal /tmp/lot7 --dies 2000 --resume --chunk-timeout-ms 250 --site-fault-threshold 0.25",
+                    "--journal /tmp/lot7 --dies 2000",
+                    "--journal /tmp/lot7 --dies 2000 --resume",
+                    "--journal /tmp/lot8 --dies 2000 --chunk-timeout-ms 250 --site-fault-threshold 0.25",
+                    "--journal /tmp/lot8 --dies 2000 --resume --chunk-timeout-ms 250 --site-fault-threshold 0.25",
                     "--threads 8 --sites 4 --journal /tmp/lot7 --telemetry /tmp/lot7_tele --heartbeat-every 10",
                     "--threads 2 --sites 4 --trace t.jsonl --telemetry tele --manifest m.json",
                     "--threads 2 --sites 4 --journal wafer_journal --resume --manifest wafer_resumed.json",
                 ],
             ),
-            ("quickstart", vec![Device], vec!["", "--device netlist:levels=16,jitter=0.2"]),
+            (
+                "quickstart",
+                vec![Device],
+                vec!["", netlist, "--device netlist:levels=14,jitter=0.2"],
+            ),
             ("multi_trip_point", vec![Device], vec!["", netlist]),
             ("shmoo_plot", vec![Device], vec!["", netlist]),
             ("frequency_characterization", vec![Device], vec!["", netlist]),

@@ -161,6 +161,64 @@ fn resume_against_a_missing_journal_exits_1() {
     assert!(stderr.contains("resume failed"), "{stderr}");
 }
 
+/// The guarded crash-safe recipes of `repro_wafer`'s header and README.md,
+/// at a small die count: a resume that repeats the flags of the run it
+/// resumes replays the committed prefix, re-measures what the crash lost
+/// and lands on the uninterrupted run's `wafer_summary.json`.
+#[test]
+fn documented_resume_recipes_reproduce_the_uninterrupted_summary() {
+    let self_healing = ["--chunk-timeout-ms", "250", "--site-fault-threshold", "0.25"];
+    for (name, flags) in [("watchdog", &self_healing[..2]), ("self_healing", &self_healing[..])] {
+        let journal = std::env::temp_dir().join(format!("cichar_cli_recipe_{name}"));
+        let _ = std::fs::remove_dir_all(&journal);
+        let run = |extra: &[&str]| {
+            // 96 one-site touchdowns make three chunks of 32.
+            let mut args = vec!["--journal", journal.to_str().unwrap(), "--dies", "96"];
+            args.extend_from_slice(extra);
+            args.extend_from_slice(flags);
+            let output = run_wafer(&args);
+            assert_eq!(output.status.code(), Some(0), "{args:?}: {}", stderr_of(&output));
+        };
+        run(&[]);
+        let summary = journal.join("wafer_summary.json");
+        let uninterrupted = std::fs::read(&summary).expect("summary written");
+        // A crash right after the first commit: the last two chunks and
+        // the summary never landed.
+        for lost in [
+            "journal_chunk_00001.jsonl",
+            "journal_chunk_00002.jsonl",
+            "wafer_summary.json",
+        ] {
+            std::fs::remove_file(journal.join(lost)).expect("written by the first run");
+        }
+        run(&["--resume"]);
+        let resumed = std::fs::read(&summary).expect("the resume writes the summary");
+        assert!(resumed == uninterrupted, "{name}: the resumed summary differs");
+        std::fs::remove_dir_all(&journal).ok();
+    }
+}
+
+/// The watchdog budget changes which tests are quarantined, so a resume
+/// that drops it or changes it is another campaign, and the journal
+/// refuses it with status 1.
+#[test]
+fn a_resume_with_another_watchdog_budget_exits_1() {
+    let journal = std::env::temp_dir().join("cichar_cli_recipe_budget");
+    let _ = std::fs::remove_dir_all(&journal);
+    let dir = journal.to_str().unwrap();
+    let output = run_wafer(&["--journal", dir, "--dies", "8", "--chunk-timeout-ms", "250"]);
+    assert_eq!(output.status.code(), Some(0), "{}", stderr_of(&output));
+    for budget in [&["--chunk-timeout-ms", "500"][..], &[][..]] {
+        let mut args = vec!["--journal", dir, "--dies", "8", "--resume"];
+        args.extend_from_slice(budget);
+        let output = run_wafer(&args);
+        assert_eq!(output.status.code(), Some(1), "{args:?}: {}", stderr_of(&output));
+        let stderr = stderr_of(&output);
+        assert!(stderr.contains("belongs to a different campaign"), "{args:?}: {stderr}");
+    }
+    std::fs::remove_dir_all(&journal).ok();
+}
+
 #[test]
 fn bad_device_specs_exit_2_and_print_the_registry() {
     for (args, needle) in [
@@ -226,6 +284,17 @@ fn non_default_device_runs_and_stamps_the_manifest() {
         .expect("manifest records the device selection");
     assert!(device.starts_with("netlist:"), "{device}");
     assert!(device.contains("levels=10"), "override folded in: {device}");
+}
+
+#[test]
+fn a_device_the_generous_range_cannot_bracket_exits_1_naming_it() {
+    // A 16-level netlist's trip point lies outside the generous range,
+    // so no search converges.
+    let output = run_fig2(&["--device", "netlist:levels=16"]);
+    assert_eq!(output.status.code(), Some(1), "{}", stderr_of(&output));
+    let stderr = stderr_of(&output);
+    assert!(stderr.contains("device netlist:levels=16,"), "{stderr}");
+    assert!(output.stdout.is_empty(), "no figure without trip points");
 }
 
 #[test]

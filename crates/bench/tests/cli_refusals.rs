@@ -1,9 +1,9 @@
 //! Every repro binary reads its whole command line before it measures.
 //! A misspelled flag, a flag of a group the binary does not take, a
-//! repeated flag, a `CICHAR_SCALE` other than `quick` or `full`, and
-//! bytes that are not UTF-8 each exit with status 2 and name the
-//! offender, with nothing on stdout and nothing written to the working
-//! directory.
+//! repeated flag, a `CICHAR_SCALE` other than `quick` or `full`, a
+//! `CICHAR_THREADS` that is not a thread count, and bytes that are not
+//! UTF-8 each exit with status 2 and name the offender, with nothing on
+//! stdout and nothing written to the working directory.
 
 use std::process::Command;
 
@@ -73,32 +73,42 @@ fn every_binary_refuses_what_it_does_not_take_before_measuring() {
             std::env::temp_dir().join(format!("cichar_cli_refusals_{name}_{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         std::fs::create_dir_all(&dir).expect("tmp dir");
-        for (args, scale, needle) in [
+        let quick = [("CICHAR_SCALE", "quick")];
+        for (args, vars, needle) in [
             (
                 &misspelled[..],
-                "quick",
+                &quick[..],
                 format!("unexpected argument {:?}", misspelled[0]),
             ),
             (
                 untaken,
-                "quick",
+                &quick[..],
                 format!("unexpected argument {:?}", untaken[0]),
             ),
             (
                 &["--threads", "1", "--threads=2"][..],
-                "quick",
+                &quick[..],
                 "--threads given more than once".into(),
             ),
-            (&[][..], "ful", "invalid CICHAR_SCALE value \"ful\"".into()),
+            (
+                &[][..],
+                &[("CICHAR_SCALE", "ful")][..],
+                "invalid CICHAR_SCALE value \"ful\"".into(),
+            ),
+            (
+                &[][..],
+                &[("CICHAR_SCALE", "quick"), ("CICHAR_THREADS", "junk")][..],
+                "invalid CICHAR_THREADS value \"junk\"".into(),
+            ),
         ] {
             let output = Command::new(exe)
                 .args(args)
-                .env("CICHAR_SCALE", scale)
+                .envs(vars.iter().copied())
                 .current_dir(&dir)
                 .output()
                 .expect("binary spawns");
             let stderr = String::from_utf8_lossy(&output.stderr);
-            let what = format!("CICHAR_SCALE={scale} {name} {}", args.join(" "));
+            let what = format!("{vars:?} {name} {}", args.join(" "));
             assert_eq!(output.status.code(), Some(2), "{what}: {stderr}");
             assert!(stderr.contains(&needle), "{what}: {stderr}");
             assert!(
@@ -117,17 +127,22 @@ fn bytes_that_are_not_utf8_exit_2_instead_of_panicking() {
     use std::os::unix::ffi::OsStrExt;
     let junk = std::ffi::OsStr::from_bytes(b"--threads=\xff");
     for (name, exe, ..) in BINARIES {
-        for (args, scale) in [(&[junk][..], "quick".as_ref()), (&[][..], junk)] {
-            let output = Command::new(exe)
-                .args(args)
-                .env("CICHAR_SCALE", scale)
-                .output()
-                .expect("binary spawns");
+        for (args, var) in [
+            (&[junk][..], None),
+            (&[][..], Some("CICHAR_SCALE")),
+            (&[][..], Some("CICHAR_THREADS")),
+        ] {
+            let mut command = Command::new(exe);
+            command.args(args).env("CICHAR_SCALE", "quick");
+            if let Some(var) = var {
+                command.env(var, junk);
+            }
+            let output = command.output().expect("binary spawns");
             let stderr = String::from_utf8_lossy(&output.stderr);
             assert_eq!(
                 output.status.code(),
                 Some(2),
-                "{name} {args:?} {scale:?}: {stderr}"
+                "{name} {args:?} {var:?}: {stderr}"
             );
             assert!(
                 stderr.contains("\\xFF"),

@@ -283,21 +283,7 @@ impl Deserialize for WorstCaseDatabase {
 pub fn save_artifact<T: Serialize>(artifact: &T, path: impl AsRef<Path>) -> io::Result<()> {
     let json = serde_json::to_string_pretty(artifact)
         .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))?;
-    // Write-then-rename: a crash (or a full disk) mid-write must never
-    // leave a truncated artifact at the target path. The scratch file
-    // lives next to the target so the rename stays on one filesystem.
-    let path = path.as_ref();
-    let mut scratch_name = path
-        .file_name()
-        .map(|n| n.to_os_string())
-        .unwrap_or_else(|| "artifact.json".into());
-    scratch_name.push(".tmp");
-    let scratch = path.with_file_name(scratch_name);
-    if let Err(e) = fs::write(&scratch, json) {
-        let _ = fs::remove_file(&scratch);
-        return Err(e);
-    }
-    fs::rename(&scratch, path)
+    commit_atomically(json.as_bytes(), path.as_ref())
 }
 
 /// Loads an artifact saved by [`save_artifact`].
@@ -312,9 +298,9 @@ pub fn load_artifact<T: Deserialize>(path: impl AsRef<Path>) -> io::Result<T> {
 
 /// Saves a slice of serializable records as JSONL (one compact JSON value
 /// per line) at `path`, through the same write-then-rename commit as
-/// [`save_artifact`]. The wafer pipeline spills each chunk of streamed
-/// entries this way, so a crash mid-campaign leaves only whole chunk
-/// files behind, never a truncated line.
+/// [`save_artifact`]. The wafer campaign journal commits each chunk this
+/// way, so a crash mid-campaign leaves only whole chunk files behind,
+/// never a truncated line.
 ///
 /// Each record is written straight into the file's body, so a derived
 /// record builds no intermediate value or line.
@@ -392,102 +378,10 @@ pub fn load_jsonl_salvaged<T: Deserialize>(path: impl AsRef<Path>) -> io::Result
     Ok(Salvaged { records, torn })
 }
 
-/// Compacts several JSONL spill files into one, atomically, preserving
-/// source order — the wafer pipeline's end-of-run step that turns
-/// per-chunk spill files into a single artifact. Sources are read one at
-/// a time, so peak memory is one chunk, not the whole wafer.
-///
-/// A source with a truncated trailing line (torn write) contributes only
-/// its complete records: the partial line is dropped rather than glued to
-/// the next source's first record. Returns the total records compacted.
-///
-/// # Errors
-///
-/// Propagates I/O errors; no source is removed on failure.
-pub fn compact_jsonl<P: AsRef<Path>>(sources: &[P], dest: impl AsRef<Path>) -> io::Result<u64> {
-    compact_jsonl_inner(sources, None, dest.as_ref())
-}
-
-/// [`compact_jsonl`] with per-source record-count verification against a
-/// journal (or any other authority that knows how many records each chunk
-/// must hold). `expected[i]` is the record count source `i` must
-/// contribute; a short or long chunk fails the whole compaction loudly
-/// instead of silently merging a truncated spill file into the artifact.
-///
-/// # Errors
-///
-/// [`io::ErrorKind::InvalidData`] on any count mismatch (naming the
-/// offending source); otherwise as [`compact_jsonl`]. No source is
-/// removed on failure.
-pub fn compact_jsonl_verified<P: AsRef<Path>>(
-    sources: &[P],
-    expected: &[u64],
-    dest: impl AsRef<Path>,
-) -> io::Result<u64> {
-    assert_eq!(
-        sources.len(),
-        expected.len(),
-        "one expected record count per spill chunk"
-    );
-    compact_jsonl_inner(sources, Some(expected), dest.as_ref())
-}
-
-fn compact_jsonl_inner<P: AsRef<Path>>(
-    sources: &[P],
-    expected: Option<&[u64]>,
-    dest: &Path,
-) -> io::Result<u64> {
-    let mut scratch_name = dest
-        .file_name()
-        .map(|n| n.to_os_string())
-        .unwrap_or_else(|| "artifact.jsonl".into());
-    scratch_name.push(".tmp");
-    let scratch = dest.with_file_name(scratch_name);
-    let mut total = 0u64;
-    let mut write_all = || -> io::Result<()> {
-        use std::io::Write;
-        let mut out = std::io::BufWriter::new(fs::File::create(&scratch)?);
-        for (index, source) in sources.iter().enumerate() {
-            let chunk = fs::read(source)?;
-            // Keep only newline-terminated records: a torn tail must not
-            // be glued onto the next chunk's first line.
-            let complete = match chunk.iter().rposition(|&b| b == b'\n') {
-                Some(last) => &chunk[..=last],
-                None => &[][..],
-            };
-            let records = complete.iter().filter(|&&b| b == b'\n').count() as u64;
-            if let Some(expected) = expected {
-                if records != expected[index] {
-                    return Err(io::Error::new(
-                        io::ErrorKind::InvalidData,
-                        format!(
-                            "spill chunk {} holds {} records where the journal expects {} — \
-                             refusing to compact a short chunk",
-                            source.as_ref().display(),
-                            records,
-                            expected[index]
-                        ),
-                    ));
-                }
-            }
-            total += records;
-            out.write_all(complete)?;
-        }
-        out.into_inner().map_err(|e| e.into_error())?.sync_all()
-    };
-    if let Err(e) = write_all() {
-        let _ = fs::remove_file(&scratch);
-        return Err(e);
-    }
-    fs::rename(&scratch, dest)?;
-    for source in sources {
-        fs::remove_file(source)?;
-    }
-    Ok(total)
-}
-
-/// The shared write-then-rename commit: scratch file next to the target,
-/// renamed into place only once fully written.
+/// The shared write-then-rename commit: a crash (or a full disk)
+/// mid-write never leaves a truncated file at `path`. The scratch file
+/// lives next to the target, so the rename stays on one filesystem, and
+/// is renamed into place only once fully written.
 fn commit_atomically(bytes: &[u8], path: &Path) -> io::Result<()> {
     let mut scratch_name = path
         .file_name()
@@ -865,56 +759,6 @@ mod tests {
         let err = load_jsonl::<u64>(&path).expect_err("mid-file corruption");
         assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
         std::fs::remove_file(&path).ok();
-    }
-
-    #[test]
-    fn compaction_salvages_torn_sources_and_counts_records() {
-        let dir = std::env::temp_dir().join("cichar_db_compact_salvage_test");
-        std::fs::create_dir_all(&dir).expect("tmp dir");
-        let a = dir.join("a.jsonl");
-        let b = dir.join("b.jsonl");
-        save_jsonl(&[1u64, 2], &a).expect("save a");
-        save_jsonl(&[3u64, 4], &b).expect("save b");
-        // Tear chunk a mid-record: its partial line must not be glued to
-        // chunk b's first record.
-        let bytes = std::fs::read(&a).expect("read");
-        std::fs::write(&a, &bytes[..bytes.len() - 1]).expect("truncate");
-        let dest = dir.join("merged.jsonl");
-        let total = compact_jsonl(&[&a, &b], &dest).expect("compact");
-        assert_eq!(total, 3, "one record lost to the tear");
-        let merged: Vec<u64> = load_jsonl(&dest).expect("load");
-        assert_eq!(merged, vec![1, 3, 4]);
-        std::fs::remove_file(&dest).ok();
-    }
-
-    #[test]
-    fn verified_compaction_fails_loudly_on_a_short_chunk() {
-        let dir = std::env::temp_dir().join("cichar_db_compact_verify_test");
-        std::fs::create_dir_all(&dir).expect("tmp dir");
-        let a = dir.join("a.jsonl");
-        let b = dir.join("b.jsonl");
-        save_jsonl(&[1u64, 2, 3], &a).expect("save a");
-        save_jsonl(&[4u64], &b).expect("save b");
-        let dest = dir.join("merged.jsonl");
-
-        // Matching counts: compacts and removes sources.
-        let total = compact_jsonl_verified(&[&a, &b], &[3, 1], &dest).expect("compact");
-        assert_eq!(total, 4);
-        assert!(!a.exists() && !b.exists(), "sources consumed");
-
-        // A short chunk (torn spill) must fail loudly, not merge silently.
-        save_jsonl(&[1u64, 2, 3], &a).expect("save a");
-        save_jsonl(&[4u64], &b).expect("save b");
-        let bytes = std::fs::read(&a).expect("read");
-        std::fs::write(&a, &bytes[..bytes.len() - 2]).expect("truncate");
-        let err = compact_jsonl_verified(&[&a, &b], &[3, 1], &dest)
-            .expect_err("short chunk must be rejected");
-        assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
-        assert!(err.to_string().contains("expects 3"), "{err}");
-        assert!(a.exists() && b.exists(), "no source removed on failure");
-        std::fs::remove_file(&a).ok();
-        std::fs::remove_file(&b).ok();
-        std::fs::remove_file(&dest).ok();
     }
 
     #[test]

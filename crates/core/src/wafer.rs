@@ -13,15 +13,13 @@
 //!   into an incremental [`TripAggregate`] (eq. 1 extrema bit-exact,
 //!   percentiles sketch-bounded) and then dropped — peak memory holds one
 //!   chunk, never the wafer;
-//! * optionally every chunk **spills** its entries as an atomic JSONL
-//!   artifact ([`db::save_jsonl`]), and a final compaction step merges the
-//!   chunk files into one artifact plus a summary
-//!   ([`db::save_artifact`]);
 //! * optionally every chunk is **journaled**
-//!   ([`CampaignJournal`]): the chunk's touchdown products are committed
-//!   as one atomic JSONL checkpoint, and [`WaferRunner::resume`] replays
-//!   the committed prefix to reproduce an interrupted campaign
-//!   bit-identically without re-measuring it.
+//!   ([`CampaignJournal`]): the chunk's touchdown products — its entries
+//!   and site ledgers — are committed as one atomic JSONL checkpoint, and
+//!   [`WaferRunner::resume`] replays the committed prefix to reproduce an
+//!   interrupted campaign bit-identically without re-measuring it. The
+//!   journal is the campaign's one durable record: a finished journaled
+//!   campaign also leaves its summary ([`db::save_artifact`]) there.
 //!
 //! Searches themselves reuse the exact [`MultiTripRunner`] ladder —
 //! recovery, re-bracketing, quarantine classification — so a wafer entry
@@ -58,8 +56,8 @@ use std::io;
 use std::path::PathBuf;
 
 /// Shape of a wafer campaign: touchdown width, dispatch chunking, sketch
-/// resolution, the optional spill destination, and the durability /
-/// self-healing knobs (journal, watchdog, circuit breaker).
+/// resolution, and the durability / self-healing knobs (journal,
+/// watchdog, circuit breaker).
 #[derive(Debug, Clone, PartialEq)]
 pub struct WaferConfig {
     /// Dies measured per touchdown (multi-site width). Grouping never
@@ -76,8 +74,6 @@ pub struct WaferConfig {
     /// counts as a contact fault. One strobe per die either way, so the
     /// check is invariant under site grouping.
     pub contact_check: bool,
-    /// Directory for JSONL entry spills; `None` keeps only the aggregate.
-    pub spill_dir: Option<PathBuf>,
     /// Directory of the crash-durable [`CampaignJournal`]; `None` runs
     /// without checkpoints.
     pub journal_dir: Option<PathBuf>,
@@ -103,7 +99,6 @@ impl Default for WaferConfig {
             chunk_touchdowns: 32,
             sketch_buckets: 256,
             contact_check: true,
-            spill_dir: None,
             journal_dir: None,
             chunk_timeout_ms: None,
             site_fault_threshold: None,
@@ -112,9 +107,9 @@ impl Default for WaferConfig {
     }
 }
 
-/// One streamed (die, test) measurement record — the spill row. Compact
-/// by design: test identity is an index into the campaign's test list,
-/// not a per-entry name allocation.
+/// One streamed (die, test) measurement record — a journal touchdown's
+/// row. Compact by design: test identity is an index into the campaign's
+/// test list, not a per-entry name allocation.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct WaferEntry {
     /// The die's serial id.
@@ -125,17 +120,6 @@ pub struct WaferEntry {
     pub trip_point: Option<f64>,
     /// How the trip point was obtained (or why it is missing).
     pub status: TripStatus,
-}
-
-/// Where the streamed entries went on disk.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct SpillManifest {
-    /// Chunk files written before compaction.
-    pub chunks: u64,
-    /// Entries in the compacted artifact.
-    pub entries: u64,
-    /// Path of the compacted JSONL artifact.
-    pub path: String,
 }
 
 /// The bounded-memory result of a wafer campaign.
@@ -170,8 +154,6 @@ pub struct WaferReport {
     /// ascending.
     #[serde(default)]
     pub quarantined_sites: Vec<u64>,
-    /// The spill artifact, when the campaign spilled.
-    pub spill: Option<SpillManifest>,
 }
 
 /// One touchdown's raw product, produced on a worker and folded by the
@@ -225,7 +207,7 @@ struct CampaignOutput {
 ///     .with_config(WaferConfig { sites: 4, ..WaferConfig::default() });
 /// let (report, ledger) = runner
 ///     .run(&AteConfig::default(), &dies, &tests, SearchStrategy::SearchUntilTrip, ExecPolicy::serial())
-///     .expect("no spill configured, no I/O to fail");
+///     .expect("no journal configured, no I/O to fail");
 /// assert_eq!(report.dies, 8);
 /// assert_eq!(ledger.measurements(), report.total_measurements);
 /// ```
@@ -317,8 +299,8 @@ impl WaferRunner {
     ///
     /// # Errors
     ///
-    /// Propagates spill and journal I/O errors (only possible with a
-    /// spill or journal directory configured).
+    /// Propagates journal I/O errors (only possible with a journal
+    /// directory configured).
     pub fn run(
         &self,
         ate_config: &AteConfig,
@@ -346,7 +328,7 @@ impl WaferRunner {
     ///
     /// # Errors
     ///
-    /// Propagates spill and journal I/O errors.
+    /// Propagates journal I/O errors.
     pub fn run_traced(
         &self,
         ate_config: &AteConfig,
@@ -372,7 +354,7 @@ impl WaferRunner {
     /// `journal_dir`, [`io::ErrorKind::NotFound`] when the directory
     /// holds no journal, and [`io::ErrorKind::InvalidData`] when the
     /// journal belongs to a different campaign or a committed chunk fails
-    /// integrity verification. Spill/journal I/O errors propagate.
+    /// integrity verification. Journal I/O errors propagate.
     pub fn resume(
         &self,
         ate_config: &AteConfig,
@@ -415,7 +397,7 @@ impl WaferRunner {
     /// # Errors
     ///
     /// [`io::ErrorKind::InvalidInput`] without a configured
-    /// `journal_dir`; journal/spill I/O errors propagate.
+    /// `journal_dir`; journal I/O errors propagate.
     pub fn run_prefix(
         &self,
         ate_config: &AteConfig,
@@ -445,8 +427,8 @@ impl WaferRunner {
     }
 
     /// The journal identity for this campaign: a digest of everything
-    /// that shapes its results. Paths (spill/journal directories) are
-    /// deliberately excluded — they relocate a campaign without changing
+    /// that shapes its results. The journal directory's path is
+    /// deliberately excluded — it relocates a campaign without changing
     /// it.
     fn journal_meta(
         &self,
@@ -532,30 +514,10 @@ impl WaferRunner {
         }
     }
 
-    /// Flushes the chunk's spill buffer as one atomic JSONL chunk file,
-    /// recording its path and entry count for verified compaction.
-    fn flush_spill(
-        &self,
-        buffer: &mut Vec<WaferEntry>,
-        paths: &mut Vec<PathBuf>,
-        counts: &mut Vec<u64>,
-        chunk_index: usize,
-    ) -> io::Result<()> {
-        if let Some(dir) = &self.config.spill_dir {
-            let path = dir.join(format!("wafer_chunk_{chunk_index:05}.jsonl"));
-            db::save_jsonl(buffer, &path)?;
-            paths.push(path);
-            counts.push(buffer.len() as u64);
-            buffer.clear();
-        }
-        Ok(())
-    }
-
     /// The campaign engine behind [`Self::run_traced`],
     /// [`Self::resume_traced`] and [`Self::run_prefix`]: replay the
     /// journal's committed prefix (on resume), measure the remaining
-    /// chunks live, finalize spill/summary artifacts unless stopped
-    /// early.
+    /// chunks live, and write the journal's summary unless stopped early.
     #[allow(clippy::too_many_arguments)]
     fn campaign(
         &self,
@@ -614,9 +576,6 @@ impl WaferRunner {
             chunks_total: chunk_count as u64,
             ..ResumeStats::default()
         };
-        let mut spill_paths: Vec<PathBuf> = Vec::new();
-        let mut spill_counts: Vec<u64> = Vec::new();
-        let mut spill_buffer: Vec<WaferEntry> = Vec::new();
 
         // Replay the journal's contiguous committed prefix: re-fold the
         // stored touchdown products in live order and cross-check each
@@ -652,9 +611,6 @@ impl WaferRunner {
                         &mut chunk_aggregate,
                         &mut chunk_ledger,
                     );
-                    if self.config.spill_dir.is_some() {
-                        spill_buffer.extend(td.entries.iter().copied());
-                    }
                     stats.touchdowns_replayed += 1;
                     stats.entries_replayed += td.entries.len() as u64;
                 }
@@ -667,7 +623,6 @@ impl WaferRunner {
                         ),
                     ));
                 }
-                self.flush_spill(&mut spill_buffer, &mut spill_paths, &mut spill_counts, start_chunk)?;
                 Self::latch_breaker(&mut state, start_chunk, None);
                 stats.chunks_replayed += 1;
                 start_chunk += 1;
@@ -706,8 +661,8 @@ impl WaferRunner {
                 },
             );
 
-            // Fold in touchdown order: aggregates, ledgers, spans, spill,
-            // journal records.
+            // Fold in touchdown order: aggregates, ledgers, spans, journal
+            // records.
             let mut chunk_aggregate = fresh_chunk_aggregate();
             let mut chunk_ledger = MeasurementLedger::new();
             let mut records: Vec<JournalRecord> = Vec::new();
@@ -749,19 +704,14 @@ impl WaferRunner {
                     records.push(JournalRecord::Touchdown(TouchdownRecord {
                         touchdown: (first_touchdown + i) as u64,
                         contact_faults: outcome.contact_faults,
-                        entries: outcome.entries.clone(),
-                        ledgers: outcome.ledgers.clone(),
+                        entries: outcome.entries,
+                        ledgers: outcome.ledgers,
                     }));
                 }
-                if self.config.spill_dir.is_some() {
-                    spill_buffer.extend(outcome.entries);
-                }
             }
-            self.flush_spill(&mut spill_buffer, &mut spill_paths, &mut spill_counts, chunk_index)?;
             if let Some(journal) = &journal {
-                // The commit rename is the durability point: spill chunk
-                // files land first so a crash in between re-runs (and
-                // atomically rewrites) the whole chunk.
+                // The commit rename is the durability point: a crash
+                // before it re-runs the whole chunk.
                 records.push(JournalRecord::Commit(ChunkCommit {
                     chunk: chunk_index as u64,
                     touchdowns: chunk_touchdown_count,
@@ -774,20 +724,6 @@ impl WaferRunner {
             Self::latch_breaker(&mut state, chunk_index, Some(tracer));
             committed_chunks = chunk_index as u64 + 1;
         }
-
-        let stopped_early = stop_after_chunks.is_some_and(|k| k < chunk_count);
-        let spill = match &self.config.spill_dir {
-            Some(dir) if !stopped_early => {
-                let dest = dir.join("wafer_entries.jsonl");
-                db::compact_jsonl_verified(&spill_paths, &spill_counts, &dest)?;
-                Some(SpillManifest {
-                    chunks: spill_paths.len() as u64,
-                    entries: state.aggregate.entries,
-                    path: dest.display().to_string(),
-                })
-            }
-            _ => None,
-        };
 
         let report = WaferReport {
             param,
@@ -806,17 +742,10 @@ impl WaferRunner {
                 .as_ref()
                 .map(SiteHealthBreaker::open_sites)
                 .unwrap_or_default(),
-            spill,
         };
-        if !stopped_early {
-            if let Some(dir) = &self.config.spill_dir {
-                db::save_artifact(&report, dir.join("wafer_summary.json"))?;
-            }
-            if let Some(journal) = &journal {
-                if self.config.spill_dir.as_deref() != Some(journal.dir()) {
-                    db::save_artifact(&report, journal.dir().join("wafer_summary.json"))?;
-                }
-            }
+        let stopped_early = stop_after_chunks.is_some_and(|k| k < chunk_count);
+        if let Some(journal) = journal.filter(|_| !stopped_early) {
+            db::save_artifact(&report, journal.dir().join("wafer_summary.json"))?;
         }
         Ok(CampaignOutput {
             report,
@@ -1042,7 +971,7 @@ mod tests {
         let r = runner(4, 2);
         let serial = r
             .run(&harsh_config(), &dies, &tests, SearchStrategy::SearchUntilTrip, ExecPolicy::serial())
-            .expect("no spill");
+            .expect("no journal");
         for threads in [2, 8] {
             let parallel = r
                 .run(
@@ -1052,7 +981,7 @@ mod tests {
                     SearchStrategy::SearchUntilTrip,
                     ExecPolicy::with_threads(threads),
                 )
-                .expect("no spill");
+                .expect("no journal");
             assert_eq!(serial, parallel, "threads={threads}");
         }
     }
@@ -1062,13 +991,26 @@ mod tests {
         let (dies, tests) = wafer(10, 4);
         let base = runner(2, 1)
             .run(&harsh_config(), &dies, &tests, SearchStrategy::SearchUntilTrip, ExecPolicy::with_threads(4))
-            .expect("no spill");
+            .expect("no journal");
         for chunk in [3, 64] {
             let other = runner(2, chunk)
                 .run(&harsh_config(), &dies, &tests, SearchStrategy::SearchUntilTrip, ExecPolicy::with_threads(4))
-                .expect("no spill");
+                .expect("no journal");
             assert_eq!(base, other, "chunk={chunk}");
         }
+    }
+
+    /// Every entry a finished journal holds, in touchdown order.
+    fn journaled_entries(dir: &Path) -> Vec<WaferEntry> {
+        let meta: JournalMeta = db::load_artifact(dir.join("journal_meta.json")).expect("meta");
+        let journal = CampaignJournal::open(dir, &meta).expect("own meta");
+        (0..meta.chunks_total as usize)
+            .flat_map(|chunk| {
+                let (touchdowns, _) =
+                    journal.load_chunk(chunk).expect("readable").expect("committed");
+                touchdowns.into_iter().flat_map(|td| td.entries)
+            })
+            .collect()
     }
 
     #[test]
@@ -1077,16 +1019,16 @@ mod tests {
         // streams — entries, aggregate, ledger and contact accounting all
         // agree.
         let (dies, tests) = wafer(8, 4);
-        let spill_a = tmp_dir("sites1");
-        let spill_b = tmp_dir("sites4");
+        let journal_a = tmp_dir("sites1");
+        let journal_b = tmp_dir("sites4");
         let run = |sites: usize, dir: &Path| {
             let mut r = runner(sites, 2);
-            r.config.spill_dir = Some(dir.to_path_buf());
+            r.config.journal_dir = Some(dir.to_path_buf());
             r.run(&harsh_config(), &dies, &tests, SearchStrategy::SearchUntilTrip, ExecPolicy::with_threads(4))
-                .expect("spill dir writable")
+                .expect("journal dir writable")
         };
-        let (one, ledger_one) = run(1, &spill_a);
-        let (four, ledger_four) = run(4, &spill_b);
+        let (one, ledger_one) = run(1, &journal_a);
+        let (four, ledger_four) = run(4, &journal_b);
 
         assert_eq!(one.aggregate, four.aggregate);
         assert_eq!(one.contact_faults, four.contact_faults);
@@ -1095,12 +1037,10 @@ mod tests {
             one.per_site_quarantined.iter().sum::<u64>(),
             four.per_site_quarantined.iter().sum::<u64>()
         );
-        let entries_one: Vec<WaferEntry> =
-            db::load_jsonl(spill_a.join("wafer_entries.jsonl")).expect("compacted spill");
-        let entries_four: Vec<WaferEntry> =
-            db::load_jsonl(spill_b.join("wafer_entries.jsonl")).expect("compacted spill");
-        assert_eq!(entries_one, entries_four);
-        for dir in [&spill_a, &spill_b] {
+        let entries_one = journaled_entries(&journal_a);
+        assert_eq!(entries_one.len(), 8 * 4);
+        assert_eq!(entries_one, journaled_entries(&journal_b));
+        for dir in [&journal_a, &journal_b] {
             let _ = std::fs::remove_dir_all(dir);
         }
     }
@@ -1120,7 +1060,7 @@ mod tests {
         });
         let (report, ledger) = r
             .run(&config, &dies, &tests, SearchStrategy::SearchUntilTrip, ExecPolicy::serial())
-            .expect("no spill");
+            .expect("no journal");
         assert!(report.aggregate.quarantined > 0, "fault rate high enough to quarantine");
         assert_eq!(
             report.per_site_quarantined.iter().sum::<u64>(),
@@ -1143,7 +1083,7 @@ mod tests {
         r.config.contact_check = false;
         let (report, _) = r
             .run(&config, &dies, &tests, SearchStrategy::SearchUntilTrip, ExecPolicy::with_threads(4))
-            .expect("no spill");
+            .expect("no journal");
         assert_eq!(report.aggregate.entries, 6 * 4);
 
         let mut reference = TripAggregate::new(
@@ -1170,34 +1110,11 @@ mod tests {
     }
 
     #[test]
-    fn spill_compacts_chunks_and_writes_summary() {
-        let (dies, tests) = wafer(6, 3);
-        let dir = tmp_dir("spill");
-        let mut r = runner(2, 1);
-        r.config.spill_dir = Some(dir.clone());
-        let (report, _) = r
-            .run(&harsh_config(), &dies, &tests, SearchStrategy::SearchUntilTrip, ExecPolicy::serial())
-            .expect("spill dir writable");
-
-        let spill = report.spill.as_ref().expect("spill manifest");
-        assert_eq!(spill.chunks, 3, "three chunks of one touchdown each");
-        assert_eq!(spill.entries, 6 * 3);
-        let entries: Vec<WaferEntry> = db::load_jsonl(&spill.path).expect("compacted artifact");
-        assert_eq!(entries.len(), 18);
-        // Chunk files are gone after compaction; the summary artifact parses.
-        assert!(!dir.join("wafer_chunk_00000.jsonl").exists());
-        let summary: WaferReport =
-            db::load_artifact(dir.join("wafer_summary.json")).expect("summary");
-        assert_eq!(summary, report);
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
     fn journaling_never_changes_results() {
         let (dies, tests) = wafer(8, 3);
         let plain = runner(2, 2)
             .run(&harsh_config(), &dies, &tests, SearchStrategy::SearchUntilTrip, ExecPolicy::serial())
-            .expect("no spill");
+            .expect("no journal");
 
         let dir = tmp_dir("journal_noop");
         let mut r = runner(2, 2);
@@ -1214,6 +1131,11 @@ mod tests {
         assert_eq!(journal.committed_chunks().expect("scan"), 2, "4 touchdowns / 2 per chunk");
         let summary: WaferReport = db::load_artifact(dir.join("wafer_summary.json")).expect("summary");
         assert_eq!(summary, journaled.0);
+        // Older builds wrote a `"spill": null` key; the reader skips it.
+        let text = std::fs::read_to_string(dir.join("wafer_summary.json")).expect("summary");
+        let older = text.replacen('{', "{\n  \"spill\": null,", 1);
+        let summary: WaferReport = serde_json::from_str(&older).expect("an older summary loads");
+        assert_eq!(summary, journaled.0);
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -1222,7 +1144,7 @@ mod tests {
         let (dies, tests) = wafer(10, 3);
         let uninterrupted = runner(2, 1)
             .run(&harsh_config(), &dies, &tests, SearchStrategy::SearchUntilTrip, ExecPolicy::serial())
-            .expect("no spill");
+            .expect("no journal");
 
         for kill_after in [0usize, 2, 4] {
             let dir = tmp_dir(&format!("resume_{kill_after}"));
@@ -1246,39 +1168,6 @@ mod tests {
                 "2 dies × 3 tests per replayed chunk"
             );
             let _ = std::fs::remove_dir_all(&dir);
-        }
-    }
-
-    #[test]
-    fn resume_rebuilds_spill_artifacts() {
-        let (dies, tests) = wafer(8, 3);
-        let ref_dir = tmp_dir("respill_ref");
-        let mut reference = runner(2, 2);
-        reference.config.spill_dir = Some(ref_dir.clone());
-        let (ref_report, _) = reference
-            .run(&harsh_config(), &dies, &tests, SearchStrategy::SearchUntilTrip, ExecPolicy::serial())
-            .expect("spill dir writable");
-
-        let dir = tmp_dir("respill");
-        let mut r = runner(2, 2);
-        r.config.spill_dir = Some(dir.clone());
-        r.config.journal_dir = Some(dir.clone());
-        r.run_prefix(&harsh_config(), &dies, &tests, SearchStrategy::SearchUntilTrip, ExecPolicy::serial(), 1)
-            .expect("journal dir writable");
-        let (report, _, _) = r
-            .resume(&harsh_config(), &dies, &tests, SearchStrategy::SearchUntilTrip, ExecPolicy::serial())
-            .expect("resume");
-
-        // Same aggregate and the same compacted entry stream, replayed
-        // chunk included.
-        assert_eq!(report.aggregate, ref_report.aggregate);
-        let entries: Vec<WaferEntry> =
-            db::load_jsonl(dir.join("wafer_entries.jsonl")).expect("compacted");
-        let ref_entries: Vec<WaferEntry> =
-            db::load_jsonl(ref_dir.join("wafer_entries.jsonl")).expect("compacted");
-        assert_eq!(entries, ref_entries);
-        for d in [&ref_dir, &dir] {
-            let _ = std::fs::remove_dir_all(d);
         }
     }
 
@@ -1317,7 +1206,7 @@ mod tests {
         r.config.chunk_timeout_ms = Some(0);
         let (report, ledger) = r
             .run(&harsh_config(), &dies, &tests, SearchStrategy::SearchUntilTrip, ExecPolicy::with_threads(2))
-            .expect("no spill");
+            .expect("no journal");
         assert_eq!(report.timeouts, 6 * 4, "every test timed out");
         assert_eq!(report.aggregate.quarantined, 6 * 4);
         assert_eq!(report.aggregate.entries, 6 * 4);
@@ -1333,10 +1222,10 @@ mod tests {
         generous.config.chunk_timeout_ms = Some(u64::MAX / 2_000);
         let guarded = generous
             .run(&harsh_config(), &dies, &tests, SearchStrategy::SearchUntilTrip, ExecPolicy::with_threads(2))
-            .expect("no spill");
+            .expect("no journal");
         let unguarded = runner(2, 2)
             .run(&harsh_config(), &dies, &tests, SearchStrategy::SearchUntilTrip, ExecPolicy::with_threads(2))
-            .expect("no spill");
+            .expect("no journal");
         assert_eq!(guarded.0.timeouts, 0);
         assert_eq!(guarded, unguarded);
     }
@@ -1357,7 +1246,7 @@ mod tests {
         )];
         let (report, ledger) = r
             .run(&harsh_config(), &dies, &tests, SearchStrategy::SearchUntilTrip, ExecPolicy::with_threads(4))
-            .expect("no spill");
+            .expect("no journal");
 
         assert_eq!(report.quarantined_sites, vec![1], "site 1 latched open");
         assert!(report.timeouts > 0, "stalls blew the watchdog budget");

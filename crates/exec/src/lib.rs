@@ -50,15 +50,36 @@ impl ExecPolicy {
         }
     }
 
-    /// Policy from the environment: `CICHAR_THREADS` when set and valid,
-    /// otherwise the machine's available parallelism.
-    pub fn from_env() -> Self {
-        match std::env::var("CICHAR_THREADS") {
-            Ok(raw) => match parse_thread_count(&raw) {
-                Some(n) => ExecPolicy::with_threads(n),
-                None => ExecPolicy::default(),
-            },
-            Err(_) => ExecPolicy::default(),
+    /// Policy from the `CICHAR_THREADS` environment variable: a positive
+    /// integer is the worker count; unset, empty or `0` means the
+    /// machine's available parallelism.
+    ///
+    /// # Errors
+    ///
+    /// Any other value (junk, a negative or fractional count, bytes that
+    /// are not UTF-8) is an error naming the variable: a typo must not
+    /// silently run at a different width.
+    pub fn from_env() -> Result<Self, String> {
+        Self::from_var(std::env::var_os("CICHAR_THREADS"))
+    }
+
+    /// [`Self::from_env`] over the variable's value.
+    fn from_var(raw: Option<std::ffi::OsString>) -> Result<Self, String> {
+        let Some(raw) = raw else {
+            return Ok(ExecPolicy::default());
+        };
+        let threads = match raw.to_str().map(str::trim) {
+            Some("") => Some(0),
+            Some(text) => text.parse::<usize>().ok(),
+            None => None,
+        };
+        match threads {
+            Some(0) => Ok(ExecPolicy::default()),
+            Some(n) => Ok(ExecPolicy::with_threads(n)),
+            None => Err(format!(
+                "invalid CICHAR_THREADS value {raw:?}: expected a positive integer, \
+                 or 0 or empty for the machine's available parallelism"
+            )),
         }
     }
 
@@ -80,15 +101,6 @@ impl Default for ExecPolicy {
             .map(|n| n.get())
             .unwrap_or(1);
         ExecPolicy { threads }
-    }
-}
-
-/// Parses a `CICHAR_THREADS`-style value: a positive integer, or `0` /
-/// empty meaning "use available parallelism" (`None`).
-pub fn parse_thread_count(raw: &str) -> Option<usize> {
-    match raw.trim().parse::<usize>() {
-        Ok(0) | Err(_) => None,
-        Ok(n) => Some(n),
     }
 }
 
@@ -394,11 +406,17 @@ mod tests {
 
     #[test]
     fn policy_parsing_and_clamping() {
-        assert_eq!(parse_thread_count("4"), Some(4));
-        assert_eq!(parse_thread_count(" 16 "), Some(16));
-        assert_eq!(parse_thread_count("0"), None);
-        assert_eq!(parse_thread_count(""), None);
-        assert_eq!(parse_thread_count("not-a-number"), None);
+        let var = |raw: &str| ExecPolicy::from_var(Some(raw.into()));
+        assert_eq!(var("4"), Ok(ExecPolicy::with_threads(4)));
+        assert_eq!(var(" 16 "), Ok(ExecPolicy::with_threads(16)));
+        for available in ["0", "", "  "] {
+            assert_eq!(var(available), Ok(ExecPolicy::default()), "{available:?}");
+        }
+        assert_eq!(ExecPolicy::from_var(None), Ok(ExecPolicy::default()));
+        for junk in ["not-a-number", "-1", "2.5", "4 threads", "+", "0x4"] {
+            let err = var(junk).expect_err(junk);
+            assert!(err.contains("CICHAR_THREADS") && err.contains(junk), "{err}");
+        }
         assert_eq!(ExecPolicy::with_threads(0).threads(), 1);
         assert!(ExecPolicy::serial().is_serial());
         assert!(ExecPolicy::default().threads() >= 1);

@@ -47,11 +47,6 @@ impl MemOp {
     pub fn drives_outputs(self) -> bool {
         matches!(self, MemOp::Read)
     }
-
-    /// Whether this operation consumes the data word on the bus.
-    pub fn uses_data(self) -> bool {
-        matches!(self, MemOp::Write | MemOp::Read)
-    }
 }
 
 impl fmt::Display for MemOp {

@@ -83,40 +83,19 @@ pub struct RebracketSummary {
 pub struct RebracketingStp {
     stp: SearchUntilTrip,
     fallback: SuccessiveApproximation,
-    tolerance: f64,
 }
 
 impl RebracketingStp {
-    /// Combines an STP window search with a full-range fallback. The
-    /// trace-consistency tolerance defaults to the STP search factor —
-    /// verdicts within one window step of each other are boundary jitter,
-    /// anything beyond is a flipped verdict.
+    /// Combines an STP window search with a full-range fallback.
     pub fn new(stp: SearchUntilTrip, fallback: SuccessiveApproximation) -> Self {
-        let tolerance = stp.sf();
-        Self {
-            stp,
-            fallback,
-            tolerance,
-        }
+        Self { stp, fallback }
     }
 
-    /// Overrides the trace-consistency tolerance.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `tolerance` is negative or not finite.
-    pub fn with_tolerance(mut self, tolerance: f64) -> Self {
-        assert!(
-            tolerance.is_finite() && tolerance >= 0.0,
-            "invalid tolerance {tolerance}"
-        );
-        self.tolerance = tolerance;
-        self
-    }
-
-    /// The consistency tolerance in use.
+    /// The trace-consistency tolerance: the STP search factor. Verdicts
+    /// within one window step of each other are boundary jitter, anything
+    /// beyond is a flipped verdict.
     pub fn tolerance(&self) -> f64 {
-        self.tolerance
+        self.stp.sf()
     }
 
     /// The wrapped STP search.
@@ -135,7 +114,7 @@ impl RebracketingStp {
     pub fn needs_rebracket(&self, outcome: &SearchOutcome, order: RegionOrder) -> bool {
         !outcome.converged
             || outcome.has_invalid()
-            || !outcome.is_consistent(order, self.tolerance)
+            || !outcome.is_consistent(order, self.tolerance())
     }
 
     /// Runs STP around `rtp`; on failure, re-brackets with a fresh
@@ -201,7 +180,7 @@ impl RebracketingStp {
         let stp_trace = &scratch.trace[start..];
         let needs_rebracket = !first.converged
             || stp_trace.iter().any(|(_, p)| !p.is_valid())
-            || !crate::outcome::trace_is_consistent(stp_trace, order, self.tolerance);
+            || !crate::outcome::trace_is_consistent(stp_trace, order, self.tolerance());
         if !needs_rebracket {
             return RebracketSummary {
                 summary: first,

@@ -4,16 +4,24 @@
 //! ```text
 //! cargo run --release --example quickstart
 //! cargo run --release --example quickstart -- --device netlist
+//! cargo run --release --example quickstart -- --device netlist:levels=14,jitter=0.2
 //! ```
+//!
+//! A device whose trip point the generous range cannot bracket (a netlist
+//! of 15 or more levels, for one) exits with status 1 and names the
+//! device.
 
 use cichar::ate::{Ate, MeasuredParam};
 use cichar::bench::{Cli, Flags};
 use cichar::dut::T_DQ_SPEC;
 use cichar::patterns::{march, Test};
-use cichar::search::{BinarySearch, LinearSearch, SearchUntilTrip, SuccessiveApproximation};
+use cichar::search::{
+    BinarySearch, LinearSearch, SearchOutcome, SearchUntilTrip, SuccessiveApproximation,
+};
 
 fn main() {
     let device = Cli::parse(&[Flags::Device]).device;
+    let descriptor = device.descriptor();
     // Load a nominal die on the tester and pick the production test.
     let mut ate = Ate::new(device);
     let test = Test::deterministic("march_c-", march::march_c_minus(64));
@@ -44,13 +52,13 @@ fn main() {
 
     // 4. Search-until-trip-point: the paper's §4 method, re-using the
     //    binary result as the reference trip point.
-    let rtp = binary.trip_point.expect("trip point in range");
+    let rtp = converged(&binary, &descriptor);
     let stp = SearchUntilTrip::new(range, param.search_factor())
         .with_refinement(resolution)
         .run(rtp, param.region_order(), ate.trip_oracle(&test, param));
     report("search-until-trip-point", &stp);
 
-    let t_dq = stp.trip_point.expect("trip point in range");
+    let t_dq = converged(&stp, &descriptor);
     println!(
         "\nmeasured T_DQ = {t_dq:.2} ns vs spec {} -> {}",
         T_DQ_SPEC,
@@ -63,7 +71,7 @@ fn main() {
     println!("tester session total: {}", ate.ledger());
 }
 
-fn report(name: &str, outcome: &cichar::search::SearchOutcome) {
+fn report(name: &str, outcome: &SearchOutcome) {
     match outcome.trip_point {
         Some(tp) => println!(
             "{name:<26} trip point {tp:>7.3} ns in {:>3} measurements",
@@ -71,4 +79,16 @@ fn report(name: &str, outcome: &cichar::search::SearchOutcome) {
         ),
         None => println!("{name:<26} did not converge"),
     }
+}
+
+/// The search's trip point. A device whose trip point the generous range
+/// cannot bracket has none, and the run exits with status 1 naming it.
+fn converged(outcome: &SearchOutcome, device: &str) -> f64 {
+    outcome.trip_point.unwrap_or_else(|| {
+        let range = MeasuredParam::DataValidTime.generous_range();
+        eprintln!(
+            "error: device {device} has no T_DQ trip point inside the generous range {range} ns"
+        );
+        std::process::exit(1)
+    })
 }

@@ -75,7 +75,8 @@ fn check_golden(name: &str, campaign: impl Fn(ExecPolicy, &Tracer)) {
     // And at the environment's width: CI replays this suite under a
     // CICHAR_THREADS ∈ {1, 4} matrix, so the same fixtures lock every
     // deployed parallelism, not just the two pinned widths above.
-    let (env_stream, _) = capture(|t| campaign(ExecPolicy::from_env(), t));
+    let policy = ExecPolicy::from_env().expect("CICHAR_THREADS holds a thread count");
+    let (env_stream, _) = capture(|t| campaign(policy, t));
     assert_eq!(
         env_stream, serial,
         "{name}: the stream must not depend on CICHAR_THREADS"
