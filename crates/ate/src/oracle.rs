@@ -281,26 +281,11 @@ mod tests {
             values.iter().map(|&v| oracle.probe(v)).collect()
         };
         let mut b = Ate::with_config(MemoryDevice::nominal(), config);
-        let batch = b
-            .trip_oracle(&test, MeasuredParam::DataValidTime)
-            .probe_batch(&values);
+        let mut batch = Vec::new();
+        b.trip_oracle(&test, MeasuredParam::DataValidTime)
+            .probe_batch_into(&values, &mut batch);
         assert_eq!(batch, scalar);
         assert_eq!(*a.ledger(), *b.ledger());
-    }
-
-    #[test]
-    fn memoized_batch_serves_in_batch_duplicates_from_cache() {
-        let test = Test::deterministic("march_x", march::march_x(96));
-        let mut ate = Ate::noiseless(MemoryDevice::nominal()).with_memoization();
-        let batch = ate
-            .trip_oracle(&test, MeasuredParam::DataValidTime)
-            .probe_batch(&[30.0, 30.0, 34.0, 30.0]);
-        assert_eq!(
-            batch,
-            vec![Probe::Pass, Probe::Pass, Probe::Fail, Probe::Pass]
-        );
-        assert_eq!(ate.ledger().measurements(), 2, "two distinct stimuli");
-        assert_eq!(ate.ledger().cached_probes(), 2, "duplicates hit the cache");
     }
 
     #[test]
@@ -308,13 +293,15 @@ mod tests {
         let test = Test::deterministic("march_x", march::march_x(96));
         let values = [30.0, 28.0, 34.0];
         let mut plain_ate = Ate::noiseless(MemoryDevice::nominal());
-        let plain = plain_ate
+        let mut plain = Vec::new();
+        plain_ate
             .trip_oracle(&test, MeasuredParam::DataValidTime)
-            .probe_batch(&values);
+            .probe_batch_into(&values, &mut plain);
         let mut spec_ate = Ate::noiseless(MemoryDevice::nominal());
-        let spec = spec_ate
+        let mut spec = Vec::new();
+        spec_ate
             .trip_oracle(&test, MeasuredParam::DataValidTime)
-            .probe_batch_speculative(&values, 1);
+            .probe_batch_speculative_into(&values, 1, &mut spec);
         assert_eq!(spec, plain, "the marker never changes physics");
         assert_eq!(plain_ate.ledger().speculative_probes(), 0);
         assert_eq!(spec_ate.ledger().speculative_probes(), 2);
@@ -372,13 +359,15 @@ mod tests {
         let prepared = crate::PreparedTest::new(&test);
         let values = [30.0, 28.0, 34.0, 31.5];
         let mut legacy_ate = Ate::new(MemoryDevice::nominal());
-        let legacy = legacy_ate
+        let mut legacy = Vec::new();
+        legacy_ate
             .trip_oracle(&test, MeasuredParam::DataValidTime)
-            .probe_batch_speculative(&values, 2);
+            .probe_batch_speculative_into(&values, 2, &mut legacy);
         let mut fresh_ate = Ate::new(MemoryDevice::nominal());
         let mut oracle =
             fresh_ate.trip_oracle_prepared(&prepared, MeasuredParam::DataValidTime, Vec::new());
-        let got = oracle.probe_batch_speculative(&values, 2);
+        let mut got = Vec::new();
+        oracle.probe_batch_speculative_into(&values, 2, &mut got);
         drop(oracle);
         assert_eq!(got, legacy);
         assert_eq!(*fresh_ate.ledger(), *legacy_ate.ledger());
@@ -394,10 +383,9 @@ mod tests {
         assert_eq!(out.len(), 3);
         assert_eq!(out[0], Probe::Invalid, "sentinel survives");
         let mut twin = Ate::noiseless(MemoryDevice::nominal());
-        let alloc = twin
-            .trip_oracle(&test, MeasuredParam::DataValidTime)
-            .probe_batch(&[30.0, 34.0]);
-        assert_eq!(&out[1..], &alloc[..]);
+        let mut oracle = twin.trip_oracle(&test, MeasuredParam::DataValidTime);
+        let scalar = [oracle.probe(30.0), oracle.probe(34.0)];
+        assert_eq!(&out[1..], &scalar[..]);
     }
 
     #[test]

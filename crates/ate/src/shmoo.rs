@@ -68,53 +68,6 @@ impl ShmooPlot {
         Self { x, y, grid }
     }
 
-    /// Rasterizes the test with rows fanned out across worker threads,
-    /// one deterministic session per Y row from `blueprint`.
-    ///
-    /// Row *yi* always runs on the session seeded by
-    /// `derive_seed(campaign seed, yi)` and rows are reassembled in Y
-    /// order, so the raster is bit-identical for every thread count. For
-    /// a noiseless, drift-free blueprint it also equals
-    /// [`ShmooPlot::capture`] on a single session (verdicts are then pure
-    /// functions of the forced cell).
-    ///
-    /// Returns the plot plus the merged ledger (row ledgers folded in Y
-    /// order).
-    pub fn capture_parallel(
-        blueprint: &ParallelAte,
-        test: &Test,
-        x: Axis,
-        y: Axis,
-        policy: ExecPolicy,
-    ) -> (Self, MeasurementLedger) {
-        let StimulusDigest {
-            features, cycles, ..
-        } = test.stimulus().digest();
-        let rows = cichar_exec::par_map(policy, (0..y.len()).collect(), |_, yi| {
-            let mut session = blueprint.session(yi as u64);
-            let row: Vec<bool> = (0..x.len())
-                .map(|xi| {
-                    session
-                        .measure_features(
-                            &features,
-                            cycles,
-                            test,
-                            &[(x.kind(), x.at(xi)), (y.kind(), y.at(yi))],
-                        )
-                        .is_pass()
-                })
-                .collect();
-            (row, *session.ledger())
-        });
-        let mut grid = Vec::with_capacity(x.len() * y.len());
-        let mut ledger = MeasurementLedger::new();
-        for (row, row_ledger) in rows {
-            grid.extend(row);
-            ledger.merge(&row_ledger);
-        }
-        (Self { x, y, grid }, ledger)
-    }
-
     /// The X axis.
     pub fn x_axis(&self) -> &Axis {
         &self.x
@@ -469,49 +422,6 @@ mod tests {
         let text = overlay.render_ascii();
         assert!(text.contains('*') && text.contains('.'));
         assert_eq!(overlay.pass_fraction(0, 6), 1.0);
-    }
-
-    #[test]
-    fn parallel_capture_matches_sequential_on_noiseless_sessions() {
-        use crate::tester::AteConfig;
-        use crate::{DriftModel, NoiseModel};
-        let config = AteConfig {
-            noise: NoiseModel::noiseless(),
-            drift: DriftModel::none(),
-            seed: 0,
-            ..AteConfig::default()
-        };
-        let blueprint = ParallelAte::new(MemoryDevice::nominal(), config);
-        let test = Test::deterministic("march_c-", march::march_c_minus(64));
-        let (x, y) = axes();
-        let (parallel, ledger) =
-            ShmooPlot::capture_parallel(&blueprint, &test, x, y, ExecPolicy::with_threads(4));
-        assert_eq!(parallel, capture_march());
-        assert_eq!(ledger.measurements(), (19 * 7) as u64);
-    }
-
-    #[test]
-    fn parallel_capture_is_thread_count_invariant_even_with_noise() {
-        use crate::tester::AteConfig;
-        let blueprint = ParallelAte::new(
-            MemoryDevice::nominal(),
-            AteConfig {
-                seed: 99,
-                ..AteConfig::default()
-            },
-        );
-        let test = Test::deterministic("march_c-", march::march_c_minus(64));
-        let (x, y) = axes();
-        let capture = |threads: usize| {
-            ShmooPlot::capture_parallel(
-                &blueprint,
-                &test,
-                x.clone(),
-                y.clone(),
-                ExecPolicy::with_threads(threads),
-            )
-        };
-        assert_eq!(capture(1), capture(8));
     }
 
     #[test]

@@ -9,7 +9,7 @@ use crate::params::MeasuredParam;
 use crate::prepared::PreparedTest;
 use cichar_dut::{Device, EvalPlan, Parametrics};
 use cichar_patterns::{PatternFeatures, Test, TestConditions};
-use cichar_search::{Probe, RecoveryStats, RetryPolicy, RobustOracle};
+use cichar_search::{Probe, RecoveryStats};
 use cichar_trace::{FaultKind, SpanTrace, TraceEvent};
 use cichar_units::{Celsius, Megahertz, ParamKind, Volts};
 use rand::rngs::StdRng;
@@ -651,25 +651,10 @@ impl Ate {
         TripOracle::from_prepared(self, prepared, param, forces)
     }
 
-    /// Borrows the tester as a fault-tolerant search oracle: a
-    /// [`RobustOracle`] applying `policy`'s retry / backoff / voting
-    /// ladder over the raw [`TripOracle`]. After the search, release the
-    /// borrow with [`RobustOracle::into_stats`] and charge the recovery
-    /// cost back with [`Ate::absorb_recovery`].
-    pub fn robust_oracle<'a>(
-        &'a mut self,
-        test: &'a Test,
-        param: MeasuredParam,
-        policy: RetryPolicy,
-    ) -> RobustOracle<TripOracle<'a>> {
-        let span = self.trace.clone();
-        RobustOracle::new(TripOracle::new(self, test, param), policy).with_trace(span)
-    }
-
-    /// Charges a [`RobustOracle`]'s recovery tally to this session's
-    /// ledger: re-issued strobes and simulated backoff settle time. The
-    /// retried measurements themselves were already recorded when they
-    /// ran.
+    /// Charges a [`RobustOracle`](cichar_search::RobustOracle)'s recovery
+    /// tally to this session's ledger: re-issued strobes and simulated
+    /// backoff settle time. The retried measurements themselves were
+    /// already recorded when they ran.
     pub fn absorb_recovery(&mut self, stats: &RecoveryStats) {
         self.ledger.record_recovery(stats.retries, stats.backoff_us);
     }
@@ -1020,13 +1005,15 @@ mod tests {
         let faults = TesterFaultModel::transient(0.0, 0.3);
         let mut ate = Ate::with_config(MemoryDevice::nominal(), faulty_config(faults, 21));
         let policy = cichar_search::RetryPolicy::new(5, 100.0);
-        let mut oracle = ate.robust_oracle(&t, MeasuredParam::DataValidTime, policy);
+        let mut scratch = cichar_search::SearchScratch::default();
+        let inner = ate.trip_oracle(&t, MeasuredParam::DataValidTime);
+        let mut oracle = cichar_search::RobustOracle::from_scratch(inner, policy, &mut scratch);
         use cichar_search::PassFailOracle;
         for _ in 0..50 {
             // Deep in the window: with retries, every verdict resolves.
             assert_eq!(oracle.probe(20.0), Probe::Pass);
         }
-        let stats = oracle.into_stats();
+        let (_, stats) = oracle.recycle_parts(&mut scratch);
         assert!(stats.retries > 0, "30% dropouts need retries");
         ate.absorb_recovery(&stats);
         assert_eq!(ate.ledger().retries(), stats.retries);

@@ -215,6 +215,10 @@ fn a_resume_with_another_watchdog_budget_exits_1() {
         assert_eq!(output.status.code(), Some(1), "{args:?}: {}", stderr_of(&output));
         let stderr = stderr_of(&output);
         assert!(stderr.contains("belongs to a different campaign"), "{args:?}: {stderr}");
+        // The watchdog budget lives in the fingerprint's `shape` part, and
+        // the refusal prints only that part from each side.
+        assert!(stderr.contains(": shape differs (journal shape:("), "{args:?}: {stderr}");
+        assert!(!stderr.contains("runner:"), "{args:?}: {stderr}");
     }
     std::fs::remove_dir_all(&journal).ok();
 }

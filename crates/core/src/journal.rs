@@ -162,8 +162,9 @@ impl CampaignJournal {
     /// # Errors
     ///
     /// [`io::ErrorKind::NotFound`] when `dir` holds no journal, and
-    /// [`io::ErrorKind::InvalidData`] when the journal's version or
-    /// fingerprint disagrees with the campaign being resumed.
+    /// [`io::ErrorKind::InvalidData`] when the journal's version, chunk
+    /// count or fingerprint disagrees with the campaign being resumed; the
+    /// message names the first part that differs.
     pub fn open(dir: impl Into<PathBuf>, expected: &JournalMeta) -> io::Result<Self> {
         let dir = dir.into();
         let meta: JournalMeta = db::load_artifact(dir.join("journal_meta.json"))?;
@@ -171,9 +172,9 @@ impl CampaignJournal {
             return Err(io::Error::new(
                 io::ErrorKind::InvalidData,
                 format!(
-                    "journal at {} belongs to a different campaign \
-                     (journal {meta:?}, resuming {expected:?})",
-                    dir.display()
+                    "journal at {} belongs to a different campaign: {}",
+                    dir.display(),
+                    first_difference(&meta, expected)
                 ),
             ));
         }
@@ -294,6 +295,42 @@ impl CampaignJournal {
     }
 }
 
+/// Names the first part of two journal identities that differs and
+/// prints only that part from each side: `version`, `chunks_total`, or
+/// the first `|`-separated `key:value` part of the fingerprint. When the
+/// two fingerprints' parts do not line up key for key, both whole
+/// fingerprints are printed.
+fn first_difference(journal: &JournalMeta, resuming: &JournalMeta) -> String {
+    for (name, ours, theirs) in [
+        ("version", journal.version, resuming.version),
+        ("chunks_total", journal.chunks_total, resuming.chunks_total),
+    ] {
+        if ours != theirs {
+            return format!("{name} differs (journal {ours}, resuming {theirs})");
+        }
+    }
+    fn key(part: &str) -> Option<&str> {
+        part.split_once(':').map(|(key, _)| key)
+    }
+    let ours: Vec<&str> = journal.fingerprint.split('|').collect();
+    let theirs: Vec<&str> = resuming.fingerprint.split('|').collect();
+    let lined_up = ours.len() == theirs.len()
+        && ours
+            .iter()
+            .zip(&theirs)
+            .all(|(a, b)| key(a).is_some() && key(a) == key(b));
+    if lined_up {
+        if let Some((a, b)) = ours.iter().zip(&theirs).find(|(a, b)| a != b) {
+            let name = key(a).unwrap_or_default();
+            return format!("{name} differs (journal {a}, resuming {b})");
+        }
+    }
+    format!(
+        "fingerprint differs (journal {}, resuming {})",
+        journal.fingerprint, resuming.fingerprint
+    )
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -411,6 +448,61 @@ mod tests {
         // The matching fingerprint opens fine.
         let journal = CampaignJournal::open(&dir, &meta(3)).expect("same campaign");
         assert_eq!(journal.meta().chunks_total, 3);
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_refused_resume_names_the_part_that_differs() {
+        let dir = tmp_dir("refusal");
+        let journal = JournalMeta {
+            fingerprint: "runner:R|shape:(1, Some(250))|dies:8".to_string(),
+            ..meta(3)
+        };
+        CampaignJournal::create(&dir, journal.clone()).expect("tmp dir");
+        let refusal = |resuming: JournalMeta| {
+            let err = CampaignJournal::open(&dir, &resuming).expect_err("another campaign");
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+            err.to_string()
+        };
+        let shape = refusal(JournalMeta {
+            fingerprint: "runner:R|shape:(1, None)|dies:8".to_string(),
+            ..journal
+        });
+        assert!(
+            shape.ends_with(
+                "different campaign: shape differs \
+                 (journal shape:(1, Some(250)), resuming shape:(1, None))"
+            ),
+            "{shape}"
+        );
+        let chunks = refusal(JournalMeta {
+            chunks_total: 4,
+            ..journal.clone()
+        });
+        assert!(
+            chunks.ends_with("chunks_total differs (journal 3, resuming 4)"),
+            "{chunks}"
+        );
+        let version = refusal(JournalMeta {
+            version: JOURNAL_VERSION + 1,
+            ..journal.clone()
+        });
+        assert!(
+            version.contains("version differs (journal 1, resuming 2)"),
+            "{version}"
+        );
+        // Parts that do not line up key for key: both whole fingerprints.
+        let foreign = refusal(JournalMeta {
+            fingerprint: "runner:R|dies:8".to_string(),
+            ..journal
+        });
+        assert!(
+            foreign.ends_with(
+                "fingerprint differs (journal runner:R|shape:(1, Some(250))|dies:8, \
+                 resuming runner:R|dies:8)"
+            ),
+            "{foreign}"
+        );
         let _ = fs::remove_dir_all(&dir);
     }
 

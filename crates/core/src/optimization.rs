@@ -216,7 +216,7 @@ impl OptimizationScheme {
         let mut scratch = SearchScratch::new();
         let result = GaEngine::new(self.config.ga, self.layout()).run_seeded(
             self.seed_individuals(seeds),
-            |individual| {
+            &mut |individual: &Individual| {
                 let span = tracer.span(evaluated as u64);
                 let scored = self.score(
                     ate,
@@ -316,7 +316,7 @@ impl OptimizationScheme {
             tracer,
             telemetry,
         };
-        let result = GaEngine::new(self.config.ga, self.layout()).run_seeded_with(
+        let result = GaEngine::new(self.config.ga, self.layout()).run_seeded(
             self.seed_individuals(seeds),
             &mut evaluator,
             rng,

@@ -160,22 +160,6 @@ impl ProductionProgram {
         }
         Bin::Good
     }
-
-    /// Screens a batch of devices, returning the yield as `(good, total)`.
-    pub fn screen_batch<'a>(
-        &self,
-        testers: impl IntoIterator<Item = &'a mut Ate>,
-    ) -> (usize, usize) {
-        let mut good = 0;
-        let mut total = 0;
-        for ate in testers {
-            total += 1;
-            if self.screen(ate).is_good() {
-                good += 1;
-            }
-        }
-        (good, total)
-    }
 }
 
 impl fmt::Display for ProductionProgram {
@@ -381,9 +365,12 @@ mod tests {
             .into_iter()
             .map(|die| Ate::noiseless(MemoryDevice::new(die)))
             .collect();
-        let (good, total) = program.screen_batch(testers.iter_mut());
-        assert_eq!(total, 30);
-        assert!(good >= 20, "healthy lot yields well: {good}/{total}");
+        let good = testers
+            .iter_mut()
+            .map(|ate| program.screen(ate))
+            .filter(|bin| bin.is_good())
+            .count();
+        assert!(good >= 20, "healthy lot yields well: {good}/30");
     }
 
     #[test]

@@ -107,13 +107,11 @@ struct Scored {
 /// of them (generation draws from the engine RNG; scoring must not), then
 /// hands the whole brood to [`FitnessEvaluator::evaluate_batch`]. A plain
 /// `FnMut(&Individual) -> f64` closure is an evaluator via the blanket
-/// impl and scores the batch one by one; [`ParallelFitness`] fans the
-/// batch out across worker threads instead; measurement-backed evaluators
+/// impl and scores the batch one by one; measurement-backed evaluators
 /// (the characterization stack's WCR fitness) override `evaluate_batch`
-/// to route each individual's probes through a batched oracle rather than
-/// letting the default per-individual loop pay scalar bookkeeping per
-/// probe. Either way the engine's RNG stream and the order fitness values
-/// are consumed in are identical, so the GA result is the same.
+/// to fan the brood out across per-evaluation tester sessions. Either way
+/// the engine's RNG stream and the order fitness values are consumed in
+/// are identical, so the GA result is the same.
 pub trait FitnessEvaluator {
     /// Scores one individual.
     fn evaluate(&mut self, individual: &Individual) -> f64;
@@ -129,73 +127,6 @@ pub trait FitnessEvaluator {
 impl<F: FnMut(&Individual) -> f64> FitnessEvaluator for F {
     fn evaluate(&mut self, individual: &Individual) -> f64 {
         self(individual)
-    }
-}
-
-/// A [`FitnessEvaluator`] that scores each generation's brood across
-/// worker threads.
-///
-/// The evaluation function receives the **global evaluation index** (how
-/// many evaluations preceded this one in the run) alongside the
-/// individual. Stochastic fitness functions derive their RNG seed from
-/// that index (e.g. `cichar_exec::derive_seed(campaign_seed, index)`), so
-/// the score of evaluation *i* does not depend on which thread ran it or
-/// when — the GA trajectory is bit-identical for every thread count.
-///
-/// # Examples
-///
-/// ```
-/// use cichar_exec::ExecPolicy;
-/// use cichar_genetic::{FitnessEvaluator, ParallelFitness};
-///
-/// let mut eval = ParallelFitness::new(ExecPolicy::with_threads(4), |index, ind| {
-///     let _ = index; // seed per-evaluation randomness from this
-///     ind.chromosome(0).iter().sum::<u32>() as f64
-/// });
-/// # let _ = &mut eval;
-/// ```
-#[derive(Debug, Clone)]
-pub struct ParallelFitness<F> {
-    policy: cichar_exec::ExecPolicy,
-    evaluated: usize,
-    eval: F,
-}
-
-impl<F> ParallelFitness<F>
-where
-    F: Fn(usize, &Individual) -> f64 + Sync,
-{
-    /// Creates the evaluator; `eval` is called as `eval(global_index,
-    /// individual)` and must be pure given its arguments (derive any
-    /// randomness from `global_index`).
-    pub fn new(policy: cichar_exec::ExecPolicy, eval: F) -> Self {
-        Self {
-            policy,
-            evaluated: 0,
-            eval,
-        }
-    }
-
-    /// Evaluations performed so far.
-    pub fn evaluations(&self) -> usize {
-        self.evaluated
-    }
-}
-
-impl<F> FitnessEvaluator for ParallelFitness<F>
-where
-    F: Fn(usize, &Individual) -> f64 + Sync,
-{
-    fn evaluate(&mut self, individual: &Individual) -> f64 {
-        let index = self.evaluated;
-        self.evaluated += 1;
-        (self.eval)(index, individual)
-    }
-
-    fn evaluate_batch(&mut self, batch: &[Individual]) -> Vec<f64> {
-        let base = self.evaluated;
-        self.evaluated += batch.len();
-        cichar_exec::par_map_ref(self.policy, batch, |i, ind| (self.eval)(base + i, ind))
     }
 }
 
@@ -262,19 +193,7 @@ impl GaEngine {
         F: FnMut(&Individual) -> f64,
         R: Rng + ?Sized,
     {
-        self.run_seeded_with(Vec::new(), &mut fitness, rng)
-    }
-
-    /// Runs with random initial populations and an explicit
-    /// [`FitnessEvaluator`] (e.g. [`ParallelFitness`]). The evaluator is
-    /// borrowed so callers can inspect any state it accumulated after the
-    /// run.
-    pub fn run_with<F, R>(&self, fitness: &mut F, rng: &mut R) -> GaResult
-    where
-        F: FitnessEvaluator + ?Sized,
-        R: Rng + ?Sized,
-    {
-        self.run_seeded_with(Vec::new(), fitness, rng)
+        self.run_seeded(Vec::new(), &mut fitness, rng)
     }
 
     /// Runs with the first population(s) seeded by known-promising
@@ -283,25 +202,11 @@ impl GaEngine {
     /// network test generator".
     ///
     /// Seeds are distributed round-robin across islands; remaining slots
-    /// fill randomly. Seeds that do not match the layout are ignored.
-    pub fn run_seeded<F, R>(&self, seeds: Vec<Individual>, mut fitness: F, rng: &mut R) -> GaResult
-    where
-        F: FnMut(&Individual) -> f64,
-        R: Rng + ?Sized,
-    {
-        self.run_seeded_with(seeds, &mut fitness, rng)
-    }
-
-    /// [`GaEngine::run_seeded`] with an explicit [`FitnessEvaluator`].
-    /// Closures route here through the blanket impl; a batch-parallel
-    /// evaluator with a pure, index-seeded fitness function produces the
-    /// same result for every thread count.
-    pub fn run_seeded_with<F, R>(
-        &self,
-        seeds: Vec<Individual>,
-        fitness: &mut F,
-        rng: &mut R,
-    ) -> GaResult
+    /// fill randomly. Seeds that do not match the layout are ignored. The
+    /// evaluator is borrowed so callers can inspect any state it
+    /// accumulated after the run; closures are evaluators through the
+    /// blanket impl.
+    pub fn run_seeded<F, R>(&self, seeds: Vec<Individual>, fitness: &mut F, rng: &mut R) -> GaResult
     where
         F: FitnessEvaluator + ?Sized,
         R: Rng + ?Sized,
@@ -574,7 +479,7 @@ mod tests {
             layout,
         );
         let mut rng = StdRng::seed_from_u64(6);
-        let seeded = engine.run_seeded(vec![seed], onemax, &mut rng);
+        let seeded = engine.run_seeded(vec![seed], &mut onemax, &mut rng);
         // Even a 5-generation budget retains/improves the seed.
         assert!(seeded.best_fitness >= 38.0, "{seeded}");
     }
@@ -590,7 +495,7 @@ mod tests {
         );
         let bogus = Individual::new(vec![vec![5; 3]]); // wrong shape & bounds
         let mut rng = StdRng::seed_from_u64(7);
-        let result = engine.run_seeded(vec![bogus], onemax, &mut rng);
+        let result = engine.run_seeded(vec![bogus], &mut onemax, &mut rng);
         assert!(result.best_fitness <= 40.0); // simply ran; no panic
     }
 
@@ -686,9 +591,32 @@ mod tests {
         assert!(result.to_string().contains("evaluations"));
     }
 
+    /// Scores each batch back to front and returns the scores in input
+    /// order, recording the batch sizes it saw.
+    struct ReverseScorer {
+        batches: Vec<usize>,
+    }
+
+    impl FitnessEvaluator for ReverseScorer {
+        fn evaluate(&mut self, individual: &Individual) -> f64 {
+            onemax(individual)
+        }
+
+        fn evaluate_batch(&mut self, batch: &[Individual]) -> Vec<f64> {
+            self.batches.push(batch.len());
+            let mut scores = vec![0.0; batch.len()];
+            for (i, individual) in batch.iter().enumerate().rev() {
+                scores[i] = self.evaluate(individual);
+            }
+            scores
+        }
+    }
+
     #[test]
-    fn parallel_fitness_reproduces_the_sequential_run() {
-        use cichar_exec::ExecPolicy;
+    fn batch_scores_in_input_order_reproduce_the_closure_run() {
+        // The batch contract: fitness comes back in input order, and the
+        // order an evaluator scores in draws nothing from the engine's
+        // RNG, so the whole trajectory matches the one-by-one closure.
         let engine = GaEngine::new(
             GaConfig {
                 generations: 20,
@@ -697,39 +625,16 @@ mod tests {
             onemax_layout(),
         );
         let sequential = engine.run(onemax, &mut StdRng::seed_from_u64(13));
-        for threads in [1, 4, 8] {
-            let mut eval =
-                ParallelFitness::new(ExecPolicy::with_threads(threads), |_, ind| onemax(ind));
-            let parallel = engine.run_with(&mut eval, &mut StdRng::seed_from_u64(13));
-            assert_eq!(eval.evaluations(), parallel.evaluations);
-            assert_eq!(parallel, sequential, "{threads} threads");
-        }
-    }
-
-    #[test]
-    fn parallel_fitness_indices_cover_every_evaluation_once() {
-        use cichar_exec::ExecPolicy;
-        use std::sync::Mutex;
-        let engine = GaEngine::new(
-            GaConfig {
-                generations: 6,
-                stagnation_restart: 0,
-                ..GaConfig::default()
-            },
-            onemax_layout(),
-        );
-        let seen = Mutex::new(Vec::new());
-        let result = {
-            let mut eval = ParallelFitness::new(ExecPolicy::with_threads(4), |index, ind| {
-                seen.lock().unwrap().push(index);
-                onemax(ind)
-            });
-            engine.run_with(&mut eval, &mut StdRng::seed_from_u64(14))
+        let mut reverse = ReverseScorer {
+            batches: Vec::new(),
         };
-        let mut indices = seen.into_inner().unwrap();
-        indices.sort_unstable();
-        assert_eq!(indices.len(), result.evaluations);
-        assert!(indices.iter().enumerate().all(|(i, &idx)| i == idx));
+        let batched = engine.run_seeded(Vec::new(), &mut reverse, &mut StdRng::seed_from_u64(13));
+        assert_eq!(batched, sequential);
+        assert_eq!(reverse.batches.iter().sum::<usize>(), batched.evaluations);
+        assert!(
+            reverse.batches.iter().any(|&n| n > 1),
+            "broods are scored as batches"
+        );
     }
 
     mod properties {

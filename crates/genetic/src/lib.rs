@@ -14,6 +14,9 @@
 //! uniform crossover, bounded mutation, elitism, island populations with
 //! migration, stagnation-triggered restarts and seeding (the fuzzy-neural
 //! generator's sub-optimal tests initialize the first population).
+//! [`GaEngine::run`] scores with a closure; [`GaEngine::run_seeded`] takes
+//! seeds and any [`FitnessEvaluator`], which scores each generation's
+//! brood as one batch.
 //!
 //! # Examples
 //!
@@ -39,7 +42,5 @@
 mod engine;
 mod genome;
 
-pub use engine::{
-    FitnessEvaluator, GaConfig, GaEngine, GaResult, GenerationStats, ParallelFitness,
-};
+pub use engine::{FitnessEvaluator, GaConfig, GaEngine, GaResult, GenerationStats};
 pub use genome::{GenomeSpec, Individual, SpeciesLayout};

@@ -151,52 +151,6 @@ impl Committee {
         Ok(Self { members, reports })
     }
 
-    /// Trains the committee with members fanned out across worker
-    /// threads.
-    ///
-    /// One campaign seed is drawn from `rng` up front and each member
-    /// trains on its own RNG seeded by
-    /// [`derive_seed`](cichar_exec::derive_seed)`(campaign, member index)`
-    /// — members never share a random stream, so the committee is
-    /// bit-identical for every thread count (including
-    /// [`ExecPolicy::serial`](cichar_exec::ExecPolicy::serial)). The
-    /// member-RNG discipline differs from [`Committee::train`]'s single
-    /// interleaved stream, so the two constructors produce *different*
-    /// (equally valid) committees from the same `rng` state.
-    ///
-    /// # Errors
-    ///
-    /// As [`Committee::train`].
-    pub fn train_parallel<R: Rng + ?Sized>(
-        topology: &[usize],
-        size: usize,
-        config: &TrainConfig,
-        data: &Dataset,
-        policy: cichar_exec::ExecPolicy,
-        rng: &mut R,
-    ) -> Result<Self, NeuralError> {
-        use rand::rngs::StdRng;
-        use rand::SeedableRng;
-        check_request(topology, size, data)?;
-        let campaign: u64 = rng.gen();
-        let trainer = Trainer::new(*config);
-        let trained = cichar_exec::par_map(policy, (0..size as u64).collect(), |_, member| {
-            let mut member_rng = StdRng::seed_from_u64(cichar_exec::derive_seed(campaign, member));
-            let subset = data.bootstrap(&mut member_rng);
-            let mut mlp = Mlp::new(topology, &mut member_rng)?;
-            let report = trainer.train(&mut mlp, &subset, &mut member_rng);
-            Ok::<(Mlp, TrainReport), NeuralError>((mlp, report))
-        });
-        let mut members = Vec::with_capacity(size);
-        let mut reports = Vec::with_capacity(size);
-        for result in trained {
-            let (mlp, report) = result?;
-            members.push(mlp);
-            reports.push(report);
-        }
-        Ok(Self { members, reports })
-    }
-
     /// Builds a committee from pre-trained members (used when re-loading a
     /// persisted weight file).
     ///
@@ -377,50 +331,7 @@ mod tests {
     }
 
     #[test]
-    fn parallel_training_is_thread_count_invariant() {
-        use cichar_exec::ExecPolicy;
-        let data = line_dataset(60);
-        let train = |threads: usize| {
-            let mut rng = StdRng::seed_from_u64(15);
-            Committee::train_parallel(
-                &[1, 8, 1],
-                5,
-                &TrainConfig::default(),
-                &data,
-                ExecPolicy::with_threads(threads),
-                &mut rng,
-            )
-            .expect("trains")
-        };
-        let serial = train(1);
-        let wide = train(8);
-        assert_eq!(serial, wide);
-        // And it learns the line as well as the sequential constructor.
-        let v = serial.vote(&[0.5]);
-        assert!((v.mean[0] - 0.5).abs() < 0.1, "vote {v}");
-        assert!(serial.accepted(), "all members should pass checks");
-    }
-
-    #[test]
-    fn parallel_training_rejects_zero_size() {
-        use cichar_exec::ExecPolicy;
-        let mut rng = StdRng::seed_from_u64(16);
-        assert!(matches!(
-            Committee::train_parallel(
-                &[1, 1],
-                0,
-                &TrainConfig::default(),
-                &line_dataset(10),
-                ExecPolicy::serial(),
-                &mut rng,
-            ),
-            Err(NeuralError::BadTopology)
-        ));
-    }
-
-    #[test]
     fn datasets_of_another_width_are_rejected() {
-        use cichar_exec::ExecPolicy;
         let wide_inputs = Dataset::new(vec![vec![0.1, 0.2]; 4], vec![vec![0.5]; 4]);
         let wide_targets = Dataset::new(vec![vec![0.1]; 4], vec![vec![0.5, 0.5]; 4]);
         let config = TrainConfig::default();
@@ -430,12 +341,8 @@ mod tests {
         ] {
             let data = data.expect("valid");
             let mut rng = StdRng::seed_from_u64(17);
-            let serial = Committee::train(&[1, 4, 1], 2, &config, &data, &mut rng);
-            assert_eq!(serial, Err(want.clone()));
-            let policy = ExecPolicy::serial();
-            let parallel =
-                Committee::train_parallel(&[1, 4, 1], 2, &config, &data, policy, &mut rng);
-            assert_eq!(parallel, Err(want));
+            let trained = Committee::train(&[1, 4, 1], 2, &config, &data, &mut rng);
+            assert_eq!(trained, Err(want));
         }
     }
 

@@ -2,7 +2,6 @@
 
 use crate::outcome::{Probe, SearchOutcome};
 use crate::traits::{PassFailOracle, RegionOrder};
-use cichar_trace::{SpanTrace, TraceEvent};
 use cichar_units::ParamRange;
 
 /// The §1 binary search: "the delta between the last known true and last
@@ -61,42 +60,7 @@ impl BinarySearch {
 
     /// Runs the search. The trip point is reported on the pass side of the
     /// final bracket (fig. 1: "the trip point is a device pass").
-    pub fn run<O: PassFailOracle>(&self, order: RegionOrder, oracle: O) -> SearchOutcome {
-        self.run_traced(order, oracle, &SpanTrace::disabled())
-    }
-
-    /// [`run`](Self::run), emitting `SearchStarted`, the endpoint
-    /// `Bracketed` pair and `SearchFinished` into `span`.
-    pub fn run_traced<O: PassFailOracle>(
-        &self,
-        order: RegionOrder,
-        oracle: O,
-        span: &SpanTrace,
-    ) -> SearchOutcome {
-        span.emit_with(|| TraceEvent::SearchStarted {
-            strategy: "binary".into(),
-            order: order.equation_tag().into(),
-            window: [self.range.start(), self.range.end()],
-            reference: None,
-            sf: None,
-        });
-        let outcome = self.halve(order, oracle, span);
-        span.emit_with(|| TraceEvent::SearchFinished {
-            strategy: "binary".into(),
-            trip_point: outcome.trip_point,
-            converged: outcome.converged,
-            probes: outcome.measurements() as u64,
-        });
-        outcome
-    }
-
-    /// The halving loop shared by the plain and traced entry points.
-    fn halve<O: PassFailOracle>(
-        &self,
-        order: RegionOrder,
-        mut oracle: O,
-        span: &SpanTrace,
-    ) -> SearchOutcome {
+    pub fn run<O: PassFailOracle>(&self, order: RegionOrder, mut oracle: O) -> SearchOutcome {
         let mut trace = Vec::new();
         let (pass_end, fail_end) = match order {
             RegionOrder::PassBelowFail => (self.range.start(), self.range.end()),
@@ -110,10 +74,6 @@ impl BinarySearch {
             // No crossover inside the range.
             return SearchOutcome::unconverged(trace);
         }
-        span.emit(TraceEvent::Bracketed {
-            pass_value: pass_end,
-            fail_value: fail_end,
-        });
         let (mut lo_pass, mut hi_fail) = (pass_end, fail_end);
         while (hi_fail - lo_pass).abs() > self.resolution {
             let mid = lo_pass + (hi_fail - lo_pass) / 2.0;

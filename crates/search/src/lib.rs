@@ -8,9 +8,16 @@
 //! full "generous range" on every test.
 //!
 //! All algorithms speak to the device only through a [`PassFailOracle`]
-//! and report a [`SearchOutcome`] carrying the trip point, the complete
-//! probe trace, and — crucially for the fig. 3 reproduction — the number
-//! of measurements consumed.
+//! and report the trip point, the complete probe trace, and — crucially
+//! for the fig. 3 reproduction — the number of measurements consumed.
+//! The four searches each have one `run` that returns a
+//! [`SearchOutcome`]. The ones a campaign runs
+//! ([`SuccessiveApproximation`], [`SearchUntilTrip`], and
+//! [`RebracketingStp`], its full-range fallback) have `run_traced_in`,
+//! which emits trace events into a span and appends the probe trace to a
+//! caller-owned [`SearchScratch`], returning a copyable
+//! [`SearchSummary`]; steady-state searching through it allocates
+//! nothing.
 //!
 //! # Examples
 //!
@@ -44,7 +51,7 @@ mod warm;
 pub use binary::BinarySearch;
 pub use linear::LinearSearch;
 pub use outcome::{trace_is_consistent, Probe, SearchOutcome, SearchSummary};
-pub use rebracket::{RebracketSummary, RebracketedOutcome, RebracketingStp};
+pub use rebracket::{RebracketSummary, RebracketingStp};
 pub use scratch::SearchScratch;
 pub use robust::{RecoveryStats, RetryPolicy, RobustOracle, ScriptedOracle};
 pub use stp::SearchUntilTrip;

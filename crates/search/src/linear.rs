@@ -2,7 +2,6 @@
 
 use crate::outcome::{Probe, SearchOutcome};
 use crate::traits::{PassFailOracle, RegionOrder};
-use cichar_trace::{SpanTrace, TraceEvent};
 use cichar_units::ParamRange;
 
 /// The §1 linear search: start at one boundary and step through a
@@ -64,37 +63,7 @@ impl LinearSearch {
     /// Returns the last passing value as the trip point once the first
     /// failure appears. If the device never changes state across the range
     /// the outcome is unconverged.
-    pub fn run<O: PassFailOracle>(&self, order: RegionOrder, oracle: O) -> SearchOutcome {
-        self.run_traced(order, oracle, &SpanTrace::disabled())
-    }
-
-    /// [`run`](Self::run), emitting `SearchStarted` and `SearchFinished`
-    /// into `span`.
-    pub fn run_traced<O: PassFailOracle>(
-        &self,
-        order: RegionOrder,
-        oracle: O,
-        span: &SpanTrace,
-    ) -> SearchOutcome {
-        span.emit_with(|| TraceEvent::SearchStarted {
-            strategy: "linear".into(),
-            order: order.equation_tag().into(),
-            window: [self.range.start(), self.range.end()],
-            reference: None,
-            sf: None,
-        });
-        let outcome = self.sweep(order, oracle);
-        span.emit_with(|| TraceEvent::SearchFinished {
-            strategy: "linear".into(),
-            trip_point: outcome.trip_point,
-            converged: outcome.converged,
-            probes: outcome.measurements() as u64,
-        });
-        outcome
-    }
-
-    /// The sweep shared by the plain and traced entry points.
-    fn sweep<O: PassFailOracle>(&self, order: RegionOrder, mut oracle: O) -> SearchOutcome {
+    pub fn run<O: PassFailOracle>(&self, order: RegionOrder, mut oracle: O) -> SearchOutcome {
         let dir = order.toward_fail();
         let start = match order {
             RegionOrder::PassBelowFail => self.range.start(),

@@ -161,22 +161,6 @@ impl SearchOutcome {
     pub fn invalids(&self) -> usize {
         self.trace.iter().filter(|(_, p)| !p.is_valid()).count()
     }
-
-    /// `true` when at least one probe in the trace returned no verdict.
-    pub fn has_invalid(&self) -> bool {
-        self.trace.iter().any(|(_, p)| !p.is_valid())
-    }
-
-    /// Whether the trace respects the pass/fail ordering of `order` within
-    /// `tolerance` — see [`trace_is_consistent`].
-    pub fn is_consistent(&self, order: RegionOrder, tolerance: f64) -> bool {
-        trace_is_consistent(&self.trace, order, tolerance)
-    }
-
-    /// The last probed value and verdict, if any probe was made.
-    pub fn last_probe(&self) -> Option<(f64, Probe)> {
-        self.trace.last().copied()
-    }
 }
 
 /// The copyable core of a search result: trip point and convergence,
@@ -256,12 +240,6 @@ mod tests {
     }
 
     #[test]
-    fn last_probe_returns_final_entry() {
-        assert_eq!(demo().last_probe(), Some((1.5, Probe::Pass)));
-        assert_eq!(SearchOutcome::unconverged(vec![]).last_probe(), None);
-    }
-
-    #[test]
     fn display_converged_vs_not() {
         assert!(demo().to_string().contains("trip point 1.5"));
         assert!(SearchOutcome::unconverged(vec![])
@@ -293,7 +271,6 @@ mod tests {
         assert_eq!(o.passes(), 1);
         assert_eq!(o.fails(), 1);
         assert_eq!(o.invalids(), 1);
-        assert!(o.has_invalid());
         assert_eq!(o.measurements(), 3);
     }
 

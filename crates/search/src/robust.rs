@@ -129,13 +129,16 @@ impl RecoveryStats {
 /// # Examples
 ///
 /// ```
-/// use cichar_search::{PassFailOracle, Probe, RetryPolicy, RobustOracle, ScriptedOracle};
+/// use cichar_search::{
+///     PassFailOracle, Probe, RetryPolicy, RobustOracle, ScriptedOracle, SearchScratch,
+/// };
 ///
 /// // A probe contact that drops out once, then answers.
 /// let flaky = ScriptedOracle::new(vec![Probe::Invalid, Probe::Pass]);
-/// let mut robust = RobustOracle::new(flaky, RetryPolicy::default());
+/// let mut scratch = SearchScratch::default();
+/// let mut robust = RobustOracle::from_scratch(flaky, RetryPolicy::default(), &mut scratch);
 /// assert_eq!(robust.probe(1.0), Probe::Pass);
-/// let stats = robust.into_stats();
+/// let (_, stats) = robust.recycle_parts(&mut scratch);
 /// assert_eq!(stats.retries, 1);
 /// assert!(stats.backoff_us > 0.0);
 /// ```
@@ -146,44 +149,30 @@ pub struct RobustOracle<O> {
     stats: RecoveryStats,
     trace: SpanTrace,
     /// Value/verdict buffers for the vote's mandatory upfront batch,
-    /// reused across probe requests (and across searches when the oracle
-    /// is built with [`Self::from_scratch`]).
+    /// borrowed from a [`SearchScratch`] and reused across probe requests
+    /// and searches.
     vote_values: Vec<f64>,
     vote_probes: Vec<Probe>,
 }
 
 impl<O: PassFailOracle> RobustOracle<O> {
-    /// Wraps `inner` with the given recovery policy.
-    pub fn new(inner: O, policy: RetryPolicy) -> Self {
+    /// Wraps `inner` with the given recovery policy, borrowing the vote
+    /// buffers from a [`SearchScratch`] so repeated searches reuse one
+    /// allocation. Hand the buffers back with [`Self::recycle_parts`]
+    /// when the search is done.
+    pub fn from_scratch(inner: O, policy: RetryPolicy, scratch: &mut SearchScratch) -> Self {
+        let mut vote_values = std::mem::take(&mut scratch.vote_values);
+        vote_values.clear();
+        let mut vote_probes = std::mem::take(&mut scratch.vote_probes);
+        vote_probes.clear();
         Self {
             inner,
             policy,
             stats: RecoveryStats::default(),
             trace: SpanTrace::disabled(),
-            vote_values: Vec::new(),
-            vote_probes: Vec::new(),
+            vote_values,
+            vote_probes,
         }
-    }
-
-    /// [`Self::new`], borrowing the vote buffers from a
-    /// [`SearchScratch`] so repeated searches reuse one allocation. Hand
-    /// the buffers back with [`Self::recycle`] when the search is done.
-    pub fn from_scratch(inner: O, policy: RetryPolicy, scratch: &mut SearchScratch) -> Self {
-        let mut oracle = Self::new(inner, policy);
-        oracle.vote_values = std::mem::take(&mut scratch.vote_values);
-        oracle.vote_values.clear();
-        oracle.vote_probes = std::mem::take(&mut scratch.vote_probes);
-        oracle.vote_probes.clear();
-        oracle
-    }
-
-    /// Consumes the wrapper, returning the vote buffers to `scratch` and
-    /// the final recovery tally to the caller — the allocation-free twin
-    /// of [`Self::into_stats`].
-    pub fn recycle(self, scratch: &mut SearchScratch) -> RecoveryStats {
-        scratch.vote_values = self.vote_values;
-        scratch.vote_probes = self.vote_probes;
-        self.stats
     }
 
     /// Attaches a trace span; recovery work then emits `RetryScheduled`
@@ -193,31 +182,10 @@ impl<O: PassFailOracle> RobustOracle<O> {
         self
     }
 
-    /// The recovery tally so far.
-    pub fn stats(&self) -> &RecoveryStats {
-        &self.stats
-    }
-
-    /// The active policy.
-    pub fn policy(&self) -> &RetryPolicy {
-        &self.policy
-    }
-
-    /// Consumes the wrapper, releasing the inner oracle's borrow and
-    /// returning the final recovery tally.
-    pub fn into_stats(self) -> RecoveryStats {
-        self.stats
-    }
-
-    /// Consumes the wrapper, returning the inner oracle and the tally.
-    pub fn into_parts(self) -> (O, RecoveryStats) {
-        (self.inner, self.stats)
-    }
-
-    /// [`Self::into_parts`] that also returns the vote buffers to
-    /// `scratch` — for callers that need both the recovery tally and the
-    /// inner oracle (to reclaim *its* buffers too) without dropping a
-    /// single allocation.
+    /// Consumes the wrapper, returning the vote buffers to `scratch` and
+    /// the inner oracle (to reclaim *its* buffers too) and the final
+    /// recovery tally to the caller, without dropping a single
+    /// allocation.
     pub fn recycle_parts(self, scratch: &mut SearchScratch) -> (O, RecoveryStats) {
         scratch.vote_values = self.vote_values;
         scratch.vote_probes = self.vote_probes;
@@ -373,12 +341,22 @@ mod tests {
     use super::*;
     use crate::traits::FnOracle;
 
+    /// Wraps `inner` on a fresh scratch.
+    fn robust<O: BatchOracle>(inner: O, policy: RetryPolicy) -> RobustOracle<O> {
+        RobustOracle::from_scratch(inner, policy, &mut SearchScratch::default())
+    }
+
+    /// The inner oracle and the final recovery tally.
+    fn finish<O: BatchOracle>(robust: RobustOracle<O>) -> (O, RecoveryStats) {
+        robust.recycle_parts(&mut SearchScratch::default())
+    }
+
     #[test]
     fn passthrough_policy_is_transparent() {
-        let mut robust = RobustOracle::new(FnOracle::new(|v| v < 5.0), RetryPolicy::none());
-        assert_eq!(robust.probe(1.0), Probe::Pass);
-        assert_eq!(robust.probe(9.0), Probe::Fail);
-        let (inner, stats) = robust.into_parts();
+        let mut oracle = robust(FnOracle::new(|v| v < 5.0), RetryPolicy::none());
+        assert_eq!(oracle.probe(1.0), Probe::Pass);
+        assert_eq!(oracle.probe(9.0), Probe::Fail);
+        let (inner, stats) = finish(oracle);
         assert_eq!(inner.probes(), 2, "exactly one strobe per request");
         assert_eq!(stats, RecoveryStats::default());
     }
@@ -386,9 +364,9 @@ mod tests {
     #[test]
     fn retry_recovers_single_dropout() {
         let flaky = ScriptedOracle::new(vec![Probe::Invalid, Probe::Fail]);
-        let mut robust = RobustOracle::new(flaky, RetryPolicy::new(3, 50.0));
-        assert_eq!(robust.probe(0.0), Probe::Fail);
-        let stats = robust.into_stats();
+        let mut oracle = robust(flaky, RetryPolicy::new(3, 50.0));
+        assert_eq!(oracle.probe(0.0), Probe::Fail);
+        let (_, stats) = finish(oracle);
         assert_eq!(stats.retries, 1);
         assert_eq!(stats.dropouts, 0);
         assert_eq!(stats.backoff_us, 50.0);
@@ -397,9 +375,9 @@ mod tests {
     #[test]
     fn backoff_doubles_each_retry_until_budget_exhausted() {
         let dead = ScriptedOracle::new(vec![Probe::Invalid]);
-        let mut robust = RobustOracle::new(dead, RetryPolicy::new(3, 100.0));
-        assert_eq!(robust.probe(0.0), Probe::Invalid);
-        let stats = robust.into_stats();
+        let mut oracle = robust(dead, RetryPolicy::new(3, 100.0));
+        assert_eq!(oracle.probe(0.0), Probe::Invalid);
+        let (_, stats) = finish(oracle);
         assert_eq!(stats.retries, 3);
         assert_eq!(stats.dropouts, 1, "final verdict unavailable");
         assert_eq!(stats.backoff_us, 100.0 + 200.0 + 400.0);
@@ -409,9 +387,9 @@ mod tests {
     fn vote_outvotes_single_flip() {
         // 2-of-3: one flipped verdict in three strobes loses the vote.
         let flaky = ScriptedOracle::new(vec![Probe::Pass, Probe::Fail, Probe::Pass]);
-        let mut robust = RobustOracle::new(flaky, RetryPolicy::none().with_vote(2, 3));
-        assert_eq!(robust.probe(0.0), Probe::Pass);
-        let stats = robust.into_stats();
+        let mut oracle = robust(flaky, RetryPolicy::none().with_vote(2, 3));
+        assert_eq!(oracle.probe(0.0), Probe::Pass);
+        let (_, stats) = finish(oracle);
         assert_eq!(stats.vote_strobes, 2);
         assert_eq!(stats.dropouts, 0);
     }
@@ -419,9 +397,9 @@ mod tests {
     #[test]
     fn vote_exits_early_once_majority_is_reached() {
         let clean = ScriptedOracle::new(vec![Probe::Fail]);
-        let mut robust = RobustOracle::new(clean, RetryPolicy::none().with_vote(2, 3));
-        assert_eq!(robust.probe(0.0), Probe::Fail);
-        let (inner, stats) = robust.into_parts();
+        let mut oracle = robust(clean, RetryPolicy::none().with_vote(2, 3));
+        assert_eq!(oracle.probe(0.0), Probe::Fail);
+        let (inner, stats) = finish(oracle);
         assert_eq!(inner.served(), 2, "third strobe is unnecessary");
         assert_eq!(stats.vote_strobes, 1);
     }
@@ -430,17 +408,17 @@ mod tests {
     fn vote_tie_yields_invalid() {
         // Pass, fail, dropout: neither side reaches k = 2.
         let torn = ScriptedOracle::new(vec![Probe::Pass, Probe::Fail, Probe::Invalid]);
-        let mut robust = RobustOracle::new(torn, RetryPolicy::none().with_vote(2, 3));
-        assert_eq!(robust.probe(0.0), Probe::Invalid);
-        assert_eq!(robust.into_stats().dropouts, 1);
+        let mut oracle = robust(torn, RetryPolicy::none().with_vote(2, 3));
+        assert_eq!(oracle.probe(0.0), Probe::Invalid);
+        assert_eq!(finish(oracle).1.dropouts, 1);
     }
 
     #[test]
     fn vote_all_dropout_yields_invalid() {
         let dead = ScriptedOracle::new(vec![Probe::Invalid]);
-        let mut robust = RobustOracle::new(dead, RetryPolicy::new(1, 10.0).with_vote(2, 3));
-        assert_eq!(robust.probe(0.0), Probe::Invalid);
-        let stats = robust.into_stats();
+        let mut oracle = robust(dead, RetryPolicy::new(1, 10.0).with_vote(2, 3));
+        assert_eq!(oracle.probe(0.0), Probe::Invalid);
+        let (_, stats) = finish(oracle);
         assert_eq!(stats.dropouts, 1, "one unanswerable probe request");
         assert!(stats.retries >= 2, "each voting strobe ran its retry ladder");
     }
@@ -450,9 +428,9 @@ mod tests {
         // First two of five strobes drop out with k = 3: still decidable.
         // After the third dropout no side can reach 3 — stop strobing.
         let dead = ScriptedOracle::new(vec![Probe::Invalid]);
-        let mut robust = RobustOracle::new(dead, RetryPolicy::none().with_vote(3, 5));
-        assert_eq!(robust.probe(0.0), Probe::Invalid);
-        let (inner, _) = robust.into_parts();
+        let mut oracle = robust(dead, RetryPolicy::none().with_vote(3, 5));
+        assert_eq!(oracle.probe(0.0), Probe::Invalid);
+        let (inner, _) = finish(oracle);
         assert_eq!(inner.served(), 3, "stops when 3 dropouts make k unreachable");
     }
 
@@ -472,17 +450,18 @@ mod tests {
     fn from_scratch_votes_identically_and_recycles_buffers() {
         let mut scratch = SearchScratch::default();
         let policy = RetryPolicy::none().with_vote(2, 3);
-        // Plain construction.
+        // A fresh scratch per construction.
         let flaky = ScriptedOracle::new(vec![Probe::Pass, Probe::Fail, Probe::Pass]);
-        let mut plain = RobustOracle::new(flaky, policy);
+        let mut plain = robust(flaky, policy);
         let plain_verdict = plain.probe(0.0);
-        // Scratch-backed construction, twice, recycling in between.
+        let (_, plain_stats) = finish(plain);
+        // One scratch, twice, recycling in between.
         for _ in 0..2 {
             let flaky = ScriptedOracle::new(vec![Probe::Pass, Probe::Fail, Probe::Pass]);
-            let mut robust = RobustOracle::from_scratch(flaky, policy, &mut scratch);
-            assert_eq!(robust.probe(0.0), plain_verdict);
-            let stats = robust.recycle(&mut scratch);
-            assert_eq!(stats, *plain.stats());
+            let mut oracle = RobustOracle::from_scratch(flaky, policy, &mut scratch);
+            assert_eq!(oracle.probe(0.0), plain_verdict);
+            let (_, stats) = oracle.recycle_parts(&mut scratch);
+            assert_eq!(stats, plain_stats);
         }
         assert!(
             scratch.vote_values.capacity() >= 2,

@@ -34,15 +34,18 @@ use cichar_units::ParamKind;
 ///
 /// ```
 /// use cichar_search::{FnOracle, RegionOrder, SearchScratch, SearchUntilTrip};
+/// use cichar_trace::SpanTrace;
 /// use cichar_units::ParamRange;
 ///
 /// let range = ParamRange::new(80.0, 130.0)?;
 /// let stp = SearchUntilTrip::new(range, 1.0);
+/// let span = SpanTrace::disabled();
 /// let mut scratch = SearchScratch::default();
 /// for boundary in [108.2, 112.9] {
 ///     scratch.trace.clear();
 ///     let mut oracle = FnOracle::new(|v| v <= boundary);
-///     let summary = stp.run_in(110.0, RegionOrder::PassBelowFail, &mut oracle, &mut scratch);
+///     let order = RegionOrder::PassBelowFail;
+///     let summary = stp.run_traced_in(110.0, order, &mut oracle, &span, &mut scratch);
 ///     assert!(summary.converged);
 /// }
 /// # Ok::<(), Box<dyn std::error::Error>>(())
@@ -78,6 +81,7 @@ mod tests {
     use super::*;
     use crate::traits::FnOracle;
     use crate::RegionOrder;
+    use cichar_trace::SpanTrace;
     use cichar_units::ParamRange;
 
     #[test]
@@ -97,27 +101,17 @@ mod tests {
         // outcome as a fresh one on the next search.
         let range = ParamRange::new(80.0, 130.0).expect("valid");
         let stp = crate::SearchUntilTrip::new(range, 1.0).with_refinement(0.1);
+        let span = SpanTrace::disabled();
+        let run = |boundary: f64, scratch: &mut SearchScratch| {
+            let oracle = FnOracle::new(move |v| v <= boundary);
+            stp.run_traced_in(110.0, RegionOrder::PassBelowFail, oracle, &span, scratch)
+        };
         let mut dirty = SearchScratch::default();
-        let _ = stp.run_in(
-            110.0,
-            RegionOrder::PassBelowFail,
-            FnOracle::new(|v| v <= 93.0),
-            &mut dirty,
-        );
+        let _ = run(93.0, &mut dirty);
         dirty.trace.clear();
-        let reused = stp.run_in(
-            110.0,
-            RegionOrder::PassBelowFail,
-            FnOracle::new(|v| v <= 112.5),
-            &mut dirty,
-        );
+        let reused = run(112.5, &mut dirty);
         let mut fresh = SearchScratch::default();
-        let clean = stp.run_in(
-            110.0,
-            RegionOrder::PassBelowFail,
-            FnOracle::new(|v| v <= 112.5),
-            &mut fresh,
-        );
+        let clean = run(112.5, &mut fresh);
         assert_eq!(reused, clean);
         assert_eq!(dirty.trace, fresh.trace);
     }

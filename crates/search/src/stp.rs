@@ -104,58 +104,28 @@ impl SearchUntilTrip {
         self.sf
     }
 
-    /// Runs STP around the reference trip point `rtp`.
+    /// Runs STP around the reference trip point `rtp`, returning the
+    /// trip point with its probe trace.
     ///
     /// # Panics
     ///
     /// Panics if `rtp` lies outside the search range — the reference must
     /// come from a search over the same range.
     pub fn run<O: PassFailOracle>(&self, rtp: f64, order: RegionOrder, oracle: O) -> SearchOutcome {
-        self.run_traced(rtp, order, oracle, &SpanTrace::disabled())
-    }
-
-    /// [`run`](Self::run), emitting the full event shape of the walk into
-    /// `span`: a `SearchStarted` carrying the window, reference and `SF`;
-    /// one `StepTaken` per eq. 3/4 iteration with the growing step factor
-    /// `SF·IT` and its clamp state at the `CR` edge; a `Bracketed` on the
-    /// first state change; and a closing `SearchFinished`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `rtp` lies outside the search range.
-    pub fn run_traced<O: PassFailOracle>(
-        &self,
-        rtp: f64,
-        order: RegionOrder,
-        oracle: O,
-        span: &SpanTrace,
-    ) -> SearchOutcome {
         let mut scratch = SearchScratch::default();
-        let summary = self.run_traced_in(rtp, order, oracle, span, &mut scratch);
+        let summary = self.run_traced_in(rtp, order, oracle, &SpanTrace::disabled(), &mut scratch);
         summary.into_outcome(scratch.trace)
     }
 
-    /// [`run`](Self::run) with a caller-owned [`SearchScratch`]: probes
-    /// are appended to `scratch.trace` (which the caller clears between
-    /// searches) and only the copyable [`SearchSummary`] is returned, so
-    /// steady-state searching allocates nothing.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `rtp` lies outside the search range.
-    pub fn run_in<O: PassFailOracle>(
-        &self,
-        rtp: f64,
-        order: RegionOrder,
-        oracle: O,
-        scratch: &mut SearchScratch,
-    ) -> SearchSummary {
-        self.run_traced_in(rtp, order, oracle, &SpanTrace::disabled(), scratch)
-    }
-
-    /// [`run_traced`](Self::run_traced) with a caller-owned
-    /// [`SearchScratch`] — the event shape is identical; the probe trace
-    /// lands in `scratch.trace` instead of a fresh vector.
+    /// [`run`](Self::run) with a caller-owned [`SearchScratch`], emitting
+    /// the full event shape of the walk into `span`: a `SearchStarted`
+    /// carrying the window, reference and `SF`; one `StepTaken` per eq. 3/4
+    /// iteration with the growing step factor `SF·IT` and its clamp state
+    /// at the `CR` edge; a `Bracketed` on the first state change; and a
+    /// closing `SearchFinished`. Probes are appended to `scratch.trace`
+    /// (which the caller clears between searches) and only the copyable
+    /// [`SearchSummary`] is returned, so steady-state searching allocates
+    /// nothing.
     ///
     /// # Panics
     ///
@@ -186,8 +156,7 @@ impl SearchUntilTrip {
         summary
     }
 
-    /// The eq. 3/4 window walk itself (shared by [`run`](Self::run) and
-    /// [`run_traced`](Self::run_traced)), appending probes to `trace`.
+    /// The eq. 3/4 window walk itself, appending probes to `trace`.
     fn walk<O: PassFailOracle>(
         &self,
         rtp: f64,
@@ -423,6 +392,19 @@ mod tests {
         );
     }
 
+    /// A traced STP run on a fresh scratch, with its probe trace.
+    fn traced<O: PassFailOracle>(
+        stp: &SearchUntilTrip,
+        rtp: f64,
+        order: RegionOrder,
+        oracle: O,
+        span: &SpanTrace,
+    ) -> SearchOutcome {
+        let mut scratch = SearchScratch::default();
+        let summary = stp.run_traced_in(rtp, order, oracle, span, &mut scratch);
+        summary.into_outcome(scratch.trace)
+    }
+
     /// The `StepTaken` records of a traced STP run, in emission order.
     fn steps_of(span: &SpanTrace) -> Vec<(u64, f64, f64, bool)> {
         span.events()
@@ -448,7 +430,8 @@ mod tests {
         let span = SpanTrace::for_test(0);
         let sf = 1.5;
         let mut oracle = FnOracle::new(|v| v <= 127.0);
-        let o = SearchUntilTrip::new(range(), sf).run_traced(
+        let o = traced(
+            &SearchUntilTrip::new(range(), sf),
             100.0,
             RegionOrder::PassBelowFail,
             &mut oracle,
@@ -490,7 +473,8 @@ mod tests {
         let r = ParamRange::new(1.2, 2.1).expect("valid");
         let sf = 0.02;
         let mut oracle = FnOracle::new(|v| v >= 1.31);
-        let o = SearchUntilTrip::new(r, sf).run_traced(
+        let o = traced(
+            &SearchUntilTrip::new(r, sf),
             1.9,
             RegionOrder::PassAboveFail,
             &mut oracle,
@@ -525,7 +509,8 @@ mod tests {
         // away from the fail region, with the same growing step.
         let span = SpanTrace::for_test(0);
         let mut oracle = FnOracle::new(|v| v <= 93.0);
-        let o = SearchUntilTrip::new(range(), 1.0).run_traced(
+        let o = traced(
+            &SearchUntilTrip::new(range(), 1.0),
             110.0,
             RegionOrder::PassBelowFail,
             &mut oracle,
@@ -547,7 +532,8 @@ mod tests {
         // walk stops right after the clamped probe.
         let span = SpanTrace::for_test(0);
         let mut oracle = FnOracle::new(|_| true);
-        let o = SearchUntilTrip::new(range(), 5.0).run_traced(
+        let o = traced(
+            &SearchUntilTrip::new(range(), 5.0),
             110.0,
             RegionOrder::PassBelowFail,
             &mut oracle,
@@ -573,7 +559,8 @@ mod tests {
     fn traced_walk_event_order_is_started_steps_bracket_finished() {
         let span = SpanTrace::for_test(7);
         let mut oracle = FnOracle::new(|v| v <= 112.5);
-        let o = SearchUntilTrip::new(range(), 1.0).run_traced(
+        let o = traced(
+            &SearchUntilTrip::new(range(), 1.0),
             110.0,
             RegionOrder::PassBelowFail,
             &mut oracle,
@@ -616,36 +603,14 @@ mod tests {
         let mut b = FnOracle::new(|v| v <= 112.5);
         let stp = SearchUntilTrip::new(range(), 1.0).with_refinement(0.1);
         let plain = stp.run(110.0, RegionOrder::PassBelowFail, &mut a);
-        let traced = stp.run_traced(
+        let traced = traced(
+            &stp,
             110.0,
             RegionOrder::PassBelowFail,
             &mut b,
             &SpanTrace::for_test(0),
         );
         assert_eq!(plain, traced, "tracing must not perturb the search");
-    }
-
-    #[test]
-    fn run_in_matches_allocating_run() {
-        let stp = SearchUntilTrip::new(range(), 1.0).with_refinement(0.1);
-        let mut scratch = crate::SearchScratch::default();
-        for boundary in [93.0, 112.5, 200.0] {
-            scratch.trace.clear();
-            let summary = stp.run_in(
-                110.0,
-                RegionOrder::PassBelowFail,
-                FnOracle::new(|v| v <= boundary),
-                &mut scratch,
-            );
-            let outcome = stp.run(
-                110.0,
-                RegionOrder::PassBelowFail,
-                FnOracle::new(|v| v <= boundary),
-            );
-            assert_eq!(summary.trip_point, outcome.trip_point);
-            assert_eq!(summary.converged, outcome.converged);
-            assert_eq!(scratch.trace, outcome.trace);
-        }
     }
 
     proptest! {

@@ -104,21 +104,10 @@ impl SuccessiveApproximation {
         self.max_drift_retries
     }
 
-    /// Runs the search.
+    /// Runs the search, returning the trip point with its probe trace.
     pub fn run<O: BatchOracle>(&self, order: RegionOrder, oracle: O) -> SearchOutcome {
-        self.run_traced(order, oracle, &SpanTrace::disabled())
-    }
-
-    /// [`run`](Self::run), emitting `SearchStarted`, the initial
-    /// `Bracketed` pair and `SearchFinished` into `span`.
-    pub fn run_traced<O: BatchOracle>(
-        &self,
-        order: RegionOrder,
-        oracle: O,
-        span: &SpanTrace,
-    ) -> SearchOutcome {
         let mut scratch = SearchScratch::default();
-        let summary = self.run_traced_in(order, oracle, span, &mut scratch);
+        let summary = self.run_traced_in(order, oracle, &SpanTrace::disabled(), &mut scratch);
         summary.into_outcome(scratch.trace)
     }
 
@@ -135,9 +124,8 @@ impl SuccessiveApproximation {
         self.run_traced_in(order, oracle, &SpanTrace::disabled(), scratch)
     }
 
-    /// [`run_traced`](Self::run_traced) with a caller-owned
-    /// [`SearchScratch`] — the event shape is identical; the probe trace
-    /// lands in `scratch.trace` instead of a fresh vector.
+    /// [`run_in`](Self::run_in), emitting `SearchStarted`, the initial
+    /// `Bracketed` pair and `SearchFinished` into `span`.
     pub fn run_traced_in<O: BatchOracle>(
         &self,
         order: RegionOrder,
@@ -163,8 +151,7 @@ impl SuccessiveApproximation {
         summary
     }
 
-    /// The search body shared by the plain and traced entry points,
-    /// appending probes to `scratch.trace`.
+    /// The search body, appending probes to `scratch.trace`.
     fn approximate<O: BatchOracle>(
         &self,
         order: RegionOrder,

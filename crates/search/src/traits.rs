@@ -80,35 +80,25 @@ impl<T: PassFailOracle + ?Sized> PassFailOracle for &mut T {
 ///
 /// Naturally-batched call sites — k-of-n vote strobes, GA fitness broods,
 /// speculative bisection children — hand the whole value set to
-/// [`BatchOracle::probe_batch`], letting the tester amortize ledger, fault
-/// and trace bookkeeping over the batch instead of paying it per probe.
+/// [`BatchOracle::probe_batch_into`], letting the tester amortize ledger,
+/// fault and trace bookkeeping over the batch instead of paying it per
+/// probe. Both methods **append** their verdicts to a caller-owned buffer
+/// (never clearing it), so hot loops can reuse one allocation across every
+/// batch.
 ///
 /// # Contract
 ///
-/// `probe_batch(values)` must return exactly `values.len()` verdicts, and
-/// element `i` must be **bit-identical** to what the `i`-th of
-/// `values.len()` sequential [`PassFailOracle::probe`] calls would have
+/// `probe_batch_into(values, out)` must append exactly `values.len()`
+/// verdicts, and element `i` must be **bit-identical** to what the `i`-th
+/// of `values.len()` sequential [`PassFailOracle::probe`] calls would have
 /// returned on the same oracle state — including noise draws, fault
 /// injection and cache hits. Batching buys bookkeeping amortization, never
 /// different physics. The default implementation is the scalar loop
 /// itself, so any oracle satisfies the contract trivially.
-///
-/// The `*_into` variants are the primitive form: they **append** their
-/// verdicts to a caller-owned buffer (never clearing it), so hot loops
-/// can reuse one allocation across every batch. The allocating methods
-/// are thin wrappers over them; an oracle overrides whichever form is
-/// natural and the other comes for free, with identical verdicts.
 pub trait BatchOracle: PassFailOracle {
-    /// Resolves every value in order, as one batch.
-    fn probe_batch(&mut self, values: &[f64]) -> Vec<Probe> {
-        let mut out = Vec::with_capacity(values.len());
-        self.probe_batch_into(values, &mut out);
-        out
-    }
-
-    /// [`Self::probe_batch`], appending exactly `values.len()` verdicts to
-    /// `out` instead of allocating a fresh vector. The default is the
-    /// scalar probe loop.
+    /// Resolves every value in order, as one batch, appending exactly
+    /// `values.len()` verdicts to `out`. The default is the scalar probe
+    /// loop.
     fn probe_batch_into(&mut self, values: &[f64], out: &mut Vec<Probe>) {
         out.reserve(values.len());
         for &v in values {
@@ -117,22 +107,15 @@ pub trait BatchOracle: PassFailOracle {
         }
     }
 
-    /// [`Self::probe_batch`] with values from index `first_speculative`
-    /// onward marked as *speculative*: pre-issued work (e.g. both children
-    /// of the next bisection level) that the caller may discard unused.
+    /// [`Self::probe_batch_into`] with values from index
+    /// `first_speculative` onward marked as *speculative*: pre-issued work
+    /// (e.g. both children of the next bisection level) that the caller
+    /// may discard unused.
     ///
-    /// Verdicts are identical to [`Self::probe_batch`]; only the
+    /// Verdicts are identical to [`Self::probe_batch_into`]; only the
     /// accounting differs — oracles with a measurement ledger mark the
     /// speculative tail so probe-economy numbers can subtract the waste.
     /// The default ignores the marker.
-    fn probe_batch_speculative(&mut self, values: &[f64], first_speculative: usize) -> Vec<Probe> {
-        let mut out = Vec::with_capacity(values.len());
-        self.probe_batch_speculative_into(values, first_speculative, &mut out);
-        out
-    }
-
-    /// [`Self::probe_batch_speculative`], appending to `out` instead of
-    /// allocating. The default ignores the marker.
     fn probe_batch_speculative_into(
         &mut self,
         values: &[f64],
@@ -145,16 +128,8 @@ pub trait BatchOracle: PassFailOracle {
 }
 
 impl<T: BatchOracle + ?Sized> BatchOracle for &mut T {
-    fn probe_batch(&mut self, values: &[f64]) -> Vec<Probe> {
-        (**self).probe_batch(values)
-    }
-
     fn probe_batch_into(&mut self, values: &[f64], out: &mut Vec<Probe>) {
         (**self).probe_batch_into(values, out)
-    }
-
-    fn probe_batch_speculative(&mut self, values: &[f64], first_speculative: usize) -> Vec<Probe> {
-        (**self).probe_batch_speculative(values, first_speculative)
     }
 
     fn probe_batch_speculative_into(
@@ -251,14 +226,17 @@ mod tests {
     fn default_probe_batch_is_the_scalar_loop() {
         let values = [1.0, 7.0, 3.0, 9.0];
         let mut batched = FnOracle::new(|v| v < 5.0);
-        let batch = batched.probe_batch(&values);
+        let mut batch = Vec::new();
+        batched.probe_batch_into(&values, &mut batch);
         let mut scalar = FnOracle::new(|v| v < 5.0);
         let loop_verdicts: Vec<Probe> = values.iter().map(|&v| scalar.probe(v)).collect();
         assert_eq!(batch, loop_verdicts);
         assert_eq!(batched.probes(), scalar.probes());
         // The speculative marker changes nothing for a ledger-less oracle.
         let mut spec = FnOracle::new(|v| v < 5.0);
-        assert_eq!(spec.probe_batch_speculative(&values, 1), batch);
+        let mut spec_batch = Vec::new();
+        spec.probe_batch_speculative_into(&values, 1, &mut spec_batch);
+        assert_eq!(spec_batch, batch);
     }
 
     #[test]
@@ -275,19 +253,22 @@ mod tests {
         let mut spec = FnOracle::new(|v| v < 5.0);
         spec.probe_batch_speculative_into(&values, 1, &mut spec_out);
         assert_eq!(spec_out, out, "marker never changes verdicts");
-        // And the allocating forms agree with the appended tail.
-        let mut alloc = FnOracle::new(|v| v < 5.0);
-        assert_eq!(alloc.probe_batch(&values), out[1..].to_vec());
     }
 
     #[test]
     fn mut_ref_is_a_batch_oracle() {
         fn takes_batch<O: BatchOracle>(mut o: O) -> Vec<Probe> {
-            o.probe_batch(&[0.0, 10.0])
+            let mut out = Vec::new();
+            o.probe_batch_into(&[0.0, 10.0], &mut out);
+            o.probe_batch_speculative_into(&[0.0, 10.0], 1, &mut out);
+            out
         }
         let mut oracle = FnOracle::new(|v| v < 5.0);
-        assert_eq!(takes_batch(&mut oracle), vec![Probe::Pass, Probe::Fail]);
-        assert_eq!(oracle.probes(), 2);
+        assert_eq!(
+            takes_batch(&mut oracle),
+            vec![Probe::Pass, Probe::Fail, Probe::Pass, Probe::Fail]
+        );
+        assert_eq!(oracle.probes(), 4);
     }
 
     #[test]

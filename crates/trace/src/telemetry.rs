@@ -575,14 +575,16 @@ impl TelemetryCore {
             trips_per_sec,
             eta_ms,
         };
-        self.evaluate_alarms(&mut hb);
+        let transitioned = self.evaluate_alarms(&mut hb);
         if let Err(err) = self.append_heartbeat(&hb) {
             self.latch(err);
         }
-        // Re-snapshot after the alarm events so the textfile's alarm
+        // A raise or clear is a campaign event the tracer counted after
+        // `hb.metrics` was taken: re-snapshot so the textfile's alarm
         // counters include this heartbeat's own transitions.
-        let metrics = self.tracer.metrics();
-        if let Err(err) = self.write_metrics(&metrics, self.seq + 1, hb.alarms_active.len()) {
+        let resnapshot = transitioned.then(|| self.tracer.metrics());
+        let metrics = resnapshot.as_ref().unwrap_or(&hb.metrics);
+        if let Err(err) = self.write_metrics(metrics, self.seq + 1, hb.alarms_active.len()) {
             self.latch(err);
         }
         self.history.push(hb);
@@ -593,8 +595,10 @@ impl TelemetryCore {
     }
 
     /// Runs every rule against the new snapshot, records raise/clear
-    /// transitions, and stamps the snapshot's active-alarm list.
-    fn evaluate_alarms(&mut self, hb: &mut HeartbeatSnapshot) {
+    /// transitions, and stamps the snapshot's active-alarm list. Returns
+    /// whether any rule raised or cleared, which emits a campaign event.
+    fn evaluate_alarms(&mut self, hb: &mut HeartbeatSnapshot) -> bool {
+        let mut transitioned = false;
         for rule in &self.rules {
             let name = rule.name();
             let firing = rule.evaluate(&self.history, hb);
@@ -613,6 +617,7 @@ impl TelemetryCore {
                         heartbeat: hb.seq,
                         detail,
                     });
+                    transitioned = true;
                 }
                 (true, None) => {
                     if let Some(index) = self.active.remove(name) {
@@ -622,11 +627,13 @@ impl TelemetryCore {
                         alarm: name.to_string(),
                         heartbeat: hb.seq,
                     });
+                    transitioned = true;
                 }
                 _ => {}
             }
         }
         hb.alarms_active = self.active.keys().cloned().collect();
+        transitioned
     }
 
     /// Appends one heartbeat line — a single `write` of a full line, so a
@@ -908,6 +915,53 @@ mod tests {
         assert_eq!(events, vec!["raised:stall_silence", "cleared:stall_silence"]);
         assert_eq!(tracer.metrics().alarms_raised, 1);
         assert_eq!(tracer.metrics().alarms_cleared, 1);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn metrics_file_counts_a_raising_heartbeat_and_matches_a_quiet_one() {
+        let dir = tmp_dir("prom_beats");
+        let tracer = Tracer::new(Arc::new(RingBufferSink::unbounded()));
+        let rules = vec![AlarmRule::StallSilence { max_silent_ms: 15 }];
+        let telemetry =
+            Telemetry::create_with(&dir, "t", tracer.clone(), 10, rules).expect("tmp is writable");
+        let prom = || {
+            let text = std::fs::read_to_string(dir.join(METRICS_FILE)).expect("written");
+            parse_openmetrics(&text).expect("parses")
+        };
+        let last_beat = || {
+            let text = std::fs::read_to_string(dir.join(HEARTBEAT_FILE)).expect("written");
+            let line = text.lines().last().expect("a heartbeat").to_string();
+            serde_json::from_str::<HeartbeatSnapshot>(&line).expect("parses")
+        };
+        let span = tracer.span(0);
+        span.emit(TraceEvent::ProbeResolved {
+            value: 1.0,
+            verdict: crate::event::TraceVerdict::Pass,
+            cached: false,
+        });
+        tracer.absorb(span);
+        // Quiet heartbeat: the file carries exactly the heartbeat's metrics.
+        telemetry.tick(|| Progress::units("p", 12_000, 1, 4));
+        let quiet = last_beat();
+        assert!(quiet.alarms_active.is_empty());
+        let samples = prom();
+        let own = parse_openmetrics(&render_openmetrics(&quiet.metrics)).expect("parses");
+        for (name, value) in own {
+            assert_eq!(samples.get(&name), Some(&value), "{name}");
+        }
+        // 20 simulated ms without a resolved probe: this heartbeat raises
+        // the stall alarm after its own snapshot was taken, and the file
+        // counts the raise.
+        telemetry.tick(|| Progress::units("p", 32_000, 1, 4));
+        let raising = last_beat();
+        assert_eq!(raising.alarms_active, vec!["stall_silence".to_string()]);
+        assert_eq!(raising.metrics.alarms_raised, 0);
+        let samples = prom();
+        assert_eq!(samples.get("cichar_alarms_raised_total"), Some(&1.0));
+        assert_eq!(samples.get("cichar_alarms_active"), Some(&1.0));
+        assert_eq!(samples.get("cichar_heartbeats_total"), Some(&2.0));
+        telemetry.finish().expect("no I/O error");
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -18,8 +18,10 @@
 //!    `Ate::measure_features` call per solo-site session (the touchdown
 //!    strobe), per-site and merged ledgers compared too;
 //! 4. `TripOracle::probe_batch_into` / `probe_batch_speculative_into`
-//!    vs their allocating defaults (the search↔ATE seam);
-//! 5. the `*_in` search entry points fed a deliberately polluted
+//!    vs a scalar `TripOracle::probe` loop on a second session (the
+//!    search↔ATE seam), ledgers compared too, the speculative column
+//!    included;
+//! 5. the scratch-based search entry points fed a deliberately polluted
 //!    scratch: summaries, traces and ledgers must match a fresh-buffer
 //!    run exactly.
 
@@ -28,8 +30,9 @@ use cichar::dut::{Device, Registry};
 use cichar::exec::derive_seed;
 use cichar::patterns::{random, ConditionSpace, PatternFeatures, TestConditions};
 use cichar::search::{
-    BatchOracle, Probe, SearchScratch, SearchUntilTrip, SuccessiveApproximation,
+    BatchOracle, PassFailOracle, Probe, SearchScratch, SearchUntilTrip, SuccessiveApproximation,
 };
+use cichar::trace::SpanTrace;
 use cichar::units::ParamKind;
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -188,45 +191,55 @@ proptest! {
     }
 
     /// Layer 4: the search↔ATE seam. The trip oracle's buffer-reusing
-    /// batch probes — plain and speculative — must match the allocating
-    /// defaults verdict-for-verdict, ledger-for-ledger.
+    /// batch probes — plain, then speculative — must match the same
+    /// values probed one by one on a second session, verdict-for-verdict;
+    /// the ledgers must match too, with the speculative tail counted in
+    /// the speculative column.
     #[test]
-    fn trip_oracle_batch_into_matches_twin(
+    fn trip_oracle_batch_into_matches_scalar_loop(
         seed in 0u64..1024,
         lo in 22.0f64..26.0,
         span in 0.5f64..6.0,
     ) {
         let values: Vec<f64> = (0..9).map(|i| lo + span * f64::from(i) / 8.0).collect();
+        let first_speculative = values.len() / 2;
         for (name, device) in backends() {
             let config = AteConfig { seed: SEED ^ seed, ..AteConfig::default() };
             let mut rng = StdRng::seed_from_u64(seed);
             let test = random::random_test_at(&mut rng, TestConditions::nominal());
             let param = MeasuredParam::DataValidTime;
 
-            let mut twin = Ate::with_config(device.clone(), config.clone());
-            let fresh = twin.trip_oracle(&test, param).probe_batch(&values);
-            let fresh_spec = twin
-                .trip_oracle(&test, param)
-                .probe_batch_speculative(&values, values.len() / 2);
+            let mut scalar = Ate::with_config(device.clone(), config.clone());
+            let mut probe_each = || {
+                let mut oracle = scalar.trip_oracle(&test, param);
+                values.iter().map(|&v| oracle.probe(v)).collect::<Vec<Probe>>()
+            };
+            let expected = probe_each();
+            let expected_spec = probe_each();
 
             let mut reusing = Ate::with_config(device.clone(), config);
             let mut out = vec![Probe::Invalid; 1];
             reusing.trip_oracle(&test, param).probe_batch_into(&values, &mut out);
-            prop_assert_eq!(&out[1..], &fresh[..], "`{}`: probe_batch_into diverges", name);
+            prop_assert_eq!(out[0], Probe::Invalid, "`{}`: prefix clobbered", name);
+            prop_assert_eq!(&out[1..], &expected[..], "`{}`: probe_batch_into diverges", name);
             out.clear();
             reusing.trip_oracle(&test, param).probe_batch_speculative_into(
-                &values, values.len() / 2, &mut out,
+                &values, first_speculative, &mut out,
             );
-            prop_assert_eq!(&out[..], &fresh_spec[..],
+            prop_assert_eq!(&out[..], &expected_spec[..],
                 "`{}`: probe_batch_speculative_into diverges", name);
-            prop_assert_eq!(twin.ledger(), reusing.ledger(), "`{}`: ledgers diverge", name);
+            let mut ledger = *scalar.ledger();
+            for _ in first_speculative..values.len() {
+                ledger.record_speculative();
+            }
+            prop_assert_eq!(reusing.ledger(), &ledger, "`{}`: ledgers diverge", name);
         }
     }
 
-    /// Layer 5: a polluted scratch must not leak into results. Both `*_in`
-    /// entry points run against a scratch whose every buffer holds garbage
-    /// from a fictional previous die; summary, trace and ledger must be
-    /// bit-identical to a fresh-buffer run.
+    /// Layer 5: a polluted scratch must not leak into results. Both
+    /// scratch-based entry points run against a scratch whose every
+    /// buffer holds garbage from a fictional previous die; summary, trace
+    /// and ledger must be bit-identical to a fresh-buffer run.
     #[test]
     fn dirty_scratch_never_leaks_between_searches(seed in 0u64..1024) {
         for (name, device) in backends() {
@@ -256,8 +269,9 @@ proptest! {
                 let fresh = stp.run(rtp, order, twin.trip_oracle(&test, param));
                 let mut scratch = polluted_scratch();
                 let mut reusing = Ate::with_config(device.clone(), config);
+                let oracle = reusing.trip_oracle(&test, param);
                 let summary =
-                    stp.run_in(rtp, order, reusing.trip_oracle(&test, param), &mut scratch);
+                    stp.run_traced_in(rtp, order, oracle, &SpanTrace::disabled(), &mut scratch);
                 prop_assert_eq!(summary.trip_point, fresh.trip_point, "`{}`: STP trip", name);
                 prop_assert_eq!(summary.converged, fresh.converged, "`{}`: STP convergence", name);
                 prop_assert_eq!(&scratch.trace, &fresh.trace, "`{}`: STP trace", name);

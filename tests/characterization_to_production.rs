@@ -87,9 +87,12 @@ fn worst_case_database_drives_a_working_production_program() {
         .into_iter()
         .map(|die| Ate::noiseless(MemoryDevice::new(die)))
         .collect();
-    let (good, total) = program.screen_batch(testers.iter_mut());
-    assert_eq!(total, 40);
-    assert!(good >= 30, "healthy lot yield {good}/{total}");
+    let good = testers
+        .iter_mut()
+        .map(|ate| program.screen(ate))
+        .filter(|bin| bin.is_good())
+        .count();
+    assert!(good >= 30, "healthy lot yield {good}/40");
 }
 
 #[test]

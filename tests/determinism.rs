@@ -110,7 +110,9 @@ mod batch_scalar_parity {
     use cichar::ate::{Ate, AteConfig, MeasuredParam, NoiseModel, TesterFaultModel};
     use cichar::dut::MemoryDevice;
     use cichar::patterns::{random, ConditionSpace, PatternFeatures};
-    use cichar::search::{BatchOracle, PassFailOracle, Probe, RetryPolicy};
+    use cichar::search::{
+        BatchOracle, PassFailOracle, Probe, RetryPolicy, RobustOracle, SearchScratch,
+    };
     use proptest::prelude::*;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
@@ -162,23 +164,29 @@ mod batch_scalar_parity {
                 values.iter().map(|&v| oracle.probe(v)).collect()
             };
             let mut b = Ate::with_config(MemoryDevice::nominal(), config.clone());
-            let batch = b.trip_oracle(&test, param).probe_batch(&values);
+            let mut batch = Vec::new();
+            b.trip_oracle(&test, param).probe_batch_into(&values, &mut batch);
             prop_assert_eq!(batch, scalar);
             prop_assert_eq!(a.ledger(), b.ledger());
 
             // The k-of-n voting wrapper batches its strobes too; the
             // retry/vote decisions must come out identical.
             let policy = RetryPolicy::new(3, 50.0).with_vote(2, 3);
+            let mut scratch = SearchScratch::default();
             let mut a = Ate::with_config(MemoryDevice::nominal(), config.clone());
             let (robust_scalar, stats_scalar) = {
-                let mut oracle = a.robust_oracle(&test, param, policy);
+                let inner = a.trip_oracle(&test, param);
+                let mut oracle = RobustOracle::from_scratch(inner, policy, &mut scratch);
                 let probes: Vec<Probe> = values.iter().map(|&v| oracle.probe(v)).collect();
-                (probes, oracle.into_stats())
+                (probes, oracle.recycle_parts(&mut scratch).1)
             };
             let mut b = Ate::with_config(MemoryDevice::nominal(), config);
             let (robust_batch, stats_batch) = {
-                let mut oracle = b.robust_oracle(&test, param, policy);
-                (oracle.probe_batch(&values), oracle.into_stats())
+                let inner = b.trip_oracle(&test, param);
+                let mut oracle = RobustOracle::from_scratch(inner, policy, &mut scratch);
+                let mut probes = Vec::new();
+                oracle.probe_batch_into(&values, &mut probes);
+                (probes, oracle.recycle_parts(&mut scratch).1)
             };
             prop_assert_eq!(robust_batch, robust_scalar);
             prop_assert_eq!(stats_batch, stats_scalar);
@@ -192,13 +200,11 @@ mod batch_scalar_parity {
 /// random stream is a pure function of (campaign seed, item index) and
 /// outputs merge by index, never by completion order.
 mod parallel_bit_identity {
-    use cichar::ate::{AteConfig, MeasuredParam, ParallelAte, ShmooPlot};
+    use cichar::ate::{AteConfig, MeasuredParam, ParallelAte};
     use cichar::core::dsv::{MultiTripRunner, SearchStrategy};
     use cichar::dut::MemoryDevice;
     use cichar::exec::ExecPolicy;
-    use cichar::genetic::{GaConfig, GaEngine, GenomeSpec, Individual, ParallelFitness, SpeciesLayout};
     use cichar::patterns::{random, ConditionSpace, Test};
-    use cichar::units::{Axis, ParamKind};
     use proptest::prelude::*;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
@@ -206,10 +212,6 @@ mod parallel_bit_identity {
     fn random_tests(seed: u64, n: usize) -> Vec<Test> {
         let space = ConditionSpace::default();
         random::random_suite(&mut StdRng::seed_from_u64(seed), &space, n)
-    }
-
-    fn weight(individual: &Individual) -> f64 {
-        individual.chromosome(0).iter().map(|&g| f64::from(g)).sum()
     }
 
     proptest! {
@@ -321,47 +323,6 @@ mod parallel_bit_identity {
             let warm_threaded = runner.run_parallel_warm(
                 &blueprint, &tests, &predictions, &planner, ExecPolicy::with_threads(8));
             prop_assert_eq!(warm_serial, warm_threaded);
-        }
-
-        #[test]
-        fn shmoo_grids_match_across_thread_counts(
-            campaign_seed in 0u64..=u64::from(u32::MAX),
-            suite_seed in 0u64..1000,
-        ) {
-            let blueprint = ParallelAte::new(
-                MemoryDevice::nominal(),
-                AteConfig { seed: campaign_seed, ..AteConfig::default() },
-            );
-            let test = &random_tests(suite_seed, 1)[0];
-            let x = Axis::new(ParamKind::StrobeDelay, 16.0, 36.0, 21).expect("static axis");
-            let y = Axis::new(ParamKind::SupplyVoltage, 1.5, 2.1, 7).expect("static axis");
-            let serial = ShmooPlot::capture_parallel(
-                &blueprint, test, x.clone(), y.clone(), ExecPolicy::serial());
-            let threaded = ShmooPlot::capture_parallel(
-                &blueprint, test, x, y, ExecPolicy::with_threads(8));
-            prop_assert_eq!(serial, threaded);
-        }
-
-        #[test]
-        fn ga_runs_match_across_thread_counts(ga_seed in 0u64..=u64::from(u32::MAX)) {
-            let engine = GaEngine::new(
-                GaConfig {
-                    population_size: 12,
-                    islands: 2,
-                    generations: 8,
-                    ..GaConfig::default()
-                },
-                SpeciesLayout::new(vec![GenomeSpec::uniform(8, 0, 50)]),
-            );
-            let sequential = engine.run(weight, &mut StdRng::seed_from_u64(ga_seed));
-            for threads in [1, 8] {
-                let mut eval = ParallelFitness::new(
-                    ExecPolicy::with_threads(threads),
-                    |_, individual: &Individual| weight(individual),
-                );
-                let parallel = engine.run_with(&mut eval, &mut StdRng::seed_from_u64(ga_seed));
-                prop_assert_eq!(&parallel, &sequential);
-            }
         }
 
         #[test]
