@@ -415,7 +415,7 @@ impl fmt::Display for WorstCaseDatabase {
 mod tests {
     use super::*;
     use cichar_patterns::{
-        AddrMode, DataMode, OpMode, Segment, SegmentProgram, TestConditions, TestSource,
+        AddrMode, DataMode, OpMode, Segment, SegmentProgram, Stimulus, TestConditions, TestSource,
     };
     use cichar_units::Volts;
 
@@ -649,7 +649,15 @@ mod tests {
             class: WcrClass::Fail,
             ..b.clone()
         };
+        // The GA would panic encoding a program with no segment.
+        let Stimulus::Program(program) = a.test.stimulus() else {
+            panic!("records hold program tests");
+        };
+        let segment = serde_json::to_string(&program.segments()[0]).expect("serializes");
+        let no_segment = saved.replacen(&format!("[{segment}]"), "[]", 1);
+        assert_ne!(no_segment, saved);
         let crafted = [
+            ("a program with no segment", no_segment),
             ("capacity 0", file(0, &[], &[])),
             ("over capacity", file(1, &[&a, &b], &[])),
             ("ascending", file(2, &[&b, &a], &[])),

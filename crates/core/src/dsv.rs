@@ -973,11 +973,17 @@ fn measure_traced(
         }
         Some(r) => {
             let result = rebracket.run_traced_in(r, order, &mut oracle, span, scratch);
-            let consistent = trace_is_consistent(
-                &scratch.trace[result.authoritative_from..],
-                order,
-                tolerance,
-            );
+            // Without a re-bracket the authoritative slice is the STP walk,
+            // which the search has just found consistent at this tolerance
+            // (it re-brackets otherwise), so only a fallback's slice is
+            // scanned.
+            let authoritative = &scratch.trace[result.authoritative_from..];
+            let consistent = if result.rebracketed {
+                trace_is_consistent(authoritative, order, tolerance)
+            } else {
+                debug_assert!(trace_is_consistent(authoritative, order, tolerance));
+                true
+            };
             // A converged fallback is a fresh eq. 2 anchor.
             let refreshed = if result.rebracketed {
                 result.summary.trip_point

@@ -20,6 +20,7 @@ use crate::pattern::Pattern;
 use crate::vector::{hamming, MemOp, TestVector, DATA_BITS, ROW_SHIFT};
 use serde::{Deserialize, Serialize};
 use std::fmt;
+use std::sync::LazyLock;
 
 /// Number of scalar features in [`PatternFeatures::to_array`].
 pub const FEATURE_COUNT: usize = 14;
@@ -166,36 +167,38 @@ impl fmt::Display for PatternFeatures {
 /// [`Self::push`], then [`Self::finish`]. A stimulus can then be walked
 /// as it is generated, without building its [`Pattern`].
 ///
-/// Each read burst is folded in as it closes. The per-burst sums
-/// (`burst_lens`, `resonance`) add their terms in burst order from
+/// Each read burst is folded in as it closes. The Hamming and
+/// burst-length sums count in integers and become `f64` once, when their
+/// burst closes or in [`Self::finish`]: each partial sum is an integer far
+/// below 2^53, so it equals the `f64` running sum the collected-bursts
+/// extraction kept. `resonance` adds its terms in burst order from
 /// `-0.0`, as `Iterator::sum` does, so a pattern without a read burst
-/// keeps `burst_resonance == -0.0`; the per-pair sums start at `+0.0`.
-/// Every feature is bit-identical to the collected-bursts extraction.
+/// keeps `burst_resonance == -0.0`. The count of consecutive active pairs
+/// is not kept: every active cycle after the first pairs with the active
+/// cycle before it, across any NOPs. Every feature is bit-identical to the
+/// collected-bursts extraction.
 #[derive(Debug)]
 pub(crate) struct FeatureFold {
     reads: usize,
     writes: usize,
     nops: usize,
-    /// Consecutive active pairs; address, row, turnaround and data-toggle
-    /// features all average over them.
-    pairs: usize,
-    addr_ham_sum: f64,
+    addr_ham_sum: u32,
     addr_ham_max: u32,
-    sso_sum: f64,
+    sso_sum: u32,
     sso_max: u32,
     sso_pairs: usize,
     row_switches: usize,
     turnarounds: usize,
-    data_toggle_sum: f64,
+    data_toggle_sum: u32,
     raw_hits: usize,
     /// The open read burst.
     burst_len: usize,
-    burst_sso_sum: f64,
+    burst_sso_sum: u32,
     burst_sso_pairs: usize,
     /// The closed read bursts.
     bursts: usize,
     burst_max: usize,
-    burst_lens: f64,
+    burst_lens: usize,
     resonance: f64,
     prev_active: Option<(MemOp, u16, u16)>,
     last_write: Option<u16>,
@@ -207,22 +210,21 @@ impl FeatureFold {
             reads: 0,
             writes: 0,
             nops: 0,
-            pairs: 0,
-            addr_ham_sum: 0.0,
+            addr_ham_sum: 0,
             addr_ham_max: 0,
-            sso_sum: 0.0,
+            sso_sum: 0,
             sso_max: 0,
             sso_pairs: 0,
             row_switches: 0,
             turnarounds: 0,
-            data_toggle_sum: 0.0,
+            data_toggle_sum: 0,
             raw_hits: 0,
             burst_len: 0,
-            burst_sso_sum: 0.0,
+            burst_sso_sum: 0,
             burst_sso_pairs: 0,
             bursts: 0,
             burst_max: 0,
-            burst_lens: -0.0,
+            burst_lens: 0,
             resonance: -0.0,
             prev_active: None,
             last_write: None,
@@ -234,8 +236,9 @@ impl FeatureFold {
         self.reads + self.writes + self.nops
     }
 
-    /// Folds in the next vector cycle.
-    #[inline]
+    /// Folds in the next vector cycle. Always inlined into the walk: a call
+    /// would load and store every field of the fold on every vector.
+    #[inline(always)]
     pub(crate) fn push(&mut self, v: TestVector) {
         match v.op {
             MemOp::Read => self.reads += 1,
@@ -249,9 +252,8 @@ impl FeatureFold {
         }
         if let Some((prev_op, prev_addr, prev_data)) = self.prev_active {
             let ah = hamming(prev_addr, v.address);
-            self.addr_ham_sum += f64::from(ah);
+            self.addr_ham_sum += ah;
             self.addr_ham_max = self.addr_ham_max.max(ah);
-            self.pairs += 1;
             if (prev_addr >> ROW_SHIFT) != (v.address >> ROW_SHIFT) {
                 self.row_switches += 1;
             }
@@ -259,12 +261,12 @@ impl FeatureFold {
                 self.turnarounds += 1;
             }
             let dh = hamming(prev_data, v.data);
-            self.data_toggle_sum += f64::from(dh);
+            self.data_toggle_sum += dh;
             if prev_op == MemOp::Read && v.op == MemOp::Read {
-                self.sso_sum += f64::from(dh);
+                self.sso_sum += dh;
                 self.sso_max = self.sso_max.max(dh);
                 self.sso_pairs += 1;
-                self.burst_sso_sum += f64::from(dh);
+                self.burst_sso_sum += dh;
                 self.burst_sso_pairs += 1;
             }
         }
@@ -280,26 +282,29 @@ impl FeatureFold {
         self.prev_active = Some((v.op, v.address, v.data));
     }
 
-    /// Folds the open read burst, if any, into the burst statistics.
-    ///
-    /// Its resonance term is an SSO-weighted Gaussian window around the
-    /// resonant length, scaled by the burst's own switching intensity.
-    #[inline]
+    /// Folds the open read burst, if any, into the burst statistics. The
+    /// test is inlined into the walk; the fold, which runs about once in
+    /// five vectors, is a call, so the walk's loop stays small.
+    #[inline(always)]
     fn close_burst(&mut self) {
-        if self.burst_len == 0 {
-            return;
+        if self.burst_len > 0 {
+            self.fold_burst();
         }
+    }
+
+    /// Folds the open, non-empty read burst in. Its resonance term is an
+    /// SSO-weighted Gaussian window around the resonant length, scaled by
+    /// the burst's own switching intensity.
+    #[inline(never)]
+    fn fold_burst(&mut self) {
         let len = self.burst_len;
         self.bursts += 1;
         self.burst_max = self.burst_max.max(len);
-        self.burst_lens += len as f64;
-        let burst_sso = mean(self.burst_sso_sum, self.burst_sso_pairs) / BUS_BITS;
-        let window = (-((len as f64 - RESONANT_BURST_LEN).powi(2))
-            / (2.0 * RESONANCE_SIGMA * RESONANCE_SIGMA))
-            .exp();
-        self.resonance += window * burst_sso;
+        self.burst_lens += len;
+        let burst_sso = mean(f64::from(self.burst_sso_sum), self.burst_sso_pairs) / BUS_BITS;
+        self.resonance += resonance_window(len) * burst_sso;
         self.burst_len = 0;
-        self.burst_sso_sum = 0.0;
+        self.burst_sso_sum = 0;
         self.burst_sso_pairs = 0;
     }
 
@@ -307,6 +312,9 @@ impl FeatureFold {
     pub(crate) fn finish(mut self) -> PatternFeatures {
         self.close_burst();
         let n = self.cycles() as f64;
+        // Address, row, turnaround and data-toggle features average over
+        // the consecutive active pairs.
+        let pairs = (self.reads + self.writes).saturating_sub(1);
         // The resonance is normalized by the densest possible packing of
         // resonant bursts in this pattern.
         let max_bursts = (n / (RESONANT_BURST_LEN + 1.0)).max(1.0);
@@ -314,16 +322,16 @@ impl FeatureFold {
             read_fraction: self.reads as f64 / n,
             write_fraction: self.writes as f64 / n,
             nop_fraction: self.nops as f64 / n,
-            addr_ham_mean: mean(self.addr_ham_sum, self.pairs) / BUS_BITS,
+            addr_ham_mean: mean(f64::from(self.addr_ham_sum), pairs) / BUS_BITS,
             addr_ham_max: f64::from(self.addr_ham_max) / BUS_BITS,
-            dq_sso_mean: mean(self.sso_sum, self.sso_pairs) / BUS_BITS,
+            dq_sso_mean: mean(f64::from(self.sso_sum), self.sso_pairs) / BUS_BITS,
             dq_sso_max: f64::from(self.sso_max) / BUS_BITS,
             read_burst_max: (self.burst_max as f64 / 125.0).min(1.0),
-            read_burst_mean: (mean(self.burst_lens, self.bursts) / 125.0).min(1.0),
+            read_burst_mean: (mean(self.burst_lens as f64, self.bursts) / 125.0).min(1.0),
             burst_resonance: (self.resonance / max_bursts).clamp(0.0, 1.0),
-            row_switch_fraction: mean(self.row_switches as f64, self.pairs),
-            turnaround_density: mean(self.turnarounds as f64, self.pairs),
-            data_toggle_mean: mean(self.data_toggle_sum, self.pairs) / BUS_BITS,
+            row_switch_fraction: mean(self.row_switches as f64, pairs),
+            turnaround_density: mean(self.turnarounds as f64, pairs),
+            data_toggle_mean: mean(f64::from(self.data_toggle_sum), pairs) / BUS_BITS,
             read_after_write_fraction: mean(self.raw_hits as f64, self.reads),
         }
     }
@@ -331,6 +339,20 @@ impl FeatureFold {
 
 /// Data-bus width, the normalizer of every Hamming feature.
 const BUS_BITS: f64 = DATA_BITS as f64;
+
+/// The resonance window of a read burst of `len` cycles: a Gaussian around
+/// [`RESONANT_BURST_LEN`] of width [`RESONANCE_SIGMA`]. Bursts shorter than
+/// 64 cycles read it from a table that the same expression fills once, so
+/// closing one costs no `exp`. The table is static storage: filling it
+/// allocates nothing.
+fn resonance_window(len: usize) -> f64 {
+    fn gaussian(len: usize) -> f64 {
+        (-((len as f64 - RESONANT_BURST_LEN).powi(2)) / (2.0 * RESONANCE_SIGMA * RESONANCE_SIGMA))
+            .exp()
+    }
+    static TABLE: LazyLock<[f64; 64]> = LazyLock::new(|| std::array::from_fn(gaussian));
+    TABLE.get(len).copied().unwrap_or_else(|| gaussian(len))
+}
 
 /// `sum / count`, or 0 for no terms.
 fn mean(sum: f64, count: usize) -> f64 {
@@ -595,6 +617,22 @@ pub(crate) mod tests {
         assert_eq!(f.addr_ham_max, 1.0);
         assert!(f.addr_ham_mean > 0.95);
         assert_eq!(f.row_switch_fraction, 1.0);
+    }
+
+    /// The table and the expression agree, by bits, for every burst
+    /// length a pattern can hold, on both sides of the table's end.
+    #[test]
+    fn resonance_window_matches_the_expression_for_every_length() {
+        for len in 0..=crate::MAX_PATTERN_LEN {
+            let expression = (-((len as f64 - RESONANT_BURST_LEN).powi(2))
+                / (2.0 * RESONANCE_SIGMA * RESONANCE_SIGMA))
+                .exp();
+            assert_eq!(
+                resonance_window(len).to_bits(),
+                expression.to_bits(),
+                "burst of {len} reads"
+            );
+        }
     }
 
     #[test]

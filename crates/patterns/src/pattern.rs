@@ -1,7 +1,7 @@
 //! Functional test patterns — bounded sequences of vector cycles.
 
 use crate::vector::{MemOp, TestVector};
-use serde::{Deserialize, Serialize};
+use serde::{Deserialize, Serialize, Value};
 use std::error::Error;
 use std::fmt;
 
@@ -54,9 +54,22 @@ impl Error for PatternError {}
 /// assert_eq!(pattern.count_of(MemOp::Write), 200);
 /// # Ok::<(), cichar_patterns::PatternError>(())
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Serialize)]
 pub struct Pattern {
     vectors: Vec<TestVector>,
+}
+
+impl Deserialize for Pattern {
+    /// Refuses what [`Pattern::new`] refuses: a vector count outside the
+    /// [`MIN_PATTERN_LEN`]..=[`MAX_PATTERN_LEN`] window.
+    fn from_value(v: &Value) -> Result<Self, serde::Error> {
+        #[derive(Deserialize)]
+        struct PatternFile {
+            vectors: Vec<TestVector>,
+        }
+        let PatternFile { vectors } = PatternFile::from_value(v)?;
+        Self::new(vectors).map_err(|e| serde::Error::custom(e.to_string()))
+    }
 }
 
 impl Pattern {

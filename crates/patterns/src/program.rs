@@ -17,7 +17,7 @@
 
 use crate::pattern::Pattern;
 use crate::vector::{MemOp, TestVector, ROW_SHIFT};
-use serde::{Deserialize, Serialize};
+use serde::{Deserialize, Serialize, Value};
 use std::error::Error;
 use std::fmt;
 
@@ -101,6 +101,12 @@ const MIN_SEGMENT_LEN: u16 = 2;
 /// Maximum cycles a segment may run (8 segments × 125 = 1000 = the §3 cap).
 const MAX_SEGMENT_LEN: u16 = 125;
 
+/// [`crate::MAX_PATTERN_LEN`], the cycle cap of one expansion, counted in
+/// segment lengths.
+const MAX_CYCLES: u16 = crate::MAX_PATTERN_LEN as u16;
+
+const _: () = assert!(MAX_CYCLES as usize == crate::MAX_PATTERN_LEN);
+
 /// Error constructing a [`SegmentProgram`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ProgramError {
@@ -140,7 +146,7 @@ impl Error for ProgramError {}
 
 /// One ALPG instruction: run `len` cycles with the given address, data and
 /// operation sequencing, starting from `base`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize)]
 pub struct Segment {
     /// Operation sequencing.
     pub op: OpMode,
@@ -180,6 +186,28 @@ impl Segment {
     }
 }
 
+impl Deserialize for Segment {
+    /// Refuses what [`Segment::new`] refuses: a length outside `2..=125`.
+    fn from_value(v: &Value) -> Result<Self, serde::Error> {
+        #[derive(Deserialize)]
+        struct SegmentFile {
+            op: OpMode,
+            addr: AddrMode,
+            data: DataMode,
+            len: u16,
+            base: u16,
+        }
+        let SegmentFile {
+            op,
+            addr,
+            data,
+            len,
+            base,
+        } = SegmentFile::from_value(v)?;
+        Self::new(op, addr, data, len, base).map_err(|e| serde::Error::custom(e.to_string()))
+    }
+}
+
 /// A deterministic pattern program: up to [`Self::MAX_SEGMENTS`] segments
 /// expanding to one [`Pattern`].
 ///
@@ -205,7 +233,7 @@ impl Segment {
 /// assert_eq!(back.expand(), pattern);
 /// # Ok::<(), cichar_patterns::ProgramError>(())
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Serialize)]
 pub struct SegmentProgram {
     segments: Vec<Segment>,
     /// Whole-program repetitions (the ALPG outer loop, `1..=10`). The
@@ -275,110 +303,112 @@ impl SegmentProgram {
     /// [`crate::MIN_PATTERN_LEN`].
     pub(crate) fn for_each_vector(&self, mut emit: impl FnMut(TestVector)) {
         let mut memory = WrittenCells::new();
-        let mut emitted = 0usize;
+        let mut emitted: u16 = 0;
         let mut prev_data: u16 = 0;
         'outer: for _ in 0..self.loops {
-        for seg in &self.segments {
-            let mut lcg_addr = u32::from(match seg.addr {
-                AddrMode::Lcg { seed } => seed,
-                _ => 0,
-            })
-            .wrapping_add(1);
-            let mut lcg_data = u32::from(match seg.data {
-                DataMode::Lcg(seed) => seed,
-                _ => 0,
-            })
-            .wrapping_add(1);
-            let mut pair_addr = seg.base;
-            let mut ping_pong = [seg.base; 2];
-            for i in 0..seg.len {
-                let i_usize = usize::from(i);
-                let addr = match seg.addr {
-                    AddrMode::Sequential { stride } => {
-                        seg.base.wrapping_add((stride as u16).wrapping_mul(i))
-                    }
-                    AddrMode::Toggle { mask } => {
-                        if i % 2 == 0 {
-                            seg.base
-                        } else {
-                            seg.base ^ mask
+            for seg in &self.segments {
+                // The cap can only fall once, so it is tested per segment:
+                // the segment runs for the cycles the cap leaves it.
+                let take = seg.len.min(MAX_CYCLES - emitted);
+                let mut lcg_addr = u32::from(match seg.addr {
+                    AddrMode::Lcg { seed } => seed,
+                    _ => 0,
+                })
+                .wrapping_add(1);
+                let mut lcg_data = u32::from(match seg.data {
+                    DataMode::Lcg(seed) => seed,
+                    _ => 0,
+                })
+                .wrapping_add(1);
+                let mut pair_addr = seg.base;
+                let mut ping_pong = [seg.base; 2];
+                for i in 0..take {
+                    let i_usize = usize::from(i);
+                    let addr = match seg.addr {
+                        AddrMode::Sequential { stride } => {
+                            seg.base.wrapping_add((stride as u16).wrapping_mul(i))
                         }
-                    }
-                    AddrMode::Hold => seg.base,
-                    AddrMode::Lcg { .. } => {
-                        lcg_addr = step_lcg(lcg_addr);
-                        (lcg_addr >> 8) as u16
-                    }
-                    AddrMode::RowBounce { distance } => {
-                        if i % 2 == 0 {
-                            seg.base
-                        } else {
-                            seg.base
-                                .wrapping_add(u16::from(distance) << ROW_SHIFT)
-                        }
-                    }
-                };
-                let (op, addr) = match seg.op {
-                    OpMode::WriteOnly => (MemOp::Write, addr),
-                    OpMode::ReadOnly => (MemOp::Read, addr),
-                    OpMode::WritePairRead => {
-                        // Even cycles pick a fresh address and write it; odd
-                        // cycles read the address just written.
-                        if i % 2 == 0 {
-                            pair_addr = addr;
-                            (MemOp::Write, addr)
-                        } else {
-                            (MemOp::Read, pair_addr)
-                        }
-                    }
-                    OpMode::AlternateWriteRead => {
-                        if i % 2 == 0 {
-                            (MemOp::Write, addr)
-                        } else {
-                            (MemOp::Read, addr)
-                        }
-                    }
-                    OpMode::WriteOnceReadBurst => {
-                        if i < 2 {
-                            ping_pong[usize::from(i)] = addr;
-                            (MemOp::Write, addr)
-                        } else {
-                            (MemOp::Read, ping_pong[usize::from(i % 2)])
-                        }
-                    }
-                };
-                let data = match op {
-                    MemOp::Read => memory.read(addr),
-                    MemOp::Write | MemOp::Nop => match seg.data {
-                        DataMode::Constant(w) => w,
-                        DataMode::Alternating(w) => {
+                        AddrMode::Toggle { mask } => {
                             if i % 2 == 0 {
-                                w
+                                seg.base
                             } else {
-                                !w
+                                seg.base ^ mask
                             }
                         }
-                        DataMode::InvertPrevious => !prev_data,
-                        DataMode::WalkingOne => 1u16 << (i_usize % 16),
-                        DataMode::Lcg(_) => {
-                            lcg_data = step_lcg(lcg_data);
-                            (lcg_data >> 12) as u16
+                        AddrMode::Hold => seg.base,
+                        AddrMode::Lcg { .. } => {
+                            lcg_addr = step_lcg(lcg_addr);
+                            (lcg_addr >> 8) as u16
                         }
-                    },
-                };
-                if op == MemOp::Write {
-                    memory.write(addr, data);
+                        AddrMode::RowBounce { distance } => {
+                            if i % 2 == 0 {
+                                seg.base
+                            } else {
+                                seg.base.wrapping_add(u16::from(distance) << ROW_SHIFT)
+                            }
+                        }
+                    };
+                    let (op, addr) = match seg.op {
+                        OpMode::WriteOnly => (MemOp::Write, addr),
+                        OpMode::ReadOnly => (MemOp::Read, addr),
+                        OpMode::WritePairRead => {
+                            // Even cycles pick a fresh address and write it;
+                            // odd cycles read the address just written.
+                            if i % 2 == 0 {
+                                pair_addr = addr;
+                                (MemOp::Write, addr)
+                            } else {
+                                (MemOp::Read, pair_addr)
+                            }
+                        }
+                        OpMode::AlternateWriteRead => {
+                            if i % 2 == 0 {
+                                (MemOp::Write, addr)
+                            } else {
+                                (MemOp::Read, addr)
+                            }
+                        }
+                        OpMode::WriteOnceReadBurst => {
+                            if i < 2 {
+                                ping_pong[usize::from(i)] = addr;
+                                (MemOp::Write, addr)
+                            } else {
+                                (MemOp::Read, ping_pong[usize::from(i % 2)])
+                            }
+                        }
+                    };
+                    let data = match op {
+                        MemOp::Read => memory.read(addr),
+                        MemOp::Write | MemOp::Nop => match seg.data {
+                            DataMode::Constant(w) => w,
+                            DataMode::Alternating(w) => {
+                                if i % 2 == 0 {
+                                    w
+                                } else {
+                                    !w
+                                }
+                            }
+                            DataMode::InvertPrevious => !prev_data,
+                            DataMode::WalkingOne => 1u16 << (i_usize % 16),
+                            DataMode::Lcg(_) => {
+                                lcg_data = step_lcg(lcg_data);
+                                (lcg_data >> 12) as u16
+                            }
+                        },
+                    };
+                    if op == MemOp::Write {
+                        memory.write(addr, data);
+                    }
+                    prev_data = data;
+                    emit(TestVector::new(op, addr, data));
                 }
-                prev_data = data;
-                emit(TestVector::new(op, addr, data));
-                emitted += 1;
-                if emitted >= crate::MAX_PATTERN_LEN {
+                emitted += take;
+                if emitted == MAX_CYCLES {
                     break 'outer;
                 }
             }
         }
-        }
-        for _ in emitted..crate::MIN_PATTERN_LEN {
+        for _ in usize::from(emitted)..crate::MIN_PATTERN_LEN {
             emit(TestVector::nop());
         }
     }
@@ -513,6 +543,27 @@ impl SegmentProgram {
     pub fn cycle_count(&self) -> usize {
         self.segments.iter().map(|s| usize::from(s.len)).sum::<usize>()
             * usize::from(self.loops)
+    }
+}
+
+impl Deserialize for SegmentProgram {
+    /// Refuses what [`SegmentProgram::new`] and
+    /// [`SegmentProgram::with_loops`] never build: no segment, more than
+    /// [`SegmentProgram::MAX_SEGMENTS`], or a loop count outside `1..=10`.
+    fn from_value(v: &Value) -> Result<Self, serde::Error> {
+        #[derive(Deserialize)]
+        struct ProgramFile {
+            segments: Vec<Segment>,
+            loops: u16,
+        }
+        let ProgramFile { segments, loops } = ProgramFile::from_value(v)?;
+        if !(1..=MAX_LOOPS).contains(&loops) {
+            return Err(serde::Error::custom(format!(
+                "program loops {loops} times, expected 1..={MAX_LOOPS}"
+            )));
+        }
+        let program = Self::new(segments).map_err(|e| serde::Error::custom(e.to_string()))?;
+        Ok(program.with_loops(loops))
     }
 }
 

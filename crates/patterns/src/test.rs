@@ -310,6 +310,157 @@ mod tests {
         }
     }
 
+    /// Read bursts at the resonance table's end (63, 64 and 65 reads),
+    /// bursts longer than a segment (back-to-back read-only segments, and
+    /// one looped), caps that fall inside a segment, and a raw pattern
+    /// whose reads are split by NOPs.
+    #[test]
+    fn digest_of_burst_edges_and_cuts_matches_the_references() {
+        let segment = |op, len| {
+            Segment::new(
+                op,
+                AddrMode::Lcg { seed: 5 },
+                DataMode::Alternating(0x5555),
+                len,
+                0x0200,
+            )
+            .expect("valid")
+        };
+        let reads = |len| segment(OpMode::ReadOnly, len);
+        let writes = |len| segment(OpMode::WriteOnly, len);
+        let program = |segments: Vec<Segment>, loops| {
+            SegmentProgram::new(segments)
+                .expect("valid")
+                .with_loops(loops)
+        };
+        let longest_burst = |program: &SegmentProgram| {
+            check_program(program).unwrap_or_else(|e| panic!("{program}: {e}"));
+            let features = Stimulus::Program(program.clone()).features();
+            (features.read_burst_max * 125.0).round() as usize
+        };
+        for len in [63, 64, 65] {
+            let edge = program(vec![writes(8), reads(len), writes(8)], 1);
+            assert_eq!(longest_burst(&edge), usize::from(len));
+        }
+        // 290 reads over three segments, and 900 over ten loops of one:
+        // both clamp `read_burst_max` to 1.
+        let chained = program(
+            vec![writes(4), reads(125), reads(125), reads(40), writes(2)],
+            1,
+        );
+        let looped = program(vec![reads(90)], 10);
+        for long in [chained, looped] {
+            assert_eq!(longest_burst(&long), 125, "{long}");
+        }
+        // 960 reads a loop, cut 40 reads into the second loop: the
+        // 1,000-read burst closes at the cut. Then 492 cycles a loop, cut
+        // 13 reads into the third loop's first read segment.
+        let cut_long = program(vec![reads(120); 8], 2);
+        let cut_short = program([writes(3), reads(120)].repeat(4), 3);
+        for (cut, longest) in [(cut_long, 125), (cut_short, 120)] {
+            assert!(cut.cycle_count() > crate::MAX_PATTERN_LEN, "{cut}");
+            assert_eq!(longest_burst(&cut), longest, "{cut}");
+        }
+
+        // Each read pair spans a NOP, so it counts for SSO, but every NOP
+        // closes a one-read burst.
+        let vectors = (0..300u16)
+            .map(|i| match i % 4 {
+                0 => TestVector::read(i, 0x5555),
+                2 => TestVector::read(i, 0xAAAA),
+                _ => TestVector::nop(),
+            })
+            .collect();
+        let raw = Pattern::new(vectors).expect("300 cycles");
+        check_digest(&Stimulus::Raw(raw.clone()), &raw).expect("matches the references");
+        let features = Stimulus::Raw(raw).features();
+        assert_eq!(features.dq_sso_mean, 1.0);
+        assert_eq!(features.read_burst_max, 1.0 / 125.0);
+    }
+
+    /// A stimulus read back refuses what the constructors never build: a
+    /// raw pattern outside 100–1,000 vectors, a segment outside 2–125
+    /// cycles, a program with no segment or more than eight, and a loop
+    /// count outside 1–10. The texts at each limit are the serializer's
+    /// own, and read back to the stimulus that wrote them.
+    #[test]
+    fn deserialized_stimuli_keep_the_constructors_rules() {
+        let segment = |len: u16| {
+            format!(
+                r#"{{"op":"ReadOnly","addr":"Hold","data":{{"Constant":7}},"len":{len},"base":3}}"#
+            )
+        };
+        let program = |lens: &[u16], loops: u16| {
+            let segments: Vec<String> = lens.iter().map(|&len| segment(len)).collect();
+            format!(
+                r#"{{"Program":{{"segments":[{}],"loops":{loops}}}}}"#,
+                segments.join(",")
+            )
+        };
+        let nop = serde_json::to_string(&TestVector::nop()).expect("serializes");
+        let raw = |n: usize| {
+            format!(
+                r#"{{"Raw":{{"vectors":[{}]}}}}"#,
+                vec![nop.as_str(); n].join(",")
+            )
+        };
+
+        let read_only = |len| {
+            Segment::new(
+                OpMode::ReadOnly,
+                AddrMode::Hold,
+                DataMode::Constant(7),
+                len,
+                3,
+            )
+            .expect("valid")
+        };
+        let at_limits = [
+            (
+                program(&[125], 1),
+                Stimulus::Program(SegmentProgram::new(vec![read_only(125)]).expect("valid")),
+            ),
+            (
+                program(&[2; 8], 10),
+                Stimulus::Program(
+                    SegmentProgram::new(vec![read_only(2); 8])
+                        .expect("valid")
+                        .with_loops(10),
+                ),
+            ),
+            (
+                raw(100),
+                Stimulus::Raw(Pattern::new(vec![TestVector::nop(); 100]).expect("valid")),
+            ),
+            (
+                raw(1000),
+                Stimulus::Raw(Pattern::new(vec![TestVector::nop(); 1000]).expect("valid")),
+            ),
+        ];
+        for (text, stimulus) in at_limits {
+            assert_eq!(serde_json::to_string(&stimulus).expect("serializes"), text);
+            let back: Stimulus = serde_json::from_str(&text).expect("deserializes");
+            assert_eq!(back, stimulus);
+        }
+
+        let refused = [
+            ("99 vectors", raw(99)),
+            ("1,001 vectors", raw(1001)),
+            ("a 1-cycle segment", program(&[1], 1)),
+            ("a 126-cycle segment", program(&[126], 1)),
+            ("no segment", program(&[], 1)),
+            ("nine segments", program(&[2; 9], 1)),
+            ("no loop", program(&[2], 0)),
+            ("eleven loops", program(&[2], 11)),
+        ];
+        for (what, text) in refused {
+            assert!(
+                serde_json::from_str::<Stimulus>(&text).is_err(),
+                "{what} deserialized"
+            );
+        }
+    }
+
     /// A pattern without a read burst sums no resonance term: the
     /// feature keeps `Iterator::sum`'s `-0.0`.
     #[test]

@@ -3,8 +3,11 @@
 //!
 //! A counting global allocator (this binary's own, so no other test's
 //! allocations land in the counts) records the bytes requested and the
-//! allocator calls made around one `SegmentProgram::expand`, one
-//! `PreparedTest::new`, a small GA run and a fuzzy-neural screen.
+//! allocator calls made around the process's first features walk, one
+//! `SegmentProgram::expand`, one `PreparedTest::new`, a small GA run and a
+//! fuzzy-neural screen. The first walk that closes a read burst fills the
+//! resonance-window table, which is static storage, so it makes no
+//! allocator call either.
 //! Expansion tracks only the cells a program writes, on top of the
 //! power-up background, so a 1,000-vector expansion must stay far below
 //! the 128 KiB a full copy of the 64 Ki-word image costs. Preparation
@@ -22,7 +25,7 @@ use cichar_dut::MemoryDevice;
 use cichar_fuzzy::coding::CodingScheme;
 use cichar_genetic::GaConfig;
 use cichar_neural::TrainConfig;
-use cichar_patterns::{SegmentProgram, Test, TestConditions, TestSource};
+use cichar_patterns::{SegmentProgram, Stimulus, Test, TestConditions, TestSource};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -85,6 +88,10 @@ fn expansion_and_ga_fitness_copy_no_memory_image() {
         genes.extend_from_slice(&[seg % 5, 3, 4_099 * seg, 4, 77 + seg, 125, 1_000 * seg]);
     }
     let program = SegmentProgram::from_genes(&genes).expect("in-bounds genes");
+    let stimulus = Stimulus::Program(program.clone());
+    let (first_walk_calls, features) = calls(|| stimulus.features());
+    assert!(features.read_burst_max > 0.0, "the walk closes read bursts");
+    assert_eq!(first_walk_calls, 0, "the process's first features walk");
     // Warm-up: any one-off initialization stays out of the count.
     let first = program.expand();
     let (expand_bytes, pattern) = bytes(|| program.expand());
