@@ -7,6 +7,7 @@ use cichar_core::learning::{LearningConfig, LearningScheme};
 use cichar_dut::MemoryDevice;
 use cichar_fuzzy::coding::CodingScheme;
 use cichar_neural::TrainConfig;
+use cichar_trace::Tracer;
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -38,8 +39,11 @@ fn bench_coding_schemes(c: &mut Criterion) {
             b.iter(|| {
                 let mut ate = Ate::noiseless(MemoryDevice::nominal());
                 let mut rng = StdRng::seed_from_u64(5);
-                let model =
-                    LearningScheme::new(small_learning(coding, 3)).run(&mut ate, &mut rng);
+                let model = LearningScheme::new(small_learning(coding, 3)).run(
+                    &mut ate,
+                    &mut rng,
+                    &Tracer::disabled(),
+                );
                 black_box(model.dataset_size)
             });
         });
@@ -55,8 +59,11 @@ fn bench_committee_sizes(c: &mut Criterion) {
             b.iter(|| {
                 let mut ate = Ate::noiseless(MemoryDevice::nominal());
                 let mut rng = StdRng::seed_from_u64(6);
-                let model = LearningScheme::new(small_learning(CodingScheme::Numeric, size))
-                    .run(&mut ate, &mut rng);
+                let model = LearningScheme::new(small_learning(CodingScheme::Numeric, size)).run(
+                    &mut ate,
+                    &mut rng,
+                    &Tracer::disabled(),
+                );
                 black_box(model.accepted)
             });
         });
@@ -67,8 +74,11 @@ fn bench_committee_sizes(c: &mut Criterion) {
 fn bench_screening(c: &mut Criterion) {
     let mut ate = Ate::noiseless(MemoryDevice::nominal());
     let mut rng = StdRng::seed_from_u64(7);
-    let model =
-        LearningScheme::new(small_learning(CodingScheme::Numeric, 3)).run(&mut ate, &mut rng);
+    let model = LearningScheme::new(small_learning(CodingScheme::Numeric, 3)).run(
+        &mut ate,
+        &mut rng,
+        &Tracer::disabled(),
+    );
     c.bench_function("ablation/screen_500_candidates", |b| {
         b.iter(|| {
             let generator = NeuralTestGenerator::new(&model);

@@ -6,6 +6,7 @@ use cichar_ate::{Ate, MeasuredParam};
 use cichar_core::dsv::{MultiTripRunner, SearchStrategy};
 use cichar_dut::MemoryDevice;
 use cichar_patterns::{random, PatternFeatures, Test, TestConditions};
+use cichar_trace::Tracer;
 use criterion::{criterion_group, criterion_main, Criterion};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -21,7 +22,12 @@ fn bench_dsv(c: &mut Criterion) {
     c.bench_function("fig2_multi_trip/dsv_25_random_tests", |b| {
         b.iter(|| {
             let mut ate = Ate::noiseless(MemoryDevice::nominal());
-            let report = runner.run(&mut ate, black_box(&tests), SearchStrategy::SearchUntilTrip);
+            let report = runner.run(
+                &mut ate,
+                black_box(&tests),
+                SearchStrategy::SearchUntilTrip,
+                &Tracer::disabled(),
+            );
             black_box(report.spread())
         });
     });

@@ -6,6 +6,7 @@ use cichar_ate::{Ate, MeasuredParam};
 use cichar_core::dsv::{MultiTripRunner, SearchStrategy};
 use cichar_dut::MemoryDevice;
 use cichar_patterns::{random, Test, TestConditions};
+use cichar_trace::Tracer;
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -29,7 +30,8 @@ fn bench_strategies(c: &mut Criterion) {
             |b, &strategy| {
                 b.iter(|| {
                     let mut ate = Ate::noiseless(MemoryDevice::nominal());
-                    let report = runner.run(&mut ate, black_box(&tests), strategy);
+                    let report =
+                        runner.run(&mut ate, black_box(&tests), strategy, &Tracer::disabled());
                     black_box(report.total_measurements)
                 });
             },

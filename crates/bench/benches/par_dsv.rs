@@ -13,10 +13,11 @@
 //! read honestly.
 
 use cichar_ate::{AteConfig, MeasuredParam, ParallelAte};
-use cichar_core::dsv::{MultiTripRunner, SearchStrategy};
+use cichar_core::dsv::{MultiTripRunner, ReferenceRule};
 use cichar_dut::MemoryDevice;
 use cichar_exec::ExecPolicy;
 use cichar_patterns::{random, Test, TestConditions};
+use cichar_trace::{Telemetry, Tracer};
 use criterion::{black_box, Criterion};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -62,14 +63,18 @@ fn main() {
     let (serial_report, _) = runner.run_parallel(
         &blueprint,
         &tests,
-        SearchStrategy::SearchUntilTrip,
+        ReferenceRule::Anchored,
         ExecPolicy::serial(),
+        &Tracer::disabled(),
+        &Telemetry::disabled(),
     );
     let (four_report, _) = runner.run_parallel(
         &blueprint,
         &tests,
-        SearchStrategy::SearchUntilTrip,
+        ReferenceRule::Anchored,
         ExecPolicy::with_threads(4),
+        &Tracer::disabled(),
+        &Telemetry::disabled(),
     );
     assert_eq!(serial_report, four_report, "parallel DSV must be bit-identical");
 
@@ -83,8 +88,10 @@ fn main() {
                     let (report, ledger) = runner.run_parallel(
                         &blueprint,
                         black_box(&tests),
-                        SearchStrategy::SearchUntilTrip,
+                        ReferenceRule::Anchored,
                         policy,
+                        &Tracer::disabled(),
+                        &Telemetry::disabled(),
                     );
                     black_box((report.total_measurements, ledger.measurements()))
                 });

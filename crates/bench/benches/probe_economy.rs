@@ -29,13 +29,14 @@
 //! exactly those assertions and skips the timing (and the JSON write).
 
 use cichar_ate::{Ate, AteConfig, DriftModel, MeasuredParam, MeasurementLedger, NoiseModel, ParallelAte};
-use cichar_core::dsv::{DsvReport, MultiTripRunner, SearchStrategy};
+use cichar_core::dsv::{DsvReport, MultiTripRunner, ReferenceRule};
 use cichar_core::learning::{LearningConfig, LearningScheme};
 use cichar_dut::MemoryDevice;
 use cichar_exec::ExecPolicy;
 use cichar_neural::TrainConfig;
 use cichar_patterns::{random, Test, TestConditions};
 use cichar_search::{TripPrediction, WarmStartPlanner};
+use cichar_trace::{Telemetry, Tracer};
 use criterion::{black_box, Criterion};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -139,7 +140,7 @@ fn main() {
             },
             ..LearningConfig::default()
         })
-        .run(&mut ate, &mut learn_rng)
+        .run(&mut ate, &mut learn_rng, &Tracer::disabled())
     };
     let predictions: Vec<Option<TripPrediction>> =
         tests.iter().map(|t| model.predict_trip(t)).collect();
@@ -152,27 +153,34 @@ fn main() {
     let (full_report, full_ledger) = scalar_runner.run_parallel(
         &blueprint,
         &tests,
-        SearchStrategy::FullRange,
+        ReferenceRule::FullRange,
         ExecPolicy::serial(),
+        &Tracer::disabled(),
+        &Telemetry::disabled(),
     );
     let (spec_report, spec_ledger) = batched_runner.run_parallel(
         &blueprint,
         &tests,
-        SearchStrategy::FullRange,
+        ReferenceRule::FullRange,
         ExecPolicy::serial(),
+        &Tracer::disabled(),
+        &Telemetry::disabled(),
     );
     let (stp_report, stp_ledger) = scalar_runner.run_parallel(
         &blueprint,
         &tests,
-        SearchStrategy::SearchUntilTrip,
+        ReferenceRule::Anchored,
         ExecPolicy::serial(),
+        &Tracer::disabled(),
+        &Telemetry::disabled(),
     );
-    let (warm_report, warm_ledger) = scalar_runner.run_parallel_warm(
+    let (warm_report, warm_ledger) = scalar_runner.run_parallel(
         &blueprint,
         &tests,
-        &predictions,
-        &planner,
+        ReferenceRule::Warm(&predictions, &planner),
         ExecPolicy::serial(),
+        &Tracer::disabled(),
+        &Telemetry::disabled(),
     );
 
     // Speculation may only change the probe accounting (each entry's
@@ -205,14 +213,27 @@ fn main() {
     // Thread-count invariance: the batched and warm-started paths must
     // not trade determinism for probe savings.
     let eight = ExecPolicy::with_threads(8);
-    let spec_eight = batched_runner.run_parallel(&blueprint, &tests, SearchStrategy::FullRange, eight);
+    let spec_eight = batched_runner.run_parallel(
+        &blueprint,
+        &tests,
+        ReferenceRule::FullRange,
+        eight,
+        &Tracer::disabled(),
+        &Telemetry::disabled(),
+    );
     assert_eq!(
         (&spec_report, &spec_ledger),
         (&spec_eight.0, &spec_eight.1),
         "batched full-range must be bit-identical at 8 threads"
     );
-    let warm_eight =
-        scalar_runner.run_parallel_warm(&blueprint, &tests, &predictions, &planner, eight);
+    let warm_eight = scalar_runner.run_parallel(
+        &blueprint,
+        &tests,
+        ReferenceRule::Warm(&predictions, &planner),
+        eight,
+        &Tracer::disabled(),
+        &Telemetry::disabled(),
+    );
     assert_eq!(
         (&warm_report, &warm_ledger),
         (&warm_eight.0, &warm_eight.1),
@@ -269,8 +290,10 @@ fn main() {
                 black_box(scalar_runner.run_parallel(
                     &blueprint,
                     black_box(&tests),
-                    SearchStrategy::FullRange,
+                    ReferenceRule::FullRange,
                     ExecPolicy::serial(),
+                    &Tracer::disabled(),
+                    &Telemetry::disabled(),
                 ))
             });
         });
@@ -279,8 +302,10 @@ fn main() {
                 black_box(batched_runner.run_parallel(
                     &blueprint,
                     black_box(&tests),
-                    SearchStrategy::FullRange,
+                    ReferenceRule::FullRange,
                     ExecPolicy::serial(),
+                    &Tracer::disabled(),
+                    &Telemetry::disabled(),
                 ))
             });
         });
@@ -289,19 +314,22 @@ fn main() {
                 black_box(scalar_runner.run_parallel(
                     &blueprint,
                     black_box(&tests),
-                    SearchStrategy::SearchUntilTrip,
+                    ReferenceRule::Anchored,
                     ExecPolicy::serial(),
+                    &Tracer::disabled(),
+                    &Telemetry::disabled(),
                 ))
             });
         });
         group.bench_function("warm_started_stp", |b| {
             b.iter(|| {
-                black_box(scalar_runner.run_parallel_warm(
+                black_box(scalar_runner.run_parallel(
                     &blueprint,
                     black_box(&tests),
-                    black_box(&predictions),
-                    &planner,
+                    ReferenceRule::Warm(black_box(&predictions), &planner),
                     ExecPolicy::serial(),
+                    &Tracer::disabled(),
+                    &Telemetry::disabled(),
                 ))
             });
         });

@@ -6,6 +6,7 @@ use cichar_core::compare::{quick_config, Comparison};
 use cichar_core::dsv::{MultiTripRunner, SearchStrategy};
 use cichar_dut::MemoryDevice;
 use cichar_patterns::{march, random, Test, TestConditions};
+use cichar_trace::Tracer;
 use criterion::{criterion_group, criterion_main, Criterion};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -21,6 +22,7 @@ fn bench_march_row(c: &mut Criterion) {
                 &mut ate,
                 std::slice::from_ref(black_box(&test)),
                 SearchStrategy::FullRange,
+                &Tracer::disabled(),
             );
             black_box(report.min())
         });
@@ -36,7 +38,12 @@ fn bench_random_row(c: &mut Criterion) {
         let runner = MultiTripRunner::new(MeasuredParam::DataValidTime);
         b.iter(|| {
             let mut ate = Ate::noiseless(MemoryDevice::nominal());
-            let report = runner.run(&mut ate, black_box(&tests), SearchStrategy::SearchUntilTrip);
+            let report = runner.run(
+                &mut ate,
+                black_box(&tests),
+                SearchStrategy::SearchUntilTrip,
+                &Tracer::disabled(),
+            );
             black_box(report.min())
         });
     });

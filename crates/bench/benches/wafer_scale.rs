@@ -28,6 +28,7 @@ use cichar_core::wafer::{WaferConfig, WaferReport, WaferRunner};
 use cichar_dut::{Die, Lot, MemoryDevice};
 use cichar_exec::ExecPolicy;
 use cichar_patterns::{random, Test, TestConditions};
+use cichar_trace::Tracer;
 use criterion::{black_box, Criterion};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -183,7 +184,12 @@ fn materialize(dies: &[Die], tests: &[Test]) -> TripAggregate {
                     ..config.clone()
                 },
             );
-            runner.run(&mut ate, tests, SearchStrategy::SearchUntilTrip)
+            runner.run(
+                &mut ate,
+                tests,
+                SearchStrategy::SearchUntilTrip,
+                &Tracer::disabled(),
+            )
         })
         .collect();
     let range = MeasuredParam::DataValidTime.generous_range();

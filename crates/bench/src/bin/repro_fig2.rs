@@ -22,11 +22,11 @@
 //! the binary then exits with status 1 and names the device.
 
 use cichar_ate::{AteConfig, MeasuredParam, ParallelAte};
-use cichar_bench::{Cli, Flags};
-use cichar_core::dsv::{MultiTripRunner, SearchStrategy};
+use cichar_bench::{unbracketed, Cli, Flags};
+use cichar_core::dsv::{MultiTripRunner, ReferenceRule, SearchStrategy};
 use cichar_core::report::render_multi_trip;
 use cichar_core::wafer::{WaferConfig, WaferRunner};
-use cichar_dut::{Device, Lot};
+use cichar_dut::Lot;
 use cichar_patterns::{random, Test, TestConditions};
 use cichar_trace::RunManifest;
 use rand::rngs::StdRng;
@@ -96,7 +96,7 @@ fn main() {
         let (Some(min), Some(max), Some(spread), Some(mean)) =
             (agg.min, agg.max, agg.spread(), agg.mean())
         else {
-            unconverged(&cli.device, param);
+            unbracketed(&cli.device, param);
         };
 
         println!(
@@ -115,10 +115,10 @@ fn main() {
     } else {
         let blueprint = ParallelAte::new(cli.device.clone(), config);
         tracer.phase("dsv");
-        let (report, ledger) = runner.run_parallel_observed(
+        let (report, ledger) = runner.run_parallel(
             &blueprint,
             &tests,
-            SearchStrategy::SearchUntilTrip,
+            ReferenceRule::Anchored,
             policy,
             &tracer,
             &telemetry,
@@ -133,7 +133,7 @@ fn main() {
             report.worst_entry(),
             report.reference_trip_point,
         ) else {
-            unconverged(&cli.device, param);
+            unbracketed(&cli.device, param);
         };
 
         println!(
@@ -168,17 +168,4 @@ fn main() {
             manifest
         }
     });
-}
-
-/// Exits with status 1, naming `device`, when its searches left no trip
-/// point for fig. 2 to draw.
-fn unconverged(device: &Device, param: MeasuredParam) -> ! {
-    eprintln!(
-        "error: device {} has no trip point for fig. 2: its searches did not converge inside \
-         the generous range {} {} of {param}",
-        device.descriptor(),
-        param.generous_range(),
-        param.kind().unit_symbol()
-    );
-    std::process::exit(1);
 }

@@ -13,7 +13,7 @@
 
 use cichar_ate::{AteConfig, MeasuredParam, ParallelAte};
 use cichar_bench::{Cli, Flags};
-use cichar_core::dsv::{MultiTripRunner, SearchStrategy};
+use cichar_core::dsv::{MultiTripRunner, ReferenceRule};
 use cichar_core::report::render_stp_saving;
 use cichar_patterns::{random, Test, TestConditions};
 use cichar_trace::RunManifest;
@@ -28,7 +28,7 @@ fn main() {
         Flags::Device,
     ]);
     let (scale, policy) = (cli.scale, cli.policy);
-    let (tracer, _) = cli.observe("fig3");
+    let (tracer, telemetry) = cli.observe("fig3");
     let total = scale.random_tests();
     let mut rng = StdRng::seed_from_u64(scale.seed());
     let tests: Vec<Test> = (0..total)
@@ -46,15 +46,22 @@ fn main() {
     };
     let blueprint = ParallelAte::new(cli.device.clone(), config);
     tracer.phase("full_range");
-    let (full, ledger_full) =
-        runner.run_parallel_traced(&blueprint, &tests, SearchStrategy::FullRange, policy, &tracer);
-    tracer.phase("stp");
-    let (stp, ledger_stp) = runner.run_parallel_traced(
+    let (full, ledger_full) = runner.run_parallel(
         &blueprint,
         &tests,
-        SearchStrategy::SearchUntilTrip,
+        ReferenceRule::FullRange,
         policy,
         &tracer,
+        &telemetry,
+    );
+    tracer.phase("stp");
+    let (stp, ledger_stp) = runner.run_parallel(
+        &blueprint,
+        &tests,
+        ReferenceRule::Anchored,
+        policy,
+        &tracer,
+        &telemetry,
     );
 
     println!(

@@ -5,9 +5,13 @@
 //! cargo run --release -p cichar-bench --bin repro_fig7
 //! cargo run --release -p cichar-bench --bin repro_fig7 -- --device netlist
 //! ```
+//!
+//! A device whose trip point the generous range cannot bracket (a netlist
+//! of 15 or more levels, for one) exits with status 1 and names the
+//! device.
 
 use cichar_ate::{Ate, MeasuredParam};
-use cichar_bench::{Cli, Flags};
+use cichar_bench::{unbracketed, Cli, Flags};
 use cichar_core::report::render_timing_diagram;
 use cichar_dut::T_DQ_SPEC;
 use cichar_patterns::{march, Test};
@@ -29,7 +33,9 @@ fn main() {
         let test = Test::deterministic(label, pattern);
         let outcome = BinarySearch::new(param.generous_range(), param.resolution())
             .run(param.region_order(), ate.trip_oracle(&test, param));
-        let t_dq = outcome.trip_point.expect("trip in range");
+        let t_dq = outcome
+            .trip_point
+            .unwrap_or_else(|| unbracketed(ate.device(), param));
         println!("--- {label}: measured T_DQ = {t_dq:.1} ns ---");
         print!(
             "{}",

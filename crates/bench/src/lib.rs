@@ -14,7 +14,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-use cichar_ate::TesterFaultModel;
+use cichar_ate::{MeasuredParam, TesterFaultModel};
 use cichar_core::compare::{quick_config, CompareConfig};
 use cichar_core::learning::LearningConfig;
 use cichar_core::optimization::OptimizationConfig;
@@ -418,6 +418,20 @@ impl Cli {
             std::process::exit(1);
         }
     }
+}
+
+/// Refuses a device whose `param` trip point the generous range cannot
+/// bracket (a `netlist` of 15 or more levels, for one): with no trip point
+/// there is nothing to characterize, so this names the device and the
+/// range on stderr and exits with status 1.
+pub fn unbracketed(device: &Device, param: MeasuredParam) -> ! {
+    eprintln!(
+        "error: device {} has no {param} trip point inside the generous range {} {}",
+        device.descriptor(),
+        param.generous_range(),
+        param.kind().unit_symbol()
+    );
+    std::process::exit(1);
 }
 
 /// The run scale selected through `CICHAR_SCALE`.

@@ -294,11 +294,32 @@ fn non_default_device_runs_and_stamps_the_manifest() {
 fn a_device_the_generous_range_cannot_bracket_exits_1_naming_it() {
     // A 16-level netlist's trip point lies outside the generous range,
     // so no search converges.
-    let output = run_fig2(&["--device", "netlist:levels=16"]);
-    assert_eq!(output.status.code(), Some(1), "{}", stderr_of(&output));
-    let stderr = stderr_of(&output);
-    assert!(stderr.contains("device netlist:levels=16,"), "{stderr}");
-    assert!(output.stdout.is_empty(), "no figure without trip points");
+    let args = ["--device", "netlist:levels=16"];
+    let fig2 = run_fig2(&args);
+    let fig7 = Command::new(env!("CARGO_BIN_EXE_repro_fig7"))
+        .args(args)
+        .env("CICHAR_SCALE", "quick")
+        .output()
+        .expect("repro_fig7 spawns");
+    for (bin, output) in [("repro_fig2", &fig2), ("repro_fig7", &fig7)] {
+        assert_eq!(
+            output.status.code(),
+            Some(1),
+            "{bin}: {}",
+            stderr_of(output)
+        );
+        let stderr = stderr_of(output);
+        assert!(
+            stderr.contains("device netlist:levels=16,"),
+            "{bin}: {stderr}"
+        );
+        let stdout = String::from_utf8_lossy(&output.stdout);
+        assert!(
+            !stdout.contains("T_DQ ="),
+            "{bin}: no figure without trip points"
+        );
+    }
+    assert!(fig2.stdout.is_empty(), "no figure without trip points");
 }
 
 #[test]

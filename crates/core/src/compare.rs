@@ -14,7 +14,7 @@
 //! per-technique ATE cost alongside (the paper notes its method trades
 //! test time for coverage).
 
-use crate::dsv::{DsvReport, MultiTripRunner, SearchStrategy};
+use crate::dsv::{DsvReport, MultiTripRunner, ReferenceRule, SearchStrategy};
 use crate::generator::NeuralTestGenerator;
 use crate::learning::{LearnedModel, LearningConfig, LearningScheme};
 use crate::optimization::{OptimizationConfig, OptimizationOutcome, OptimizationScheme};
@@ -132,29 +132,24 @@ impl Comparison {
         policy: ExecPolicy,
         rng: &mut R,
     ) -> Self {
-        Self::run_parallel_traced(ate, config, policy, rng, &Tracer::disabled())
+        Self::run_parallel_observed(
+            ate,
+            config,
+            policy,
+            rng,
+            &Tracer::disabled(),
+            &Telemetry::disabled(),
+        )
     }
 
     /// [`run_parallel`](Self::run_parallel) with the campaign recorded
-    /// into `tracer`: a phase-change event opens each technique's row
-    /// ("march", "random", "nnga"), and the measurement-heavy stages
-    /// record per-test / per-evaluation spans through their traced
-    /// sub-runs.
-    pub fn run_parallel_traced<R: Rng + ?Sized>(
-        ate: &mut Ate,
-        config: &CompareConfig,
-        policy: ExecPolicy,
-        rng: &mut R,
-        tracer: &Tracer,
-    ) -> Self {
-        Self::run_parallel_observed(ate, config, policy, rng, tracer, &Telemetry::disabled())
-    }
-
-    /// [`run_parallel_traced`](Self::run_parallel_traced) with live
-    /// telemetry threaded into the measurement-heavy stages: the Random
-    /// row's DSV sweep ticks per merged test, the NN+GA row's fitness
-    /// fold ticks per merged evaluation. The March baseline and the
-    /// learning rounds are too short to heartbeat.
+    /// into `tracer` and live telemetry: a phase-change event opens each
+    /// technique's row ("march", "random", "nnga"), and the
+    /// measurement-heavy stages record per-test / per-evaluation spans
+    /// through their traced sub-runs. The Random row's DSV sweep ticks
+    /// `telemetry` per merged test, the NN+GA row's fitness fold per
+    /// merged evaluation; the March baseline and the learning rounds are
+    /// too short to heartbeat.
     pub fn run_parallel_observed<R: Rng + ?Sized>(
         ate: &mut Ate,
         config: &CompareConfig,
@@ -186,7 +181,7 @@ impl Comparison {
         let march_test = Test::deterministic("March Test", march::march_c_minus(64))
             .with_conditions(config.conditions);
         let baseline = *ate.ledger();
-        let march_report = runner.run_traced(ate, &[march_test], SearchStrategy::FullRange, tracer);
+        let march_report = runner.run(ate, &[march_test], SearchStrategy::FullRange, tracer);
         let march_tp = march_report.entries[0]
             .trip_point
             .expect("March trip point in generous range");
@@ -198,16 +193,15 @@ impl Comparison {
             .map(|_| random::random_test_at(rng, config.conditions))
             .collect();
         let baseline = *ate.ledger();
-        let strategy = SearchStrategy::SearchUntilTrip;
         let (random_report, random_ledger) = match sessions {
             Sessions::Shared => (
-                runner.run_traced(ate, &random_tests, strategy, tracer),
+                runner.run(ate, &random_tests, SearchStrategy::SearchUntilTrip, tracer),
                 MeasurementLedger::new(),
             ),
-            Sessions::PerTest(policy) => runner.run_parallel_observed(
+            Sessions::PerTest(policy) => runner.run_parallel(
                 &ParallelAte::from_ate(ate),
                 &random_tests,
-                strategy,
+                ReferenceRule::Anchored,
                 policy,
                 tracer,
                 telemetry,
@@ -220,7 +214,7 @@ impl Comparison {
         // (fig. 5).
         tracer.phase("nnga");
         let baseline = *ate.ledger();
-        let model = LearningScheme::new(config.learning.clone()).run_traced(ate, rng, tracer);
+        let model = LearningScheme::new(config.learning.clone()).run(ate, rng, tracer);
         let generator = NeuralTestGenerator::new(&model);
         let seeds = generator.propose(
             config.nn_candidates,
@@ -232,10 +226,10 @@ impl Comparison {
         let reference = Some(model.reference_trip_point);
         let (optimization, ga_ledger) = match sessions {
             Sessions::Shared => (
-                scheme.run_traced(ate, &seeds, reference, rng, tracer),
+                scheme.run(ate, &seeds, reference, rng, tracer),
                 MeasurementLedger::new(),
             ),
-            Sessions::PerTest(policy) => scheme.run_parallel_observed(
+            Sessions::PerTest(policy) => scheme.run_parallel(
                 &ParallelAte::from_ate(ate),
                 &seeds,
                 reference,

@@ -267,12 +267,12 @@ impl fmt::Display for DsvReport {
 ///
 /// # Sessions
 ///
-/// [`run`](Self::run) and [`run_traced`](Self::run_traced) measure every
-/// test on the caller's shared [`Ate`], in order, and a re-bracketed
-/// fallback re-anchors the reference. The `run_parallel*` entry points put
-/// each test on its own derived-seed session from a [`ParallelAte`], so
-/// results are identical for every thread count. With noise or drift the
-/// two give different answers; without either they agree exactly.
+/// [`run`](Self::run) measures every test on the caller's shared
+/// [`Ate`], in order, and a re-bracketed fallback re-anchors the
+/// reference. [`run_parallel`](Self::run_parallel) puts each test on its
+/// own derived-seed session from a [`ParallelAte`], so results are
+/// identical for every thread count. With noise or drift the two give
+/// different answers; without either they agree exactly.
 ///
 /// # Examples
 ///
@@ -281,6 +281,7 @@ impl fmt::Display for DsvReport {
 /// use cichar_core::dsv::{MultiTripRunner, SearchStrategy};
 /// use cichar_dut::MemoryDevice;
 /// use cichar_patterns::{march, Test};
+/// use cichar_trace::Tracer;
 ///
 /// let mut ate = Ate::noiseless(MemoryDevice::nominal());
 /// let tests: Vec<Test> = cichar_patterns::march::standard_suite()
@@ -288,7 +289,8 @@ impl fmt::Display for DsvReport {
 ///     .map(|(name, p)| Test::deterministic(name, p))
 ///     .collect();
 /// let runner = MultiTripRunner::new(MeasuredParam::DataValidTime);
-/// let report = runner.run(&mut ate, &tests, SearchStrategy::SearchUntilTrip);
+/// let strategy = SearchStrategy::SearchUntilTrip;
+/// let report = runner.run(&mut ate, &tests, strategy, &Tracer::disabled());
 /// assert_eq!(report.entries.len(), 8);
 /// assert!(report.spread().expect("converged") > 0.0, "trip point is test dependent");
 /// ```
@@ -381,18 +383,15 @@ impl MultiTripRunner {
         (full.clone(), RebracketingStp::new(stp, full))
     }
 
-    /// Runs the characterization, consuming measurements from `ate`.
-    pub fn run(&self, ate: &mut Ate, tests: &[Test], strategy: SearchStrategy) -> DsvReport {
-        self.run_inner(ate, tests, strategy, |_| SpanTrace::disabled(), |_| {})
-    }
-
-    /// [`run`](Self::run) with per-test spans recorded into `tracer`.
+    /// Runs the characterization on the caller's shared session,
+    /// consuming measurements from `ate`, with per-test spans recorded
+    /// into `tracer` (pass [`Tracer::disabled`] to record nothing).
     ///
     /// Each test gets a span keyed by its input index; the span is
     /// absorbed (sequenced into the sink) as soon as the test's search
     /// completes, so the sequential event stream is ordered by test index
     /// by construction.
-    pub fn run_traced(
+    pub fn run(
         &self,
         ate: &mut Ate,
         tests: &[Test],
@@ -608,126 +607,43 @@ impl MultiTripRunner {
     }
 
     /// Runs the characterization across worker threads, spawning one
-    /// deterministic tester session per test from `blueprint`.
+    /// deterministic tester session per test from `blueprint`; `rule`
+    /// says where each test's search starts.
     ///
     /// Results and ledgers are merged **by test index**, and each test's
     /// session seed is derived from (campaign seed, test index), so the
     /// report is bit-identical for every thread count — including
     /// [`ExecPolicy::serial`], which executes the same schedule inline.
-    /// For a noiseless, drift-free blueprint the report also matches
-    /// [`MultiTripRunner::run`] on a single shared session exactly: with
-    /// zero noise the session RNG is never consumed, and without drift a
+    /// For a noiseless, drift-free blueprint the report under
+    /// [`ReferenceRule::FullRange`] or [`ReferenceRule::Anchored`] also
+    /// matches [`MultiTripRunner::run`] with the matching
+    /// [`SearchStrategy`] on a single shared session exactly: with zero
+    /// noise the session RNG is never consumed, and without drift a
     /// verdict does not depend on previously applied cycles, so splitting
     /// the session per test changes no verdict.
     ///
-    /// The reference trip point keeps its eq. 2 data dependence: the head
-    /// of each refresh window runs full-range searches sequentially until
-    /// one converges and anchors the reference, and only the anchored
-    /// remainder of the window fans out.
+    /// The reference trip point keeps its eq. 2 data dependence: under an
+    /// anchoring rule the head of each refresh window runs full-range
+    /// searches sequentially until one converges and anchors the
+    /// reference, and only the anchored remainder of the window fans out.
+    ///
+    /// Per-test spans are recorded into `tracer`: workers fill their
+    /// test's span privately, and the coordinator absorbs spans at the
+    /// same index-ordered merge points where entries and ledgers fold in,
+    /// then offers `telemetry` a progress sample, so the sequenced event
+    /// stream, the metrics derived from it and the heartbeat cadence are
+    /// identical for every thread count. Telemetry lives in a parameter —
+    /// not a runner field — because the wafer journal fingerprint embeds
+    /// this runner's `Debug` output.
     ///
     /// Returns the report plus the merged measurement ledger (per-test
     /// session ledgers folded in index order).
-    pub fn run_parallel(
-        &self,
-        blueprint: &ParallelAte,
-        tests: &[Test],
-        strategy: SearchStrategy,
-        policy: ExecPolicy,
-    ) -> (DsvReport, MeasurementLedger) {
-        self.run_parallel_traced(blueprint, tests, strategy, policy, &Tracer::disabled())
-    }
-
-    /// [`run_parallel`](Self::run_parallel) with per-test spans recorded
-    /// into `tracer`.
-    ///
-    /// Workers fill their test's span privately; the coordinator absorbs
-    /// spans at the same index-ordered merge points where entries and
-    /// ledgers fold in. The sequenced event stream (and the metrics
-    /// derived from it) is therefore identical for every thread count.
-    pub fn run_parallel_traced(
-        &self,
-        blueprint: &ParallelAte,
-        tests: &[Test],
-        strategy: SearchStrategy,
-        policy: ExecPolicy,
-        tracer: &Tracer,
-    ) -> (DsvReport, MeasurementLedger) {
-        self.run_parallel_observed(
-            blueprint,
-            tests,
-            strategy,
-            policy,
-            tracer,
-            &Telemetry::disabled(),
-        )
-    }
-
-    /// [`run_parallel_traced`](Self::run_parallel_traced) with live
-    /// telemetry: the coordinator offers a progress sample after every
-    /// index-ordered merge, so heartbeat cadence rides the same
-    /// deterministic fold points as span absorption. Telemetry lives in a
-    /// parameter — not a runner field — because the wafer journal
-    /// fingerprint embeds this runner's `Debug` output.
-    pub fn run_parallel_observed(
-        &self,
-        blueprint: &ParallelAte,
-        tests: &[Test],
-        strategy: SearchStrategy,
-        policy: ExecPolicy,
-        tracer: &Tracer,
-        telemetry: &Telemetry,
-    ) -> (DsvReport, MeasurementLedger) {
-        let rule = match strategy {
-            SearchStrategy::FullRange => ReferenceRule::FullRange,
-            SearchStrategy::SearchUntilTrip => ReferenceRule::Anchored,
-        };
-        self.run_per_test(blueprint, tests, rule, policy, tracer, telemetry)
-    }
-
-    /// [`run_parallel`](Self::run_parallel) with *predicted warm starts*:
-    /// each fanned-out test seeds its STP walk from `planner.plan` over
-    /// the test's own committee prediction, falling back to the
-    /// sequentially-anchored reference trip point when the prediction is
-    /// missing or untrusted (and, under recovery, to a full-range
-    /// re-bracket when even the seed turns out wrong — so trip points
-    /// never depend on prediction quality, only the probe bill does).
-    ///
-    /// `predictions[i]` belongs to `tests[i]`; the anchor head of each
-    /// refresh window still runs eq. 2 full-range, exactly as
-    /// [`Self::run_parallel`], so the fallback reference exists before any
-    /// fan-out.
     ///
     /// # Panics
     ///
-    /// Panics when `predictions` is not one slot per test.
-    pub fn run_parallel_warm(
-        &self,
-        blueprint: &ParallelAte,
-        tests: &[Test],
-        predictions: &[Option<TripPrediction>],
-        planner: &WarmStartPlanner,
-        policy: ExecPolicy,
-    ) -> (DsvReport, MeasurementLedger) {
-        assert_eq!(
-            tests.len(),
-            predictions.len(),
-            "one prediction slot per test"
-        );
-        self.run_per_test(
-            blueprint,
-            tests,
-            ReferenceRule::Warm(predictions, planner),
-            policy,
-            &Tracer::disabled(),
-            &Telemetry::disabled(),
-        )
-    }
-
-    /// The one per-test-session body behind every `run_parallel*` entry
-    /// point (see [`Self::run_parallel`]); `rule` says where each test's
-    /// search starts. Entries, session ledgers, spans and heartbeats all
-    /// fold in test-index order.
-    fn run_per_test(
+    /// Panics when a [`ReferenceRule::Warm`] rule does not carry one
+    /// prediction slot per test.
+    pub fn run_parallel(
         &self,
         blueprint: &ParallelAte,
         tests: &[Test],
@@ -736,6 +652,13 @@ impl MultiTripRunner {
         tracer: &Tracer,
         telemetry: &Telemetry,
     ) -> (DsvReport, MeasurementLedger) {
+        if let ReferenceRule::Warm(predictions, _) = rule {
+            assert_eq!(
+                tests.len(),
+                predictions.len(),
+                "one prediction slot per test"
+            );
+        }
         let (full, rebracket) = self.searches();
         let prepared: Vec<PreparedTest<'_>> = tests.iter().map(PreparedTest::new).collect();
 
@@ -845,15 +768,26 @@ impl MultiTripRunner {
     }
 }
 
-/// Where a fanned-out test's search starts — the one rule the
-/// per-test-session entry points differ by: eq. 2 full-range with no
-/// anchor, eqs. 3–4 around the refresh window's anchored reference, or
-/// eqs. 3–4 from each test's planned warm start (`predictions[i]` belongs
-/// to test `i`), whose last rung is that anchor.
-#[derive(Clone, Copy)]
-enum ReferenceRule<'a> {
+/// Where each fanned-out test's search starts in
+/// [`MultiTripRunner::run_parallel`].
+#[derive(Debug, Clone, Copy)]
+pub enum ReferenceRule<'a> {
+    /// Eq. 2 full-range searches for every test, with no anchor — the
+    /// fig. 3 cost baseline; every test fans out.
     FullRange,
+    /// Eqs. 3–4 around the refresh window's anchored reference trip
+    /// point — the paper's method.
     Anchored,
+    /// Eqs. 3–4 from each test's *predicted warm start*: a fanned-out
+    /// test seeds its STP walk from `planner.plan` over its own committee
+    /// prediction (`predictions[i]` belongs to test `i`), falling back to
+    /// the sequentially anchored reference trip point when the prediction
+    /// is missing or untrusted (and, under recovery, to a full-range
+    /// re-bracket when even the seed turns out wrong — so trip points
+    /// never depend on prediction quality, only the probe bill does). The
+    /// anchor head of each refresh window still runs eq. 2 full-range,
+    /// exactly as under [`ReferenceRule::Anchored`], so the fallback
+    /// reference exists before any fan-out.
     Warm(&'a [Option<TripPrediction>], &'a WarmStartPlanner),
 }
 
@@ -1077,9 +1011,19 @@ mod tests {
         let tests = suite();
         let runner = MultiTripRunner::new(MeasuredParam::DataValidTime);
         let mut ate_a = Ate::noiseless(MemoryDevice::nominal());
-        let full = runner.run(&mut ate_a, &tests, SearchStrategy::FullRange);
+        let full = runner.run(
+            &mut ate_a,
+            &tests,
+            SearchStrategy::FullRange,
+            &Tracer::disabled(),
+        );
         let mut ate_b = Ate::noiseless(MemoryDevice::nominal());
-        let stp = runner.run(&mut ate_b, &tests, SearchStrategy::SearchUntilTrip);
+        let stp = runner.run(
+            &mut ate_b,
+            &tests,
+            SearchStrategy::SearchUntilTrip,
+            &Tracer::disabled(),
+        );
         for (a, b) in full.entries.iter().zip(&stp.entries) {
             let (ta, tb) = (
                 a.trip_point.expect("full converges"),
@@ -1099,9 +1043,19 @@ mod tests {
         let tests = random_tests(30);
         let runner = MultiTripRunner::new(MeasuredParam::DataValidTime);
         let mut ate_a = Ate::noiseless(MemoryDevice::nominal());
-        let full = runner.run(&mut ate_a, &tests, SearchStrategy::FullRange);
+        let full = runner.run(
+            &mut ate_a,
+            &tests,
+            SearchStrategy::FullRange,
+            &Tracer::disabled(),
+        );
         let mut ate_b = Ate::noiseless(MemoryDevice::nominal());
-        let stp = runner.run(&mut ate_b, &tests, SearchStrategy::SearchUntilTrip);
+        let stp = runner.run(
+            &mut ate_b,
+            &tests,
+            SearchStrategy::SearchUntilTrip,
+            &Tracer::disabled(),
+        );
         assert!(
             (stp.total_measurements as f64) < 0.8 * full.total_measurements as f64,
             "stp {} vs full {}",
@@ -1116,6 +1070,7 @@ mod tests {
             &mut Ate::noiseless(MemoryDevice::nominal()),
             &suite(),
             SearchStrategy::SearchUntilTrip,
+            &Tracer::disabled(),
         );
         assert!(report.spread().expect("converged") > 0.5, "{report}");
     }
@@ -1126,6 +1081,7 @@ mod tests {
             &mut Ate::noiseless(MemoryDevice::nominal()),
             &suite(),
             SearchStrategy::SearchUntilTrip,
+            &Tracer::disabled(),
         );
         let first = report.entries[0].trip_point.expect("converges");
         assert_eq!(report.reference_trip_point, Some(first));
@@ -1137,6 +1093,7 @@ mod tests {
             &mut Ate::noiseless(MemoryDevice::nominal()),
             &suite()[..2],
             SearchStrategy::FullRange,
+            &Tracer::disabled(),
         );
         assert_eq!(report.reference_trip_point, None);
     }
@@ -1147,6 +1104,7 @@ mod tests {
             &mut Ate::noiseless(MemoryDevice::nominal()),
             &suite(),
             SearchStrategy::SearchUntilTrip,
+            &Tracer::disabled(),
         );
         let min = report.min().expect("converged");
         let max = report.max().expect("converged");
@@ -1165,6 +1123,7 @@ mod tests {
             &mut Ate::noiseless(MemoryDevice::nominal()),
             &suite(),
             SearchStrategy::SearchUntilTrip,
+            &Tracer::disabled(),
         );
         let worst = report.worst_entry().expect("converged");
         assert_eq!(worst.trip_point, report.min());
@@ -1177,6 +1136,7 @@ mod tests {
             &mut Ate::noiseless(MemoryDevice::nominal()),
             &suite(),
             SearchStrategy::SearchUntilTrip,
+            &Tracer::disabled(),
         );
         for entry in &report.entries {
             let tp = entry.trip_point.expect("converges");
@@ -1195,6 +1155,7 @@ mod tests {
             &mut Ate::noiseless(MemoryDevice::nominal()),
             &tests,
             SearchStrategy::SearchUntilTrip,
+            &Tracer::disabled(),
         );
         assert!(report.spread().expect("converged") > 3.0, "{report}");
     }
@@ -1215,6 +1176,7 @@ mod tests {
             &mut Ate::with_config(MemoryDevice::nominal(), config.clone()),
             &tests,
             SearchStrategy::SearchUntilTrip,
+            &Tracer::disabled(),
         );
         let refreshed = MultiTripRunner::new(MeasuredParam::DataValidTime)
             .with_rtp_refresh(10)
@@ -1222,6 +1184,7 @@ mod tests {
                 &mut Ate::with_config(MemoryDevice::nominal(), config),
                 &tests,
                 SearchStrategy::SearchUntilTrip,
+                &Tracer::disabled(),
             );
         // Both converge on every test (STP's accelerating walk absorbs the
         // drift either way), but only the refreshed session's reference
@@ -1257,16 +1220,26 @@ mod tests {
             ..AteConfig::default()
         };
         let tests = random_tests(24);
-        for strategy in [SearchStrategy::FullRange, SearchStrategy::SearchUntilTrip] {
+        for (strategy, rule) in [
+            (SearchStrategy::FullRange, ReferenceRule::FullRange),
+            (SearchStrategy::SearchUntilTrip, ReferenceRule::Anchored),
+        ] {
             let runner = MultiTripRunner::new(MeasuredParam::DataValidTime);
             let sequential = runner.run(
                 &mut Ate::with_config(MemoryDevice::nominal(), config.clone()),
                 &tests,
                 strategy,
+                &Tracer::disabled(),
             );
             let blueprint = ParallelAte::new(MemoryDevice::nominal(), config.clone());
-            let (parallel, _) =
-                runner.run_parallel(&blueprint, &tests, strategy, ExecPolicy::with_threads(4));
+            let (parallel, _) = runner.run_parallel(
+                &blueprint,
+                &tests,
+                rule,
+                ExecPolicy::with_threads(4),
+                &Tracer::disabled(),
+                &Telemetry::disabled(),
+            );
             assert_eq!(parallel, sequential, "{strategy:?}");
         }
     }
@@ -1282,7 +1255,14 @@ mod tests {
         let tests = random_tests(24);
         let runner = MultiTripRunner::new(MeasuredParam::DataValidTime).with_rtp_refresh(7);
         let run = |policy: ExecPolicy| {
-            runner.run_parallel(&blueprint, &tests, SearchStrategy::SearchUntilTrip, policy)
+            runner.run_parallel(
+                &blueprint,
+                &tests,
+                ReferenceRule::Anchored,
+                policy,
+                &Tracer::disabled(),
+                &Telemetry::disabled(),
+            )
         };
         let (serial_report, serial_ledger) = run(ExecPolicy::serial());
         let (wide_report, wide_ledger) = run(ExecPolicy::with_threads(8));
@@ -1305,8 +1285,10 @@ mod tests {
         let (report, ledger) = MultiTripRunner::new(MeasuredParam::DataValidTime).run_parallel(
             &blueprint,
             &tests,
-            SearchStrategy::SearchUntilTrip,
+            ReferenceRule::Anchored,
             ExecPolicy::with_threads(4),
+            &Tracer::disabled(),
+            &Telemetry::disabled(),
         );
         assert_eq!(ledger.measurements(), report.total_measurements);
         assert_eq!(
@@ -1324,8 +1306,10 @@ mod tests {
         let (report, _) = MultiTripRunner::new(MeasuredParam::DataValidTime).run_parallel(
             &blueprint,
             &tests,
-            SearchStrategy::FullRange,
+            ReferenceRule::FullRange,
             ExecPolicy::with_threads(8),
+            &Tracer::disabled(),
+            &Telemetry::disabled(),
         );
         // Entries land by input index, never by worker completion order.
         let got: Vec<&str> = report.entries.iter().map(|e| e.test_name.as_str()).collect();
@@ -1348,6 +1332,7 @@ mod tests {
             &mut ate,
             &suite(),
             SearchStrategy::SearchUntilTrip,
+            &Tracer::disabled(),
         );
         assert!(report.quarantined() > 0, "{report}");
         for entry in report.quarantined_entries() {
@@ -1385,7 +1370,12 @@ mod tests {
         let mut ate = Ate::with_config(MemoryDevice::nominal(), config);
         let runner = MultiTripRunner::new(MeasuredParam::DataValidTime)
             .with_recovery(RetryPolicy::new(8, 50.0));
-        let report = runner.run(&mut ate, &suite(), SearchStrategy::SearchUntilTrip);
+        let report = runner.run(
+            &mut ate,
+            &suite(),
+            SearchStrategy::SearchUntilTrip,
+            &Tracer::disabled(),
+        );
         assert_eq!(report.quarantined(), 0, "{report}");
         assert!(report.recovered() > 0, "25% dropouts must need retries");
         assert!(ate.ledger().retries() > 0);
@@ -1395,6 +1385,7 @@ mod tests {
             &mut Ate::noiseless(MemoryDevice::nominal()),
             &suite(),
             SearchStrategy::SearchUntilTrip,
+            &Tracer::disabled(),
         );
         for (faulty, clean) in report.entries.iter().zip(&baseline.entries) {
             assert_eq!(faulty.trip_point, clean.trip_point, "{}", faulty.test_name);
@@ -1419,7 +1410,12 @@ mod tests {
         let tests = random_tests(20);
         let runner = MultiTripRunner::new(MeasuredParam::DataValidTime)
             .with_recovery(RetryPolicy::new(4, 50.0));
-        let report = runner.run(&mut ate, &tests, SearchStrategy::SearchUntilTrip);
+        let report = runner.run(
+            &mut ate,
+            &tests,
+            SearchStrategy::SearchUntilTrip,
+            &Tracer::disabled(),
+        );
         let rebracketed: Vec<&DsvEntry> = report
             .entries
             .iter()
@@ -1456,7 +1452,14 @@ mod tests {
         let runner = MultiTripRunner::new(MeasuredParam::DataValidTime)
             .with_recovery(RetryPolicy::new(3, 100.0).with_vote(2, 3));
         let run = |policy: ExecPolicy| {
-            runner.run_parallel(&blueprint, &tests, SearchStrategy::SearchUntilTrip, policy)
+            runner.run_parallel(
+                &blueprint,
+                &tests,
+                ReferenceRule::Anchored,
+                policy,
+                &Tracer::disabled(),
+                &Telemetry::disabled(),
+            )
         };
         let (serial_report, serial_ledger) = run(ExecPolicy::serial());
         let (wide_report, wide_ledger) = run(ExecPolicy::with_threads(8));
@@ -1472,12 +1475,19 @@ mod tests {
         let tests = suite();
         let runner = MultiTripRunner::new(MeasuredParam::DataValidTime);
         let mut plain_ate = Ate::noiseless(MemoryDevice::nominal());
-        let plain = runner.run(&mut plain_ate, &tests, SearchStrategy::FullRange);
+        let plain = runner.run(
+            &mut plain_ate,
+            &tests,
+            SearchStrategy::FullRange,
+            &Tracer::disabled(),
+        );
         let mut spec_ate = Ate::noiseless(MemoryDevice::nominal());
-        let spec = runner
-            .clone()
-            .with_speculation()
-            .run(&mut spec_ate, &tests, SearchStrategy::FullRange);
+        let spec = runner.clone().with_speculation().run(
+            &mut spec_ate,
+            &tests,
+            SearchStrategy::FullRange,
+            &Tracer::disabled(),
+        );
         for (a, b) in plain.entries.iter().zip(&spec.entries) {
             assert_eq!(a.trip_point, b.trip_point, "{}", a.test_name);
         }
@@ -1526,17 +1536,20 @@ mod tests {
         let (stp, _) = runner.run_parallel(
             &blueprint,
             &tests,
-            SearchStrategy::SearchUntilTrip,
+            ReferenceRule::Anchored,
             ExecPolicy::serial(),
+            &Tracer::disabled(),
+            &Telemetry::disabled(),
         );
         let predictions = perfect_predictions(&stp);
         let planner = WarmStartPlanner::new(param.generous_range(), 1.0);
-        let (warm, ledger) = runner.run_parallel_warm(
+        let (warm, ledger) = runner.run_parallel(
             &blueprint,
             &tests,
-            &predictions,
-            &planner,
+            ReferenceRule::Warm(&predictions, &planner),
             ExecPolicy::serial(),
+            &Tracer::disabled(),
+            &Telemetry::disabled(),
         );
         for (a, b) in stp.entries.iter().zip(&warm.entries) {
             let (ta, tb) = (
@@ -1576,8 +1589,10 @@ mod tests {
         let (plain, plain_ledger) = runner.run_parallel(
             &blueprint,
             &tests,
-            SearchStrategy::SearchUntilTrip,
+            ReferenceRule::Anchored,
             ExecPolicy::with_threads(4),
+            &Tracer::disabled(),
+            &Telemetry::disabled(),
         );
         // Every prediction's vote scatter blows the trust band: the ladder
         // must land on the RTP rung for every test, reproducing the plain
@@ -1592,12 +1607,13 @@ mod tests {
             })
             .collect();
         let planner = WarmStartPlanner::new(param.generous_range(), 1.0);
-        let (warm, warm_ledger) = runner.run_parallel_warm(
+        let (warm, warm_ledger) = runner.run_parallel(
             &blueprint,
             &tests,
-            &wild,
-            &planner,
+            ReferenceRule::Warm(&wild, &planner),
             ExecPolicy::with_threads(4),
+            &Tracer::disabled(),
+            &Telemetry::disabled(),
         );
         assert_eq!(warm, plain);
         assert_eq!(warm_ledger, plain_ledger);
@@ -1631,7 +1647,14 @@ mod tests {
             .collect();
         let planner = WarmStartPlanner::new(param.generous_range(), 1.0);
         let run = |policy: ExecPolicy| {
-            runner.run_parallel_warm(&blueprint, &tests, &predictions, &planner, policy)
+            runner.run_parallel(
+                &blueprint,
+                &tests,
+                ReferenceRule::Warm(&predictions, &planner),
+                policy,
+                &Tracer::disabled(),
+                &Telemetry::disabled(),
+            )
         };
         let (serial_report, serial_ledger) = run(ExecPolicy::serial());
         let (wide_report, wide_ledger) = run(ExecPolicy::with_threads(8));
@@ -1648,12 +1671,13 @@ mod tests {
         let blueprint = ParallelAte::new(MemoryDevice::nominal(), AteConfig::default());
         let param = MeasuredParam::DataValidTime;
         let planner = WarmStartPlanner::new(param.generous_range(), 1.0);
-        let _ = MultiTripRunner::new(param).run_parallel_warm(
+        let _ = MultiTripRunner::new(param).run_parallel(
             &blueprint,
             &suite(),
-            &[None],
-            &planner,
+            ReferenceRule::Warm(&[None], &planner),
             ExecPolicy::serial(),
+            &Tracer::disabled(),
+            &Telemetry::disabled(),
         );
     }
 
@@ -1663,6 +1687,7 @@ mod tests {
             &mut Ate::noiseless(MemoryDevice::nominal()),
             &suite()[..2],
             SearchStrategy::SearchUntilTrip,
+            &Tracer::disabled(),
         );
         assert!(report.to_string().contains("measurements/test"));
     }

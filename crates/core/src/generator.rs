@@ -33,11 +33,23 @@ pub struct Candidate {
 ///
 /// # Examples
 ///
-/// See [`crate::compare`] for the full pipeline; the proposal call is
+/// See [`crate::compare`] for the full pipeline; the proposal step is
 ///
-/// ```ignore
+/// ```no_run
+/// use cichar_ate::Ate;
+/// use cichar_core::generator::NeuralTestGenerator;
+/// use cichar_core::learning::{LearningConfig, LearningScheme};
+/// use cichar_dut::MemoryDevice;
+/// use cichar_trace::Tracer;
+/// use rand::SeedableRng;
+///
+/// let mut ate = Ate::noiseless(MemoryDevice::nominal());
+/// let mut rng = rand::rngs::StdRng::seed_from_u64(1);
+/// let scheme = LearningScheme::new(LearningConfig::default());
+/// let model = scheme.run(&mut ate, &mut rng, &Tracer::disabled());
 /// let generator = NeuralTestGenerator::new(&model);
 /// let seeds = generator.propose(2000, 24, None, &mut rng);
+/// assert!(seeds.len() <= 24);
 /// ```
 #[derive(Debug, Clone, PartialEq)]
 pub struct NeuralTestGenerator<'a> {
@@ -128,6 +140,7 @@ mod tests {
     use cichar_dut::MemoryDevice;
     use cichar_fuzzy::coding::CodingScheme;
     use cichar_neural::TrainConfig;
+    use cichar_trace::Tracer;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -146,7 +159,7 @@ mod tests {
             },
             ..LearningConfig::default()
         })
-        .run(&mut ate, &mut rng)
+        .run(&mut ate, &mut rng, &Tracer::disabled())
     }
 
     /// The screen before bounded selection: every candidate scored and

@@ -225,23 +225,15 @@ impl LearningScheme {
         &self.config
     }
 
-    /// Runs learning against the tester.
+    /// Runs learning against the tester, with per-test measurement spans
+    /// and one [`TraceEvent::CommitteeEpochFinished`] campaign event per
+    /// training round recorded into `tracer` (pass [`Tracer::disabled`]
+    /// to record nothing).
     ///
     /// # Panics
     ///
     /// Panics if no trip point converges at all (a mis-ranged setup).
-    pub fn run<R: Rng + ?Sized>(&self, ate: &mut Ate, rng: &mut R) -> LearnedModel {
-        self.run_traced(ate, rng, &Tracer::disabled())
-    }
-
-    /// [`run`](Self::run) with per-test measurement spans and one
-    /// [`TraceEvent::CommitteeEpochFinished`] campaign event per training
-    /// round recorded into `tracer`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if no trip point converges at all (a mis-ranged setup).
-    pub fn run_traced<R: Rng + ?Sized>(
+    pub fn run<R: Rng + ?Sized>(
         &self,
         ate: &mut Ate,
         rng: &mut R,
@@ -273,7 +265,7 @@ impl LearningScheme {
                 })
                 .collect();
             // Step 2: measure trip points (eq. 2 first, then eqs. 3/4).
-            let report = runner.run_traced(ate, &tests, SearchStrategy::SearchUntilTrip, tracer);
+            let report = runner.run(ate, &tests, SearchStrategy::SearchUntilTrip, tracer);
             if rtp.is_none() {
                 rtp = report.reference_trip_point;
             }
@@ -361,7 +353,7 @@ mod tests {
     fn learn(coding: CodingScheme, seed: u64) -> LearnedModel {
         let mut ate = Ate::noiseless(MemoryDevice::nominal());
         let mut rng = StdRng::seed_from_u64(seed);
-        LearningScheme::new(tiny_config(coding)).run(&mut ate, &mut rng)
+        LearningScheme::new(tiny_config(coding)).run(&mut ate, &mut rng, &Tracer::disabled())
     }
 
     #[test]

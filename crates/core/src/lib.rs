@@ -68,10 +68,11 @@ pub mod wafer;
 pub mod wcr;
 
 /// Where a campaign's measurement-heavy stages run — the one fork in a
-/// runner body (`DESIGN.md` §7). Under noise or drift the two give
+/// runner body (`DESIGN.md` §7), and the session argument of
+/// [`multi::MultiParamCampaign::run`]. Under noise or drift the two give
 /// different answers, so neither may silently stand in for the other.
 #[derive(Debug, Clone, Copy)]
-pub(crate) enum Sessions {
+pub enum Sessions {
     /// On the caller's `Ate`, in order, consuming its noise, drift and
     /// fault streams as they go.
     Shared,

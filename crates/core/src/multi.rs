@@ -18,7 +18,6 @@ use crate::optimization::{OptimizationConfig, OptimizationOutcome, OptimizationS
 use crate::wcr::CharacterizationObjective;
 use crate::Sessions;
 use cichar_ate::{Ate, MeasuredParam, MeasurementLedger, ParallelAte};
-use cichar_exec::ExecPolicy;
 use cichar_patterns::TestConditions;
 use cichar_search::RetryPolicy;
 use cichar_trace::{Telemetry, Tracer};
@@ -199,61 +198,22 @@ impl MultiParamCampaign {
         &self.tasks
     }
 
-    /// Runs every task against the tester.
-    pub fn run<R: Rng + ?Sized>(&self, ate: &mut Ate, rng: &mut R) -> CampaignReport {
-        self.run_traced(ate, rng, &Tracer::disabled())
-    }
-
-    /// [`run`](Self::run) with the campaign recorded into `tracer`: a
-    /// phase-change event opens each task (named after its parameter), and
-    /// the learning and optimization stages record their per-measurement
-    /// spans through their traced sub-runs.
-    pub fn run_traced<R: Rng + ?Sized>(
-        &self,
-        ate: &mut Ate,
-        rng: &mut R,
-        tracer: &Tracer,
-    ) -> CampaignReport {
-        self.run_on(ate, Sessions::Shared, rng, tracer)
-    }
-
-    /// [`run`](Self::run) with each task's GA fitness evaluation fanned
-    /// out across the thread policy. The learning rounds stay on the
-    /// shared session (they are data-dependent by design); the
-    /// optimization stage clones the tester into per-individual
-    /// derived-seed sessions.
+    /// Runs every task against the tester, with the campaign recorded
+    /// into `tracer` (pass [`Tracer::disabled`] to record nothing): a
+    /// phase-change event opens each task (named after its parameter),
+    /// and the learning and optimization stages record their
+    /// per-measurement spans through their traced sub-runs.
     ///
-    /// Bit-identical to [`run`](Self::run) on a noiseless, drift-free
-    /// tester, and bit-identical across thread counts always.
-    pub fn run_parallel<R: Rng + ?Sized>(
-        &self,
-        ate: &mut Ate,
-        policy: ExecPolicy,
-        rng: &mut R,
-    ) -> CampaignReport {
-        self.run_parallel_traced(ate, policy, rng, &Tracer::disabled())
-    }
-
-    /// [`run_parallel`](Self::run_parallel) with the campaign recorded
-    /// into `tracer` — see [`run_traced`](Self::run_traced) for the event
-    /// layout. Spans from parallel fitness evaluations are absorbed in
-    /// evaluation order, so the stream is identical for every thread
-    /// count.
-    pub fn run_parallel_traced<R: Rng + ?Sized>(
-        &self,
-        ate: &mut Ate,
-        policy: ExecPolicy,
-        rng: &mut R,
-        tracer: &Tracer,
-    ) -> CampaignReport {
-        self.run_on(ate, Sessions::PerTest(policy), rng, tracer)
-    }
-
-    /// The campaign body: learning always runs on the shared session, and
-    /// `sessions` decides where each task's GA fitness evaluations run.
-    /// The report's ledger is `ate`'s own delta plus the per-evaluation
-    /// sessions' ledgers.
-    fn run_on<R: Rng + ?Sized>(
+    /// The learning rounds always run on the shared session (they are
+    /// data-dependent by design); `sessions` decides where each task's GA
+    /// fitness evaluations run. [`Sessions::PerTest`] clones the tester
+    /// into per-individual derived-seed sessions fanned out across the
+    /// thread policy, and absorbs their spans in evaluation order, so the
+    /// report and the event stream are identical for every thread count;
+    /// on a noiseless, drift-free tester it is also bit-identical to
+    /// [`Sessions::Shared`]. The report's ledger is `ate`'s own delta
+    /// plus the per-evaluation sessions' ledgers.
+    pub fn run<R: Rng + ?Sized>(
         &self,
         ate: &mut Ate,
         sessions: Sessions,
@@ -270,7 +230,7 @@ impl MultiParamCampaign {
                 objective: task.objective,
                 ..self.learning.clone()
             };
-            let model = LearningScheme::new(learning).run_traced(ate, rng, tracer);
+            let model = LearningScheme::new(learning).run(ate, rng, tracer);
             let generator = NeuralTestGenerator::new(&model);
             let seeds =
                 generator.propose(self.nn_candidates, self.nn_seeds, Some(self.conditions), rng);
@@ -284,10 +244,10 @@ impl MultiParamCampaign {
             let reference = Some(model.reference_trip_point);
             let (outcome, ledger) = match sessions {
                 Sessions::Shared => (
-                    scheme.run_traced(ate, &seeds, reference, rng, tracer),
+                    scheme.run(ate, &seeds, reference, rng, tracer),
                     MeasurementLedger::new(),
                 ),
-                Sessions::PerTest(policy) => scheme.run_parallel_observed(
+                Sessions::PerTest(policy) => scheme.run_parallel(
                     &ParallelAte::from_ate(ate),
                     &seeds,
                     reference,
@@ -318,6 +278,7 @@ impl MultiParamCampaign {
 mod tests {
     use super::*;
     use cichar_dut::MemoryDevice;
+    use cichar_exec::ExecPolicy;
     use cichar_fuzzy::coding::CodingScheme;
     use cichar_genetic::GaConfig;
     use cichar_neural::TrainConfig;
@@ -358,7 +319,7 @@ mod tests {
     fn campaign_covers_all_parameters() {
         let mut ate = Ate::noiseless(MemoryDevice::nominal());
         let mut rng = StdRng::seed_from_u64(31);
-        let report = tiny_campaign().run(&mut ate, &mut rng);
+        let report = tiny_campaign().run(&mut ate, Sessions::Shared, &mut rng, &Tracer::disabled());
         assert_eq!(report.tasks.len(), 3);
         let suite = report.worst_case_suite();
         let params: Vec<MeasuredParam> = suite.iter().map(|(p, _)| *p).collect();
@@ -376,7 +337,7 @@ mod tests {
     fn per_parameter_models_are_independent() {
         let mut ate = Ate::noiseless(MemoryDevice::nominal());
         let mut rng = StdRng::seed_from_u64(32);
-        let report = tiny_campaign().run(&mut ate, &mut rng);
+        let report = tiny_campaign().run(&mut ate, Sessions::Shared, &mut rng, &Tracer::disabled());
         // Each task trained its own committee against its own objective.
         let rtps: Vec<f64> = report.tasks.iter().map(|t| t.model.reference_trip_point).collect();
         assert!(rtps[0] > 20.0 && rtps[0] < 36.0, "t_dq rtp {}", rtps[0]);
@@ -388,7 +349,7 @@ mod tests {
     fn worst_cases_are_physically_ordered() {
         let mut ate = Ate::noiseless(MemoryDevice::nominal());
         let mut rng = StdRng::seed_from_u64(33);
-        let report = tiny_campaign().run(&mut ate, &mut rng);
+        let report = tiny_campaign().run(&mut ate, Sessions::Shared, &mut rng, &Tracer::disabled());
         // The t_dq worst case provokes a deeper window than the March
         // baseline (the GA found something), and the vdd_min worst case
         // pushed vdd_min up, not down.
@@ -402,7 +363,7 @@ mod tests {
     fn measurements_accumulate_across_tasks() {
         let mut ate = Ate::noiseless(MemoryDevice::nominal());
         let mut rng = StdRng::seed_from_u64(34);
-        let report = tiny_campaign().run(&mut ate, &mut rng);
+        let report = tiny_campaign().run(&mut ate, Sessions::Shared, &mut rng, &Tracer::disabled());
         assert_eq!(report.total_measurements, ate.ledger().measurements());
         let per_task: u64 = report
             .tasks
@@ -416,11 +377,16 @@ mod tests {
     fn parallel_campaign_reproduces_the_sequential_run() {
         let mut ate = Ate::noiseless(MemoryDevice::nominal());
         let mut rng = StdRng::seed_from_u64(31);
-        let sequential = tiny_campaign().run(&mut ate, &mut rng);
+        let sequential =
+            tiny_campaign().run(&mut ate, Sessions::Shared, &mut rng, &Tracer::disabled());
         let mut ate = Ate::noiseless(MemoryDevice::nominal());
         let mut rng = StdRng::seed_from_u64(31);
-        let parallel =
-            tiny_campaign().run_parallel(&mut ate, ExecPolicy::with_threads(8), &mut rng);
+        let parallel = tiny_campaign().run(
+            &mut ate,
+            Sessions::PerTest(ExecPolicy::with_threads(8)),
+            &mut rng,
+            &Tracer::disabled(),
+        );
         assert_eq!(sequential.total_measurements, parallel.total_measurements);
         for (s, p) in sequential.tasks.iter().zip(&parallel.tasks) {
             assert_eq!(s.model.reference_trip_point, p.model.reference_trip_point);
@@ -437,7 +403,7 @@ mod tests {
     fn display_names_every_parameter() {
         let mut ate = Ate::noiseless(MemoryDevice::nominal());
         let mut rng = StdRng::seed_from_u64(35);
-        let report = tiny_campaign().run(&mut ate, &mut rng);
+        let report = tiny_campaign().run(&mut ate, Sessions::Shared, &mut rng, &Tracer::disabled());
         let text = report.to_string();
         assert!(text.contains("T_DQ"), "{text}");
         assert!(text.contains("f_max"), "{text}");
@@ -457,7 +423,12 @@ mod tests {
         let run = |policy: ExecPolicy| {
             let mut ate = Ate::with_config(MemoryDevice::nominal(), config.clone());
             let mut rng = StdRng::seed_from_u64(41);
-            campaign.run_parallel(&mut ate, policy, &mut rng)
+            campaign.run(
+                &mut ate,
+                Sessions::PerTest(policy),
+                &mut rng,
+                &Tracer::disabled(),
+            )
         };
         let serial = run(ExecPolicy::serial());
         assert!(serial.ledger.injected_faults() > 0, "{}", serial.ledger);

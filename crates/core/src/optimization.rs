@@ -169,35 +169,26 @@ impl OptimizationScheme {
         Some(Individual::new(chromosomes))
     }
 
-    /// Runs the GA with ATE-measured fitness.
+    /// Runs the GA with ATE-measured fitness on the caller's shared
+    /// session, with per-evaluation spans and per-generation GA
+    /// statistics recorded into `tracer` (pass [`Tracer::disabled`] to
+    /// record nothing).
     ///
     /// `seeds` are the fuzzy-neural generator's sub-optimal tests (may be
     /// empty — fig. 5 degrades to a plain GA then). `reference_trip_point`
     /// usually comes from the learning phase; when `None`, the first
     /// evaluated individual establishes it with a full-range search.
-    pub fn run<R: Rng + ?Sized>(
-        &self,
-        ate: &mut Ate,
-        seeds: &[Candidate],
-        reference_trip_point: Option<f64>,
-        rng: &mut R,
-    ) -> OptimizationOutcome {
-        self.run_traced(ate, seeds, reference_trip_point, rng, &Tracer::disabled())
-    }
-
-    /// [`run`](Self::run) with per-evaluation spans and per-generation GA
-    /// statistics recorded into `tracer`.
     ///
     /// Each fitness evaluation gets a span keyed by its 0-based global
-    /// evaluation index — the same key the parallel variant uses — and
-    /// [`TraceEvent::GaGenerationEvaluated`] campaign events are emitted
-    /// from the GA history after the run, so sequential and parallel
-    /// campaigns describe generations identically.
+    /// evaluation index — the same key [`run_parallel`](Self::run_parallel)
+    /// uses — and [`TraceEvent::GaGenerationEvaluated`] campaign events
+    /// are emitted from the GA history after the run, so sequential and
+    /// parallel campaigns describe generations identically.
     ///
     /// This is the shared-session body: every evaluation measures on
     /// `ate` in order, and a re-bracketing fallback's fresh full search
     /// re-anchors the reference trip point for the evaluations after it.
-    pub fn run_traced<R: Rng + ?Sized>(
+    pub fn run<R: Rng + ?Sized>(
         &self,
         ate: &mut Ate,
         seeds: &[Candidate],
@@ -263,38 +254,18 @@ impl OptimizationScheme {
     /// verification (eq. 2 anchoring); only the anchored remainder of
     /// each generation's brood fans out.
     ///
-    /// Returns the outcome plus the merged measurement ledger.
-    pub fn run_parallel<R: Rng + ?Sized>(
-        &self,
-        blueprint: &ParallelAte,
-        seeds: &[Candidate],
-        reference_trip_point: Option<f64>,
-        policy: ExecPolicy,
-        rng: &mut R,
-    ) -> (OptimizationOutcome, MeasurementLedger) {
-        self.run_parallel_observed(
-            blueprint,
-            seeds,
-            reference_trip_point,
-            policy,
-            rng,
-            &Tracer::disabled(),
-            &Telemetry::disabled(),
-        )
-    }
-
-    /// [`run_parallel`](Self::run_parallel) with per-evaluation spans
-    /// recorded into `tracer` and live telemetry.
+    /// Per-evaluation spans are recorded into `tracer`: workers fill each
+    /// evaluation's span privately; the coordinator absorbs spans in
+    /// evaluation order at the same merge point where ledgers and
+    /// database inserts fold in, and offers `telemetry` a progress sample
+    /// there, so the sequenced stream and the heartbeats are identical
+    /// for every thread count. Telemetry lives in a parameter — not a
+    /// scheme field — because the wafer journal fingerprint embeds runner
+    /// state via `Debug`, and this scheme derives `PartialEq`.
     ///
-    /// Workers fill each evaluation's span privately; the coordinator
-    /// absorbs spans in evaluation order at the same merge point where
-    /// ledgers and database inserts fold in, and offers a progress sample
-    /// there, so the sequenced stream and the heartbeats are identical for
-    /// every thread count. Telemetry lives in a parameter — not a scheme
-    /// field — because the wafer journal fingerprint embeds runner state
-    /// via `Debug`, and this scheme derives `PartialEq`.
+    /// Returns the outcome plus the merged measurement ledger.
     #[allow(clippy::too_many_arguments)]
-    pub fn run_parallel_observed<R: Rng + ?Sized>(
+    pub fn run_parallel<R: Rng + ?Sized>(
         &self,
         blueprint: &ParallelAte,
         seeds: &[Candidate],
@@ -624,7 +595,7 @@ mod tests {
         let scheme = OptimizationScheme::new(small_config());
         let mut ate = Ate::noiseless(MemoryDevice::nominal());
         let mut rng = StdRng::seed_from_u64(41);
-        let outcome = scheme.run(&mut ate, &[], None, &mut rng);
+        let outcome = scheme.run(&mut ate, &[], None, &mut rng, &Tracer::disabled());
 
         // Random baseline with the same measurement style.
         let runner = MultiTripRunner::new(MeasuredParam::DataValidTime);
@@ -633,7 +604,12 @@ mod tests {
             .map(|_| random::random_test_at(&mut rng2, TestConditions::nominal()))
             .collect();
         let mut ate2 = Ate::noiseless(MemoryDevice::nominal());
-        let report = runner.run(&mut ate2, &randoms, SearchStrategy::SearchUntilTrip);
+        let report = runner.run(
+            &mut ate2,
+            &randoms,
+            SearchStrategy::SearchUntilTrip,
+            &Tracer::disabled(),
+        );
         let random_best = report.min().expect("converged");
 
         assert!(
@@ -648,7 +624,7 @@ mod tests {
         let scheme = OptimizationScheme::new(small_config());
         let mut ate = Ate::noiseless(MemoryDevice::nominal());
         let mut rng = StdRng::seed_from_u64(43);
-        let outcome = scheme.run(&mut ate, &[], None, &mut rng);
+        let outcome = scheme.run(&mut ate, &[], None, &mut rng, &Tracer::disabled());
         assert!(!outcome.database.is_empty());
         let wcrs: Vec<f64> = outcome.database.entries().iter().map(|e| e.wcr).collect();
         for pair in wcrs.windows(2) {
@@ -662,7 +638,7 @@ mod tests {
         let scheme = OptimizationScheme::new(small_config());
         let mut ate = Ate::noiseless(MemoryDevice::nominal());
         let mut rng = StdRng::seed_from_u64(44);
-        let outcome = scheme.run(&mut ate, &[], None, &mut rng);
+        let outcome = scheme.run(&mut ate, &[], None, &mut rng, &Tracer::disabled());
         assert_eq!(outcome.measurements_used, ate.ledger().measurements());
         assert!(outcome.measurements_used > outcome.ga.evaluations as u64);
     }
@@ -672,13 +648,19 @@ mod tests {
         let scheme = OptimizationScheme::new(small_config());
         let mut rng = StdRng::seed_from_u64(45);
         let mut ate_b = Ate::noiseless(MemoryDevice::nominal());
-        let without_ref = scheme.run(&mut ate_b, &[], None, &mut rng);
+        let without_ref = scheme.run(&mut ate_b, &[], None, &mut rng, &Tracer::disabled());
         // Replay the identical campaign, but hand it the reference the
         // first run had to pay a full search (eq. 2) to discover. Same GA
         // trajectory (same seeds, same reference), one full search less.
         let mut rng = StdRng::seed_from_u64(45);
         let mut ate_a = Ate::noiseless(MemoryDevice::nominal());
-        let with_ref = scheme.run(&mut ate_a, &[], without_ref.reference_trip_point, &mut rng);
+        let with_ref = scheme.run(
+            &mut ate_a,
+            &[],
+            without_ref.reference_trip_point,
+            &mut rng,
+            &Tracer::disabled(),
+        );
         assert!(without_ref.reference_trip_point.is_some());
         assert_eq!(with_ref.reference_trip_point, without_ref.reference_trip_point);
         assert!(with_ref.measurements_used <= without_ref.measurements_used);
@@ -733,7 +715,7 @@ mod tests {
         });
         let mut ate = Ate::noiseless(MemoryDevice::nominal());
         let mut rng = StdRng::seed_from_u64(48);
-        let outcome = scheme.run(&mut ate, &[], None, &mut rng);
+        let outcome = scheme.run(&mut ate, &[], None, &mut rng, &Tracer::disabled());
         let best_vdd = outcome.best.test.conditions().vdd.value();
         assert!(
             best_vdd < 1.7,
@@ -780,7 +762,7 @@ mod tests {
         });
         let mut ate = Ate::noiseless(MemoryDevice::nominal());
         let mut rng = StdRng::seed_from_u64(50);
-        let outcome = scheme.run(&mut ate, &[], None, &mut rng);
+        let outcome = scheme.run(&mut ate, &[], None, &mut rng, &Tracer::disabled());
         assert!(
             outcome.ga.history.len() < 50,
             "stopped after {} generations",
@@ -794,7 +776,13 @@ mod tests {
         use cichar_ate::{AteConfig, DriftModel, NoiseModel};
         let scheme = OptimizationScheme::new(small_config());
         let mut ate = Ate::noiseless(MemoryDevice::nominal());
-        let sequential = scheme.run(&mut ate, &[], None, &mut StdRng::seed_from_u64(52));
+        let sequential = scheme.run(
+            &mut ate,
+            &[],
+            None,
+            &mut StdRng::seed_from_u64(52),
+            &Tracer::disabled(),
+        );
         let blueprint = ParallelAte::new(
             MemoryDevice::nominal(),
             AteConfig {
@@ -810,6 +798,8 @@ mod tests {
             None,
             ExecPolicy::with_threads(4),
             &mut StdRng::seed_from_u64(52),
+            &Tracer::disabled(),
+            &Telemetry::disabled(),
         );
         assert_eq!(parallel, sequential);
         assert_eq!(ledger.measurements(), sequential.measurements_used);
@@ -829,6 +819,8 @@ mod tests {
                 None,
                 ExecPolicy::with_threads(threads),
                 &mut StdRng::seed_from_u64(53),
+                &Tracer::disabled(),
+                &Telemetry::disabled(),
             )
         };
         let (serial_outcome, serial_ledger) = run(1);
@@ -859,6 +851,8 @@ mod tests {
                 None,
                 ExecPolicy::with_threads(threads),
                 &mut StdRng::seed_from_u64(54),
+                &Tracer::disabled(),
+                &Telemetry::disabled(),
             )
         };
         let (serial_outcome, serial_ledger) = run(1);
@@ -923,7 +917,7 @@ mod tests {
         let scheme = OptimizationScheme::new(small_config());
         let mut ate = Ate::noiseless(MemoryDevice::nominal());
         let mut rng = StdRng::seed_from_u64(51);
-        let outcome = scheme.run(&mut ate, &[], None, &mut rng);
+        let outcome = scheme.run(&mut ate, &[], None, &mut rng, &Tracer::disabled());
         assert!(outcome.to_string().contains("ATE measurements"));
         assert_ne!(outcome.best.class, WcrClass::Fail, "device is healthy");
     }

@@ -165,6 +165,7 @@ mod tests {
     use cichar_dut::MemoryDevice;
     use cichar_patterns::{march, random, Test, TestConditions};
     use cichar_search::{BinarySearch, Probe};
+    use cichar_trace::Tracer;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -175,8 +176,9 @@ mod tests {
             .collect();
         let runner = MultiTripRunner::new(MeasuredParam::DataValidTime);
         let mut ate = Ate::noiseless(MemoryDevice::nominal());
-        let full = runner.run(&mut ate, &tests, SearchStrategy::FullRange);
-        let stp = runner.run(&mut ate, &tests, SearchStrategy::SearchUntilTrip);
+        let tracer = Tracer::disabled();
+        let full = runner.run(&mut ate, &tests, SearchStrategy::FullRange, &tracer);
+        let stp = runner.run(&mut ate, &tests, SearchStrategy::SearchUntilTrip, &tracer);
         (full, stp)
     }
 

@@ -208,7 +208,9 @@ pub fn corner_grid(vdds: &[f64], temperatures: &[f64]) -> Vec<TestConditions> {
 /// use cichar_core::wcr::CharacterizationObjective;
 /// use cichar_ate::MeasuredParam;
 /// use cichar_dut::Lot;
+/// use cichar_exec::ExecPolicy;
 /// use cichar_patterns::{march, Test};
+/// use cichar_trace::Tracer;
 /// use rand::SeedableRng;
 ///
 /// let campaign = SampleCharacterization::new(
@@ -218,7 +220,8 @@ pub fn corner_grid(vdds: &[f64], temperatures: &[f64]) -> Vec<TestConditions> {
 /// );
 /// let tests = vec![Test::deterministic("march_c-", march::march_c_minus(64))];
 /// let mut rng = rand::rngs::StdRng::seed_from_u64(1);
-/// let report = campaign.run(&Lot::default(), 5, &tests, &mut rng);
+/// let serial = ExecPolicy::serial();
+/// let report = campaign.run(&Lot::default(), 5, &tests, serial, &mut rng, &Tracer::disabled());
 /// assert_eq!(report.dies.len(), 5);
 /// assert!(report.spec_margin().expect("measured") > 0.0);
 /// ```
@@ -291,62 +294,22 @@ impl SampleCharacterization {
     }
 
     /// Samples `die_count` dies from `lot` and characterizes each over
-    /// every corner with the given tests.
-    pub fn run<R: Rng + ?Sized>(
-        &self,
-        lot: &Lot,
-        die_count: usize,
-        tests: &[Test],
-        rng: &mut R,
-    ) -> SampleReport {
-        self.run_traced(lot, die_count, tests, rng, &Tracer::disabled())
-    }
-
-    /// [`run`](Self::run) with per-die spans recorded into `tracer`.
+    /// every corner with the given tests, with the per-die sweeps fanned
+    /// out across worker threads and per-die spans recorded into `tracer`
+    /// (pass [`Tracer::disabled`] to record nothing).
+    ///
+    /// Every die measures on a fresh tester session of its own with the
+    /// campaign's configuration, so the per-die work is independent by
+    /// construction: the report is bit-identical at every thread count,
+    /// [`ExecPolicy::serial`] included, for every configuration — noisy
+    /// and drifting testers too. There is no separate sequential body.
     ///
     /// Each sampled die gets one span keyed by its sample index; every
-    /// search at every corner of that die reports into it. This is
-    /// [`run_parallel_traced`](Self::run_parallel_traced) at
-    /// [`ExecPolicy::serial`]: every die already measures on a fresh
-    /// session of its own, so the sequential campaign has no body of its
-    /// own.
-    pub fn run_traced<R: Rng + ?Sized>(
-        &self,
-        lot: &Lot,
-        die_count: usize,
-        tests: &[Test],
-        rng: &mut R,
-        tracer: &Tracer,
-    ) -> SampleReport {
-        self.run_parallel_traced(lot, die_count, tests, ExecPolicy::serial(), rng, tracer)
-    }
-
-    /// [`run`](Self::run) with the per-die sweeps fanned out across worker
-    /// threads.
-    ///
-    /// The sequential path already puts each die on a fresh tester session
-    /// with the campaign's configuration, so the per-die work is
-    /// independent by construction: this produces a report bit-identical
-    /// to [`run`](Self::run) for every configuration — including noisy and
-    /// drifting testers — at any thread count.
-    pub fn run_parallel<R: Rng + ?Sized>(
-        &self,
-        lot: &Lot,
-        die_count: usize,
-        tests: &[Test],
-        policy: ExecPolicy,
-        rng: &mut R,
-    ) -> SampleReport {
-        self.run_parallel_traced(lot, die_count, tests, policy, rng, &Tracer::disabled())
-    }
-
-    /// [`run_parallel`](Self::run_parallel) with per-die spans recorded
-    /// into `tracer`.
-    ///
-    /// Workers fill their die's span privately; the coordinator absorbs
-    /// spans in sample-index order, so the sequenced stream is identical
-    /// for every thread count.
-    pub fn run_parallel_traced<R: Rng + ?Sized>(
+    /// search at every corner of that die reports into it. Workers fill
+    /// their die's span privately; the coordinator absorbs spans in
+    /// sample-index order, so the sequenced stream is identical for every
+    /// thread count.
+    pub fn run<R: Rng + ?Sized>(
         &self,
         lot: &Lot,
         die_count: usize,
@@ -473,7 +436,14 @@ mod tests {
     #[test]
     fn every_die_gets_every_corner() {
         let mut rng = StdRng::seed_from_u64(3);
-        let report = campaign().run(&Lot::default(), 4, &suite(), &mut rng);
+        let report = campaign().run(
+            &Lot::default(),
+            4,
+            &suite(),
+            ExecPolicy::serial(),
+            &mut rng,
+            &Tracer::disabled(),
+        );
         assert_eq!(report.dies.len(), 4);
         for die in &report.dies {
             assert_eq!(die.corners.len(), 6);
@@ -484,7 +454,14 @@ mod tests {
     #[test]
     fn worst_corner_is_cold_supply_hot_die() {
         let mut rng = StdRng::seed_from_u64(4);
-        let report = campaign().run(&Lot::default(), 3, &suite(), &mut rng);
+        let report = campaign().run(
+            &Lot::default(),
+            3,
+            &suite(),
+            ExecPolicy::serial(),
+            &mut rng,
+            &Tracer::disabled(),
+        );
         for die in &report.dies {
             let worst_corner = die
                 .corners
@@ -504,7 +481,14 @@ mod tests {
     #[test]
     fn population_statistics_are_consistent() {
         let mut rng = StdRng::seed_from_u64(5);
-        let report = campaign().run(&Lot::default(), 6, &suite(), &mut rng);
+        let report = campaign().run(
+            &Lot::default(),
+            6,
+            &suite(),
+            ExecPolicy::serial(),
+            &mut rng,
+            &Tracer::disabled(),
+        );
         let worst = report.population_worst().expect("measured");
         let mean = report.population_mean().expect("measured");
         assert!(worst <= mean);
@@ -525,7 +509,14 @@ mod tests {
     #[test]
     fn die_variation_shows_in_the_population() {
         let mut rng = StdRng::seed_from_u64(6);
-        let report = campaign().run(&Lot::default(), 10, &suite(), &mut rng);
+        let report = campaign().run(
+            &Lot::default(),
+            10,
+            &suite(),
+            ExecPolicy::serial(),
+            &mut rng,
+            &Tracer::disabled(),
+        );
         let std = report.population_std().expect("n >= 2");
         assert!(std > 0.05, "die-to-die spread must be visible: {std}");
     }
@@ -533,11 +524,23 @@ mod tests {
     #[test]
     fn stp_campaign_is_cheaper_than_full_range() {
         let mut rng_a = StdRng::seed_from_u64(7);
-        let stp = campaign().run(&Lot::default(), 2, &suite(), &mut rng_a);
+        let stp = campaign().run(
+            &Lot::default(),
+            2,
+            &suite(),
+            ExecPolicy::serial(),
+            &mut rng_a,
+            &Tracer::disabled(),
+        );
         let mut rng_b = StdRng::seed_from_u64(7);
-        let full = campaign()
-            .with_full_range_searches()
-            .run(&Lot::default(), 2, &suite(), &mut rng_b);
+        let full = campaign().with_full_range_searches().run(
+            &Lot::default(),
+            2,
+            &suite(),
+            ExecPolicy::serial(),
+            &mut rng_b,
+            &Tracer::disabled(),
+        );
         assert!(
             stp.total_measurements < full.total_measurements,
             "{} vs {}",
@@ -553,7 +556,14 @@ mod tests {
     #[test]
     fn suggested_spec_is_conservative_and_covers_the_sample() {
         let mut rng = StdRng::seed_from_u64(9);
-        let report = campaign().run(&Lot::default(), 8, &suite(), &mut rng);
+        let report = campaign().run(
+            &Lot::default(),
+            8,
+            &suite(),
+            ExecPolicy::serial(),
+            &mut rng,
+            &Tracer::disabled(),
+        );
         let worst = report.population_worst().expect("measured");
         let spec = report.suggest_spec(3.0).expect("n >= 2");
         // Minimum-limited: the suggested limit sits below every measured
@@ -576,14 +586,22 @@ mod tests {
             ..AteConfig::default()
         });
         let mut rng_a = StdRng::seed_from_u64(11);
-        let sequential = noisy.run(&Lot::default(), 5, &suite(), &mut rng_a);
+        let sequential = noisy.run(
+            &Lot::default(),
+            5,
+            &suite(),
+            ExecPolicy::serial(),
+            &mut rng_a,
+            &Tracer::disabled(),
+        );
         let mut rng_b = StdRng::seed_from_u64(11);
-        let parallel = noisy.run_parallel(
+        let parallel = noisy.run(
             &Lot::default(),
             5,
             &suite(),
             ExecPolicy::with_threads(8),
             &mut rng_b,
+            &Tracer::disabled(),
         );
         assert_eq!(sequential, parallel);
     }
@@ -591,20 +609,22 @@ mod tests {
     #[test]
     fn parallel_run_is_thread_count_invariant() {
         let mut rng_a = StdRng::seed_from_u64(12);
-        let one = campaign().run_parallel(
+        let one = campaign().run(
             &Lot::default(),
             4,
             &suite(),
             ExecPolicy::serial(),
             &mut rng_a,
+            &Tracer::disabled(),
         );
         let mut rng_b = StdRng::seed_from_u64(12);
-        let many = campaign().run_parallel(
+        let many = campaign().run(
             &Lot::default(),
             4,
             &suite(),
             ExecPolicy::with_threads(8),
             &mut rng_b,
+            &Tracer::disabled(),
         );
         assert_eq!(one, many);
     }
@@ -622,7 +642,14 @@ mod tests {
     #[test]
     fn display_summarizes_population() {
         let mut rng = StdRng::seed_from_u64(8);
-        let report = campaign().run(&Lot::default(), 2, &suite(), &mut rng);
+        let report = campaign().run(
+            &Lot::default(),
+            2,
+            &suite(),
+            ExecPolicy::serial(),
+            &mut rng,
+            &Tracer::disabled(),
+        );
         let s = report.to_string();
         assert!(s.contains("2 dies") && s.contains("spec margin"), "{s}");
     }
@@ -644,7 +671,14 @@ mod tests {
             })
             .with_recovery(RetryPolicy::new(8, 50.0));
         let mut rng_a = StdRng::seed_from_u64(19);
-        let report = faulty.run(&Lot::default(), 4, &suite(), &mut rng_a);
+        let report = faulty.run(
+            &Lot::default(),
+            4,
+            &suite(),
+            ExecPolicy::serial(),
+            &mut rng_a,
+            &Tracer::disabled(),
+        );
         assert!(report.recovered() > 0, "15% dropouts must need retries");
 
         let clean = campaign().with_ate_config(AteConfig {
@@ -653,7 +687,14 @@ mod tests {
             ..AteConfig::default()
         });
         let mut rng_b = StdRng::seed_from_u64(19);
-        let baseline = clean.run(&Lot::default(), 4, &suite(), &mut rng_b);
+        let baseline = clean.run(
+            &Lot::default(),
+            4,
+            &suite(),
+            ExecPolicy::serial(),
+            &mut rng_b,
+            &Tracer::disabled(),
+        );
         // The only quarantines left are genuine unmeasurables (tests with
         // no trip in the generous range) that the fault-free campaign
         // withholds too — none are fault-induced.

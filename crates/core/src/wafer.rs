@@ -16,10 +16,11 @@
 //! * optionally every chunk is **journaled**
 //!   ([`CampaignJournal`]): the chunk's touchdown products — its entries
 //!   and site ledgers — are committed as one atomic JSONL checkpoint, and
-//!   [`WaferRunner::resume`] replays the committed prefix to reproduce an
-//!   interrupted campaign bit-identically without re-measuring it. The
-//!   journal is the campaign's one durable record: a finished journaled
-//!   campaign also leaves its summary ([`db::save_artifact`]) there.
+//!   [`WaferRunner::resume_traced`] replays the committed prefix to
+//!   reproduce an interrupted campaign bit-identically without
+//!   re-measuring it. The journal is the campaign's one durable record: a
+//!   finished journaled campaign also leaves its summary
+//!   ([`db::save_artifact`]) there.
 //!
 //! Searches themselves reuse the exact [`MultiTripRunner`] ladder —
 //! recovery, re-bracketing, quarantine classification — so a wafer entry
@@ -323,7 +324,7 @@ impl WaferRunner {
     ///
     /// With a `journal_dir` configured, every completed chunk is also
     /// committed to a fresh [`CampaignJournal`] so a crash mid-campaign
-    /// can be [`Self::resume`]d. Journaling never changes measurement
+    /// can be resumed with [`Self::resume_traced`]. Journaling never changes measurement
     /// behaviour — only what lands on disk.
     ///
     /// # Errors
@@ -348,6 +349,12 @@ impl WaferRunner {
     /// a report and ledger **bit-identical** to the uninterrupted run
     /// plus what was replayed.
     ///
+    /// Live (re-measured) spans are recorded into `tracer` (pass
+    /// [`Tracer::disabled`] to record nothing). Replayed chunks emit
+    /// **no** trace events — their spans were already absorbed by the
+    /// interrupted process — so a resumed trace stream covers exactly the
+    /// work this process performed.
+    ///
     /// # Errors
     ///
     /// [`io::ErrorKind::InvalidInput`] without a configured
@@ -355,25 +362,6 @@ impl WaferRunner {
     /// holds no journal, and [`io::ErrorKind::InvalidData`] when the
     /// journal belongs to a different campaign or a committed chunk fails
     /// integrity verification. Journal I/O errors propagate.
-    pub fn resume(
-        &self,
-        ate_config: &AteConfig,
-        dies: &[Die],
-        tests: &[Test],
-        strategy: SearchStrategy,
-        policy: ExecPolicy,
-    ) -> io::Result<(WaferReport, MeasurementLedger, ResumeStats)> {
-        self.resume_traced(ate_config, dies, tests, strategy, policy, &Tracer::disabled())
-    }
-
-    /// [`Self::resume`] with live (re-measured) spans recorded into
-    /// `tracer`. Replayed chunks emit **no** trace events — their spans
-    /// were already absorbed by the interrupted process — so a resumed
-    /// trace stream covers exactly the work this process performed.
-    ///
-    /// # Errors
-    ///
-    /// As [`Self::resume`].
     #[allow(clippy::too_many_arguments)]
     pub fn resume_traced(
         &self,
@@ -1101,7 +1089,12 @@ mod tests {
                     ..config.clone()
                 },
             );
-            let report = per_die.run(&mut session, &tests, SearchStrategy::SearchUntilTrip);
+            let report = per_die.run(
+                &mut session,
+                &tests,
+                SearchStrategy::SearchUntilTrip,
+                &Tracer::disabled(),
+            );
             for e in &report.entries {
                 reference.observe(e.trip_point, &e.status);
             }
@@ -1157,7 +1150,14 @@ mod tests {
             assert!(!dir.join("wafer_summary.json").exists(), "no finalize on interrupt");
 
             let (report, ledger, stats) = r
-                .resume(&harsh_config(), &dies, &tests, SearchStrategy::SearchUntilTrip, ExecPolicy::with_threads(4))
+                .resume_traced(
+                    &harsh_config(),
+                    &dies,
+                    &tests,
+                    SearchStrategy::SearchUntilTrip,
+                    ExecPolicy::with_threads(4),
+                    &Tracer::disabled(),
+                )
                 .expect("journal readable");
             assert_eq!((report, ledger), uninterrupted, "kill_after={kill_after}");
             assert_eq!(stats.chunks_replayed, kill_after as u64);
@@ -1184,14 +1184,28 @@ mod tests {
         // refuse the journal rather than splice foreign chunks.
         let other = AteConfig { seed: 0xBAD, ..harsh_config() };
         let err = r
-            .resume(&other, &dies, &tests, SearchStrategy::SearchUntilTrip, ExecPolicy::serial())
+            .resume_traced(
+                &other,
+                &dies,
+                &tests,
+                SearchStrategy::SearchUntilTrip,
+                ExecPolicy::serial(),
+                &Tracer::disabled(),
+            )
             .expect_err("fingerprint mismatch");
         assert_eq!(err.kind(), io::ErrorKind::InvalidData);
 
         // And resuming without a journal configured is an input error.
         let bare = runner(2, 1);
         let err = bare
-            .resume(&harsh_config(), &dies, &tests, SearchStrategy::SearchUntilTrip, ExecPolicy::serial())
+            .resume_traced(
+                &harsh_config(),
+                &dies,
+                &tests,
+                SearchStrategy::SearchUntilTrip,
+                ExecPolicy::serial(),
+                &Tracer::disabled(),
+            )
             .expect_err("no journal dir");
         assert_eq!(err.kind(), io::ErrorKind::InvalidInput);
         let _ = std::fs::remove_dir_all(&dir);
@@ -1271,7 +1285,14 @@ mod tests {
         r.run_prefix(&harsh_config(), &dies, &tests, SearchStrategy::SearchUntilTrip, ExecPolicy::serial(), 2)
             .expect("journal dir writable");
         let (resumed, resumed_ledger, stats) = r
-            .resume(&harsh_config(), &dies, &tests, SearchStrategy::SearchUntilTrip, ExecPolicy::with_threads(4))
+            .resume_traced(
+                &harsh_config(),
+                &dies,
+                &tests,
+                SearchStrategy::SearchUntilTrip,
+                ExecPolicy::with_threads(4),
+                &Tracer::disabled(),
+            )
             .expect("resume");
         assert_eq!(resumed, report);
         assert_eq!(resumed_ledger, ledger);

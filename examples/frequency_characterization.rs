@@ -12,6 +12,7 @@ use cichar::bench::{Cli, Flags};
 use cichar::core::dsv::{MultiTripRunner, SearchStrategy};
 use cichar::core::wcr::CharacterizationObjective;
 use cichar::patterns::{march, random, Test, TestConditions};
+use cichar::trace::Tracer;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -35,7 +36,8 @@ fn main() {
         "generous range {} MHz (the paper's S1 = 80, S2 = 130, CR = 50)\n",
         param.generous_range()
     );
-    let report = MultiTripRunner::new(param).run(&mut ate, &tests, SearchStrategy::SearchUntilTrip);
+    let strategy = SearchStrategy::SearchUntilTrip;
+    let report = MultiTripRunner::new(param).run(&mut ate, &tests, strategy, &Tracer::disabled());
     for entry in &report.entries {
         match entry.trip_point {
             Some(tp) => println!(
@@ -63,7 +65,7 @@ fn main() {
         "\n== Vdd_min characterization (eq. 4 orientation: {}) ==\n",
         param.region_order()
     );
-    let report = MultiTripRunner::new(param).run(&mut ate, &tests, SearchStrategy::SearchUntilTrip);
+    let report = MultiTripRunner::new(param).run(&mut ate, &tests, strategy, &Tracer::disabled());
     for entry in &report.entries {
         if let Some(tp) = entry.trip_point {
             println!("  {:<20} vdd_min {tp:>6.3} V", entry.test_name);

@@ -17,6 +17,7 @@ use cichar::core::sample::{corner_grid, SampleCharacterization};
 use cichar::core::wcr::CharacterizationObjective;
 use cichar::dut::Lot;
 use cichar::patterns::{march, Test};
+use cichar::trace::Tracer;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -35,7 +36,14 @@ fn main() {
     .with_device(device);
 
     let mut rng = StdRng::seed_from_u64(1405);
-    let report = campaign.run_parallel(&Lot::default(), 12, &tests, policy, &mut rng);
+    let report = campaign.run(
+        &Lot::default(),
+        12,
+        &tests,
+        policy,
+        &mut rng,
+        &Tracer::disabled(),
+    );
 
     println!(
         "== lot characterization: 12 dies x 9 corners x 5 tests ({} threads) ==\n",

@@ -19,6 +19,7 @@ use cichar::core::analysis::WeaknessAnalyzer;
 use cichar::core::learning::LearningConfig;
 use cichar::core::multi::{AnalysisTask, MultiParamCampaign};
 use cichar::core::optimization::OptimizationConfig;
+use cichar::core::Sessions;
 use cichar::genetic::GaConfig;
 use cichar::neural::TrainConfig;
 use cichar::trace::RunManifest;
@@ -61,7 +62,7 @@ fn main() {
         "running the figs. 4+5 pipeline once per data-sheet parameter ({} threads)...\n",
         policy.threads()
     );
-    let report = campaign.run_parallel_traced(&mut ate, policy, &mut rng, &tracer);
+    let report = campaign.run(&mut ate, Sessions::PerTest(policy), &mut rng, &tracer);
     print!("{report}");
 
     println!("\nfinal worst-case suite with fuzzy weakness analysis (§5):");

@@ -13,6 +13,7 @@ use cichar::core::dsv::{MultiTripRunner, SearchStrategy};
 use cichar::core::report::render_multi_trip;
 use cichar::core::wcr::CharacterizationObjective;
 use cichar::patterns::{march, random, Test, TestConditions};
+use cichar::trace::Tracer;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -30,7 +31,12 @@ fn main() {
     let mut ate = Ate::new(device);
     let param = MeasuredParam::DataValidTime;
     let runner = MultiTripRunner::new(param);
-    let report = runner.run(&mut ate, &tests, SearchStrategy::SearchUntilTrip);
+    let report = runner.run(
+        &mut ate,
+        &tests,
+        SearchStrategy::SearchUntilTrip,
+        &Tracer::disabled(),
+    );
 
     println!("multiple trip point characterization of {param}\n");
     print!("{}", render_multi_trip(&report, param.kind().unit_symbol()));

@@ -12,7 +12,7 @@
 //! device.
 
 use cichar::ate::{Ate, MeasuredParam};
-use cichar::bench::{Cli, Flags};
+use cichar::bench::{unbracketed, Cli, Flags};
 use cichar::dut::T_DQ_SPEC;
 use cichar::patterns::{march, Test};
 use cichar::search::{
@@ -21,7 +21,6 @@ use cichar::search::{
 
 fn main() {
     let device = Cli::parse(&[Flags::Device]).device;
-    let descriptor = device.descriptor();
     // Load a nominal die on the tester and pick the production test.
     let mut ate = Ate::new(device);
     let test = Test::deterministic("march_c-", march::march_c_minus(64));
@@ -52,13 +51,17 @@ fn main() {
 
     // 4. Search-until-trip-point: the paper's §4 method, re-using the
     //    binary result as the reference trip point.
-    let rtp = converged(&binary, &descriptor);
+    let rtp = binary
+        .trip_point
+        .unwrap_or_else(|| unbracketed(ate.device(), param));
     let stp = SearchUntilTrip::new(range, param.search_factor())
         .with_refinement(resolution)
         .run(rtp, param.region_order(), ate.trip_oracle(&test, param));
     report("search-until-trip-point", &stp);
 
-    let t_dq = converged(&stp, &descriptor);
+    let t_dq = stp
+        .trip_point
+        .unwrap_or_else(|| unbracketed(ate.device(), param));
     println!(
         "\nmeasured T_DQ = {t_dq:.2} ns vs spec {} -> {}",
         T_DQ_SPEC,
@@ -79,16 +82,4 @@ fn report(name: &str, outcome: &SearchOutcome) {
         ),
         None => println!("{name:<26} did not converge"),
     }
-}
-
-/// The search's trip point. A device whose trip point the generous range
-/// cannot bracket has none, and the run exits with status 1 naming it.
-fn converged(outcome: &SearchOutcome, device: &str) -> f64 {
-    outcome.trip_point.unwrap_or_else(|| {
-        let range = MeasuredParam::DataValidTime.generous_range();
-        eprintln!(
-            "error: device {device} has no T_DQ trip point inside the generous range {range} ns"
-        );
-        std::process::exit(1)
-    })
 }

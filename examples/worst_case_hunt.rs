@@ -27,7 +27,7 @@ fn main() {
         Flags::Device,
     ]);
     let (policy, faults, recovery) = (cli.policy, cli.faults, cli.recovery);
-    let (tracer, _) = cli.observe("worst_case_hunt");
+    let (tracer, telemetry) = cli.observe("worst_case_hunt");
     let mut ate = Ate::with_config(
         cli.device.clone(),
         AteConfig {
@@ -49,7 +49,8 @@ fn main() {
             recovery.map_or(0, |p| p.max_retries()),
         );
     }
-    let comparison = Comparison::run_parallel_traced(&mut ate, &config, policy, &mut rng, &tracer);
+    let comparison =
+        Comparison::run_parallel_observed(&mut ate, &config, policy, &mut rng, &tracer, &telemetry);
 
     println!("learning phase:     {}", comparison.model);
     println!(

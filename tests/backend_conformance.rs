@@ -22,11 +22,12 @@
 //!    for every backend, not just the one it was written against.
 
 use cichar::ate::{Ate, AteConfig, MeasuredParam, ParallelAte, TesterFaultModel};
-use cichar::core::dsv::{MultiTripRunner, SearchStrategy};
+use cichar::core::dsv::{MultiTripRunner, ReferenceRule, SearchStrategy};
 use cichar::dut::{conformance, Device, Registry};
 use cichar::exec::ExecPolicy;
 use cichar::patterns::{march, random, ConditionSpace, PatternFeatures, Test};
 use cichar::search::{BinarySearch, Probe, RetryPolicy};
+use cichar::trace::{Telemetry, Tracer};
 use cichar::units::ParamKind;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -220,14 +221,18 @@ fn mini_dsv_is_thread_count_invariant() {
         let (report_1, ledger_1) = runner.run_parallel(
             &blueprint,
             &tests,
-            SearchStrategy::SearchUntilTrip,
+            ReferenceRule::Anchored,
             ExecPolicy::with_threads(1),
+            &Tracer::disabled(),
+            &Telemetry::disabled(),
         );
         let (report_8, ledger_8) = runner.run_parallel(
             &blueprint,
             &tests,
-            SearchStrategy::SearchUntilTrip,
+            ReferenceRule::Anchored,
             ExecPolicy::with_threads(8),
+            &Tracer::disabled(),
+            &Telemetry::disabled(),
         );
         assert_eq!(report_1, report_8, "`{name}`: DSV report depends on thread count");
         assert_eq!(ledger_1, ledger_8, "`{name}`: merged ledger depends on thread count");
@@ -253,7 +258,8 @@ fn fault_recovery_accounting_holds_for_every_backend() {
         );
         let runner = MultiTripRunner::new(MeasuredParam::DataValidTime)
             .with_recovery(RetryPolicy::new(4, 50.0).with_vote(2, 3));
-        let report = runner.run(&mut ate, &tests, SearchStrategy::SearchUntilTrip);
+        let strategy = SearchStrategy::SearchUntilTrip;
+        let report = runner.run(&mut ate, &tests, strategy, &Tracer::disabled());
 
         let ledger = ate.ledger();
         assert!(ledger.injected_faults() > 0, "`{name}`: rates high enough to inject");

@@ -9,7 +9,9 @@ use cichar::core::production::{Bin, ProductionProgram};
 use cichar::core::sample::{corner_grid, SampleCharacterization};
 use cichar::core::wcr::CharacterizationObjective;
 use cichar::dut::{Lot, MemoryDevice};
+use cichar::exec::ExecPolicy;
 use cichar::patterns::{march, Test};
+use cichar::trace::Tracer;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -29,7 +31,14 @@ fn lot_campaign_produces_consistent_population_statistics() {
         Test::deterministic("checkerboard", march::checkerboard(128)),
     ];
     let mut rng = StdRng::seed_from_u64(501);
-    let report = campaign.run(&Lot::default(), 6, &tests, &mut rng);
+    let report = campaign.run(
+        &Lot::default(),
+        6,
+        &tests,
+        ExecPolicy::serial(),
+        &mut rng,
+        &Tracer::disabled(),
+    );
 
     assert_eq!(report.dies.len(), 6);
     let worst = report.population_worst().expect("measured");
@@ -120,6 +129,7 @@ fn multi_param_campaign_through_public_api() {
     use cichar::core::learning::LearningConfig;
     use cichar::core::multi::{AnalysisTask, MultiParamCampaign};
     use cichar::core::optimization::OptimizationConfig;
+    use cichar::core::Sessions;
     use cichar::genetic::GaConfig;
     use cichar::neural::TrainConfig;
 
@@ -150,7 +160,7 @@ fn multi_param_campaign_through_public_api() {
     .with_screening(100, 4);
     let mut ate = Ate::noiseless(MemoryDevice::nominal());
     let mut rng = StdRng::seed_from_u64(505);
-    let report = campaign.run(&mut ate, &mut rng);
+    let report = campaign.run(&mut ate, Sessions::Shared, &mut rng, &Tracer::disabled());
     assert_eq!(report.worst_case_suite().len(), 3);
     assert_eq!(report.total_measurements, ate.ledger().measurements());
 }

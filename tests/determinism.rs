@@ -9,6 +9,7 @@ use cichar::dut::{Lot, MemoryDevice};
 use cichar::genetic::GaConfig;
 use cichar::neural::TrainConfig;
 use cichar::patterns::{random, ConditionSpace};
+use cichar::trace::Tracer;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -62,7 +63,7 @@ fn learning_scheme_is_seed_stable() {
     let run = || {
         let mut ate = Ate::noiseless(MemoryDevice::nominal());
         let mut rng = StdRng::seed_from_u64(7);
-        LearningScheme::new(config.clone()).run(&mut ate, &mut rng)
+        LearningScheme::new(config.clone()).run(&mut ate, &mut rng, &Tracer::disabled())
     };
     let a = run();
     let b = run();
@@ -85,7 +86,8 @@ fn optimization_scheme_is_seed_stable() {
     let run = || {
         let mut ate = Ate::noiseless(MemoryDevice::nominal());
         let mut rng = StdRng::seed_from_u64(8);
-        OptimizationScheme::new(config.clone()).run(&mut ate, &[], Some(31.0), &mut rng)
+        let scheme = OptimizationScheme::new(config.clone());
+        scheme.run(&mut ate, &[], Some(31.0), &mut rng, &Tracer::disabled())
     };
     let a = run();
     let b = run();
@@ -201,10 +203,11 @@ mod batch_scalar_parity {
 /// outputs merge by index, never by completion order.
 mod parallel_bit_identity {
     use cichar::ate::{AteConfig, MeasuredParam, ParallelAte};
-    use cichar::core::dsv::{MultiTripRunner, SearchStrategy};
+    use cichar::core::dsv::{MultiTripRunner, ReferenceRule, SearchStrategy};
     use cichar::dut::MemoryDevice;
     use cichar::exec::ExecPolicy;
     use cichar::patterns::{random, ConditionSpace, Test};
+    use cichar::trace::{Telemetry, Tracer};
     use proptest::prelude::*;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
@@ -230,11 +233,13 @@ mod parallel_bit_identity {
             );
             let tests = random_tests(suite_seed, 24);
             let runner = MultiTripRunner::new(MeasuredParam::DataValidTime);
-            for strategy in [SearchStrategy::FullRange, SearchStrategy::SearchUntilTrip] {
-                let serial =
-                    runner.run_parallel(&blueprint, &tests, strategy, ExecPolicy::serial());
-                let threaded =
-                    runner.run_parallel(&blueprint, &tests, strategy, ExecPolicy::with_threads(8));
+            let run = |rule, policy| {
+                let (tracer, telemetry) = (Tracer::disabled(), Telemetry::disabled());
+                runner.run_parallel(&blueprint, &tests, rule, policy, &tracer, &telemetry)
+            };
+            for rule in [ReferenceRule::FullRange, ReferenceRule::Anchored] {
+                let serial = run(rule, ExecPolicy::serial());
+                let threaded = run(rule, ExecPolicy::with_threads(8));
                 prop_assert_eq!(serial, threaded);
             }
         }
@@ -260,11 +265,13 @@ mod parallel_bit_identity {
             let tests = random_tests(suite_seed, 24);
             let runner = MultiTripRunner::new(MeasuredParam::DataValidTime)
                 .with_recovery(RetryPolicy::new(3, 50.0).with_vote(2, 3));
-            for strategy in [SearchStrategy::FullRange, SearchStrategy::SearchUntilTrip] {
-                let (serial, serial_ledger) =
-                    runner.run_parallel(&blueprint, &tests, strategy, ExecPolicy::serial());
-                let (threaded, threaded_ledger) =
-                    runner.run_parallel(&blueprint, &tests, strategy, ExecPolicy::with_threads(8));
+            let run = |rule, policy| {
+                let (tracer, telemetry) = (Tracer::disabled(), Telemetry::disabled());
+                runner.run_parallel(&blueprint, &tests, rule, policy, &tracer, &telemetry)
+            };
+            for rule in [ReferenceRule::FullRange, ReferenceRule::Anchored] {
+                let (serial, serial_ledger) = run(rule, ExecPolicy::serial());
+                let (threaded, threaded_ledger) = run(rule, ExecPolicy::with_threads(8));
                 prop_assert_eq!(&serial, &threaded);
                 prop_assert_eq!(serial_ledger, threaded_ledger);
                 prop_assert_eq!(
@@ -298,10 +305,12 @@ mod parallel_bit_identity {
             let runner = MultiTripRunner::new(param)
                 .with_recovery(RetryPolicy::new(3, 50.0).with_vote(2, 3))
                 .with_speculation();
-            let serial = runner.run_parallel(
-                &blueprint, &tests, SearchStrategy::FullRange, ExecPolicy::serial());
-            let threaded = runner.run_parallel(
-                &blueprint, &tests, SearchStrategy::FullRange, ExecPolicy::with_threads(8));
+            let run = |rule, policy| {
+                let (tracer, telemetry) = (Tracer::disabled(), Telemetry::disabled());
+                runner.run_parallel(&blueprint, &tests, rule, policy, &tracer, &telemetry)
+            };
+            let serial = run(ReferenceRule::FullRange, ExecPolicy::serial());
+            let threaded = run(ReferenceRule::FullRange, ExecPolicy::with_threads(8));
             prop_assert_eq!(&serial, &threaded);
 
             // Warm starts: alternate trusted predictions with missing
@@ -318,10 +327,9 @@ mod parallel_bit_identity {
                     }
                 })
                 .collect();
-            let warm_serial = runner.run_parallel_warm(
-                &blueprint, &tests, &predictions, &planner, ExecPolicy::serial());
-            let warm_threaded = runner.run_parallel_warm(
-                &blueprint, &tests, &predictions, &planner, ExecPolicy::with_threads(8));
+            let warm = ReferenceRule::Warm(&predictions, &planner);
+            let warm_serial = run(warm, ExecPolicy::serial());
+            let warm_threaded = run(warm, ExecPolicy::with_threads(8));
             prop_assert_eq!(warm_serial, warm_threaded);
         }
 
@@ -376,7 +384,14 @@ mod parallel_bit_identity {
             prop_assert_eq!(committed, kill_after as u64);
 
             let (report, ledger, stats) = journaled
-                .resume(&ate_config, &dies, &tests, strategy, ExecPolicy::with_threads(8))
+                .resume_traced(
+                    &ate_config,
+                    &dies,
+                    &tests,
+                    strategy,
+                    ExecPolicy::with_threads(8),
+                    &Tracer::disabled(),
+                )
                 .expect("resume replays the journal");
             prop_assert_eq!(&report, &plain.0);
             prop_assert_eq!(&ledger, &plain.1);

@@ -7,8 +7,10 @@ use cichar::core::db::WorstCaseDatabase;
 use cichar::core::generator::NeuralTestGenerator;
 use cichar::core::multi::{AnalysisTask, MultiParamCampaign};
 use cichar::core::wcr::WcrClass;
+use cichar::core::Sessions;
 use cichar::dut::MemoryDevice;
 use cichar::exec::ExecPolicy;
+use cichar::trace::Tracer;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -120,9 +122,12 @@ fn session_routing_shows_in_the_callers_ledger() {
     let task = AnalysisTask::data_sheet()[0];
     let campaign = MultiParamCampaign::new(vec![task], config.learning, config.optimization);
     let mut ate = Ate::new(MemoryDevice::nominal());
-    let shared = campaign.run(&mut ate, &mut StdRng::seed_from_u64(108));
+    let mut rng = StdRng::seed_from_u64(108);
+    let shared = campaign.run(&mut ate, Sessions::Shared, &mut rng, &Tracer::disabled());
     assert_eq!(ate.ledger().measurements(), shared.total_measurements);
     let mut ate = Ate::new(MemoryDevice::nominal());
-    let per_test = campaign.run_parallel(&mut ate, policy, &mut StdRng::seed_from_u64(108));
+    let mut rng = StdRng::seed_from_u64(108);
+    let sessions = Sessions::PerTest(policy);
+    let per_test = campaign.run(&mut ate, sessions, &mut rng, &Tracer::disabled());
     assert!(ate.ledger().measurements() < per_test.total_measurements);
 }

@@ -26,6 +26,7 @@ use cichar_fuzzy::coding::CodingScheme;
 use cichar_genetic::GaConfig;
 use cichar_neural::TrainConfig;
 use cichar_patterns::{SegmentProgram, Stimulus, Test, TestConditions, TestSource};
+use cichar_trace::Tracer;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -125,7 +126,8 @@ fn expansion_and_ga_fitness_copy_no_memory_image() {
     });
     let mut ate = Ate::noiseless(MemoryDevice::nominal());
     let mut rng = StdRng::seed_from_u64(3);
-    let (run_bytes, outcome) = bytes(|| scheme.run(&mut ate, &[], None, &mut rng));
+    let tracer = Tracer::disabled();
+    let (run_bytes, outcome) = bytes(|| scheme.run(&mut ate, &[], None, &mut rng, &tracer));
     let per_eval = run_bytes / outcome.ga.evaluations as u64;
     assert!(
         per_eval < EVAL_BYTES_BOUND,
@@ -145,7 +147,7 @@ fn expansion_and_ga_fitness_copy_no_memory_image() {
         },
         ..LearningConfig::default()
     })
-    .run(&mut ate, &mut rng);
+    .run(&mut ate, &mut rng, &tracer);
     let generator = NeuralTestGenerator::new(&model);
     let screen = |candidates: usize| {
         let mut rng = StdRng::seed_from_u64(4);

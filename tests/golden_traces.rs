@@ -19,25 +19,19 @@
 //! UPDATE_GOLDENS=1 cargo test --test golden_traces
 //! ```
 
+mod common;
+
 use cichar::ate::{Ate, AteConfig, MeasuredParam, ParallelAte};
-use cichar::core::compare::{CompareConfig, Comparison};
-use cichar::core::dsv::{MultiTripRunner, SearchStrategy};
-use cichar::core::learning::LearningConfig;
-use cichar::core::optimization::OptimizationConfig;
+use cichar::core::compare::Comparison;
+use cichar::core::dsv::{MultiTripRunner, ReferenceRule};
 use cichar::dut::MemoryDevice;
 use cichar::exec::ExecPolicy;
-use cichar::genetic::GaConfig;
-use cichar::neural::TrainConfig;
-use cichar::patterns::{random, ConditionSpace, Test};
-use cichar::trace::{normalize_jsonl, MetricsSnapshot, RingBufferSink, Tracer};
+use cichar::trace::{normalize_jsonl, MetricsSnapshot, RingBufferSink, Telemetry, Tracer};
+use common::{gold_tests, mini_table1_config, GOLD_SEED};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::path::PathBuf;
 use std::sync::Arc;
-
-/// Seed shared by all golden campaigns (distinct from the repro binaries'
-/// seed so fixture churn never couples to `EXPERIMENTS.md` numbers).
-const GOLD_SEED: u64 = 0x601D_DA7E;
 
 /// Runs `campaign` against a fresh ring-buffer tracer and returns the
 /// normalized JSONL stream plus the final metrics snapshot.
@@ -106,11 +100,6 @@ fn check_golden(name: &str, campaign: impl Fn(ExecPolicy, &Tracer)) {
     );
 }
 
-fn gold_tests(n: usize) -> Vec<Test> {
-    let space = ConditionSpace::default();
-    random::random_suite(&mut StdRng::seed_from_u64(GOLD_SEED), &space, n)
-}
-
 /// Mini fig. 2: search-until-trip-point over a seeded random suite on the
 /// default (noisy) tester, so the golden also locks the per-test noise
 /// seed-derivation rule.
@@ -126,12 +115,13 @@ fn fig2_campaign_trace_is_golden() {
         );
         let runner = MultiTripRunner::new(MeasuredParam::DataValidTime);
         tracer.phase("dsv");
-        runner.run_parallel_traced(
+        runner.run_parallel(
             &blueprint,
             &gold_tests(12),
-            SearchStrategy::SearchUntilTrip,
+            ReferenceRule::Anchored,
             policy,
             tracer,
+            &Telemetry::disabled(),
         );
     });
 }
@@ -156,12 +146,13 @@ fn fig2_netlist_campaign_trace_is_golden() {
         );
         let runner = MultiTripRunner::new(MeasuredParam::DataValidTime);
         tracer.phase("dsv");
-        runner.run_parallel_traced(
+        runner.run_parallel(
             &blueprint,
             &gold_tests(12),
-            SearchStrategy::SearchUntilTrip,
+            ReferenceRule::Anchored,
             policy,
             tracer,
+            &Telemetry::disabled(),
         );
     });
 }
@@ -181,49 +172,24 @@ fn fig3_campaign_trace_is_golden() {
         let runner = MultiTripRunner::new(MeasuredParam::DataValidTime);
         let tests = gold_tests(8);
         tracer.phase("full_range");
-        runner.run_parallel_traced(&blueprint, &tests, SearchStrategy::FullRange, policy, tracer);
-        tracer.phase("stp");
-        runner.run_parallel_traced(
+        runner.run_parallel(
             &blueprint,
             &tests,
-            SearchStrategy::SearchUntilTrip,
+            ReferenceRule::FullRange,
             policy,
             tracer,
+            &Telemetry::disabled(),
+        );
+        tracer.phase("stp");
+        runner.run_parallel(
+            &blueprint,
+            &tests,
+            ReferenceRule::Anchored,
+            policy,
+            tracer,
+            &Telemetry::disabled(),
         );
     });
-}
-
-/// A Table 1 comparison small enough for a test but exercising all three
-/// phases (march / random / nnga), including committee training (the
-/// learning round measures 12 tests, comfortably above the 8 converged
-/// inputs training needs) and the GA.
-fn mini_table1_config() -> CompareConfig {
-    CompareConfig {
-        random_tests: 8,
-        learning: LearningConfig {
-            tests_per_round: 12,
-            max_rounds: 1,
-            committee_size: 2,
-            hidden: vec![6],
-            train: TrainConfig {
-                epochs: 20,
-                ..TrainConfig::default()
-            },
-            ..LearningConfig::default()
-        },
-        nn_candidates: 60,
-        nn_seeds: 3,
-        optimization: OptimizationConfig {
-            ga: GaConfig {
-                population_size: 8,
-                islands: 1,
-                generations: 3,
-                ..GaConfig::default()
-            },
-            ..OptimizationConfig::default()
-        },
-        ..CompareConfig::default()
-    }
 }
 
 /// Mini Table 1: every event family in one trace — probes, searches,
@@ -239,7 +205,9 @@ fn table1_campaign_trace_is_golden() {
             },
         );
         let mut rng = StdRng::seed_from_u64(GOLD_SEED);
-        Comparison::run_parallel_traced(&mut ate, &mini_table1_config(), policy, &mut rng, tracer);
+        let config = mini_table1_config();
+        let telemetry = Telemetry::disabled();
+        Comparison::run_parallel_observed(&mut ate, &config, policy, &mut rng, tracer, &telemetry);
     });
 }
 
@@ -266,12 +234,13 @@ fn timed_tracer_leaves_the_normalized_stream_byte_identical() {
         );
         let runner = MultiTripRunner::new(MeasuredParam::DataValidTime);
         tracer.phase("dsv");
-        runner.run_parallel_traced(
+        runner.run_parallel(
             &blueprint,
             &gold_tests(12),
-            SearchStrategy::SearchUntilTrip,
+            ReferenceRule::Anchored,
             ExecPolicy::with_threads(8),
             &tracer,
+            &Telemetry::disabled(),
         );
         let mut out = String::new();
         for record in sink.records() {

@@ -253,12 +253,13 @@ impl Campaign {
 
     fn resume(&self, dir: &Path) -> io::Result<(WaferReport, MeasurementLedger)> {
         self.runner(Some(dir.to_path_buf()))
-            .resume(
+            .resume_traced(
                 &self.ate,
                 &self.dies,
                 &self.tests,
                 STRATEGY,
                 ExecPolicy::serial(),
+                &Tracer::disabled(),
             )
             .map(|(report, ledger, _)| (report, ledger))
     }

@@ -5,13 +5,13 @@
 //! `cichar-report`'s offline fold of the recorded stream.
 
 use cichar::ate::{AteConfig, MeasuredParam, ParallelAte, TesterFaultModel};
-use cichar::core::dsv::{MultiTripRunner, SearchStrategy};
+use cichar::core::dsv::{MultiTripRunner, ReferenceRule};
 use cichar::dut::MemoryDevice;
 use cichar::exec::ExecPolicy;
 use cichar::patterns::{random, ConditionSpace, Test};
 use cichar::report::TraceAnalysis;
 use cichar::search::RetryPolicy;
-use cichar::trace::{MetricsSnapshot, RingBufferSink, Tracer};
+use cichar::trace::{MetricsSnapshot, RingBufferSink, Telemetry, Tracer};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -31,7 +31,7 @@ fn campaign_metrics(
     suite_seed: u64,
     faults: TesterFaultModel,
     recovery: Option<RetryPolicy>,
-    strategy: SearchStrategy,
+    rule: ReferenceRule<'_>,
     threads: usize,
 ) -> MetricsSnapshot {
     let blueprint = ParallelAte::new(
@@ -48,12 +48,13 @@ fn campaign_metrics(
     }
     let sink = Arc::new(RingBufferSink::unbounded());
     let tracer = Tracer::new(sink.clone());
-    runner.run_parallel_traced(
+    runner.run_parallel(
         &blueprint,
         &suite(suite_seed, 16),
-        strategy,
+        rule,
         ExecPolicy::with_threads(threads),
         &tracer,
+        &Telemetry::disabled(),
     );
     let metrics = tracer.metrics();
     assert_eq!(
@@ -79,9 +80,9 @@ proptest! {
     ) {
         let faults = TesterFaultModel::transient(flip_rate, dropout_rate);
         let recovery = Some(RetryPolicy::new(3, 50.0).with_vote(2, 3));
-        for strategy in [SearchStrategy::FullRange, SearchStrategy::SearchUntilTrip] {
+        for rule in [ReferenceRule::FullRange, ReferenceRule::Anchored] {
             let m = campaign_metrics(
-                campaign_seed, suite_seed, faults, recovery, strategy, 4,
+                campaign_seed, suite_seed, faults, recovery, rule, 4,
             );
             prop_assert_eq!(m.check_invariants(), None);
             prop_assert_eq!(m.probes_resolved, m.probes_cached + m.probes_issued);
@@ -104,12 +105,12 @@ proptest! {
     ) {
         let faults = TesterFaultModel::transient(0.01, dropout_rate);
         let recovery = Some(RetryPolicy::new(3, 50.0).with_vote(2, 3));
-        for strategy in [SearchStrategy::FullRange, SearchStrategy::SearchUntilTrip] {
+        for rule in [ReferenceRule::FullRange, ReferenceRule::Anchored] {
             let serial = campaign_metrics(
-                campaign_seed, suite_seed, faults, recovery, strategy, 1,
+                campaign_seed, suite_seed, faults, recovery, rule, 1,
             );
             let threaded = campaign_metrics(
-                campaign_seed, suite_seed, faults, recovery, strategy, 8,
+                campaign_seed, suite_seed, faults, recovery, rule, 8,
             );
             prop_assert_eq!(serial, threaded);
         }
@@ -134,7 +135,7 @@ proptest! {
             suite_seed,
             faults,
             recovery,
-            SearchStrategy::SearchUntilTrip,
+            ReferenceRule::Anchored,
             4,
         );
         prop_assert!(

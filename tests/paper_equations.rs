@@ -7,6 +7,7 @@ use cichar::core::wcr::{CharacterizationObjective, WcrClass};
 use cichar::dut::MemoryDevice;
 use cichar::patterns::{march, random, Test, TestConditions};
 use cichar::search::RegionOrder;
+use cichar::trace::Tracer;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -23,6 +24,7 @@ fn eq1_dsv_is_a_set_over_tests() {
         &mut ate,
         &tests,
         SearchStrategy::SearchUntilTrip,
+        &Tracer::disabled(),
     );
     let dsv = report.trip_points();
     assert_eq!(dsv.len(), 10, "one TPV per test");
@@ -47,6 +49,7 @@ fn eq2_first_trip_point_is_the_reference() {
         &mut ate,
         &tests,
         SearchStrategy::SearchUntilTrip,
+        &Tracer::disabled(),
     );
     assert_eq!(report.reference_trip_point, report.entries[0].trip_point);
 }
@@ -86,6 +89,7 @@ fn section4_frequency_example_numbers() {
         &mut ate,
         std::slice::from_ref(&test),
         SearchStrategy::FullRange,
+        &Tracer::disabled(),
     );
     let f_max = report.entries[0].trip_point.expect("in range");
     assert!((100.0..120.0).contains(&f_max), "f_max = {f_max}");

@@ -12,6 +12,7 @@ use cichar::core::wafer::{WaferConfig, WaferRunner};
 use cichar::dut::{BackendSchema, DeviceSpec, Lot, Registry};
 use cichar::exec::ExecPolicy;
 use cichar::patterns::{random, ConditionSpace, Test};
+use cichar::trace::Tracer;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::io;
@@ -114,7 +115,14 @@ fn journal_resume_refuses_a_different_backend() {
 
     // A different backend must not adopt the orphaned journal.
     let err = runner_for("logic")
-        .resume(&ate_config, &dies, &tests, strategy, ExecPolicy::serial())
+        .resume_traced(
+            &ate_config,
+            &dies,
+            &tests,
+            strategy,
+            ExecPolicy::serial(),
+            &Tracer::disabled(),
+        )
         .expect_err("cross-backend resume must fail");
     assert_eq!(err.kind(), io::ErrorKind::InvalidData, "got: {err}");
 
@@ -122,14 +130,32 @@ fn journal_resume_refuses_a_different_backend() {
     // descriptor carries the overrides).
     let err = WaferRunner::new(MeasuredParam::DataValidTime)
         .with_config(config.clone())
-        .with_device(registry.create("netlist", &[("levels".into(), 16.0)]).unwrap())
-        .resume(&ate_config, &dies, &tests, strategy, ExecPolicy::serial())
+        .with_device(
+            registry
+                .create("netlist", &[("levels".into(), 16.0)])
+                .unwrap(),
+        )
+        .resume_traced(
+            &ate_config,
+            &dies,
+            &tests,
+            strategy,
+            ExecPolicy::serial(),
+            &Tracer::disabled(),
+        )
         .expect_err("parameterized backend is a different campaign too");
     assert_eq!(err.kind(), io::ErrorKind::InvalidData, "got: {err}");
 
     // The rightful owner resumes and completes.
     let (report, _ledger, stats) = runner_for("memory")
-        .resume(&ate_config, &dies, &tests, strategy, ExecPolicy::serial())
+        .resume_traced(
+            &ate_config,
+            &dies,
+            &tests,
+            strategy,
+            ExecPolicy::serial(),
+            &Tracer::disabled(),
+        )
         .expect("matching backend resumes");
     assert!(stats.chunks_replayed >= 1, "resume replayed the committed prefix");
     assert_eq!(report.dies as usize, dies.len());

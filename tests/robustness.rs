@@ -16,6 +16,7 @@ use cichar::core::dsv::{MultiTripRunner, SearchStrategy, TripStatus};
 use cichar::dut::MemoryDevice;
 use cichar::patterns::{random, ConditionSpace, Test};
 use cichar::search::RetryPolicy;
+use cichar::trace::Tracer;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -46,13 +47,23 @@ fn faulty_campaign_matches_fault_free_worst_case_within_one_step() {
     let tests = suite(40);
 
     let (mut clean_ate, clean_runner) = campaign(TesterFaultModel::none(), None);
-    let clean = clean_runner.run(&mut clean_ate, &tests, SearchStrategy::SearchUntilTrip);
+    let clean = clean_runner.run(
+        &mut clean_ate,
+        &tests,
+        SearchStrategy::SearchUntilTrip,
+        &Tracer::disabled(),
+    );
 
     let (mut ate, runner) = campaign(
         TesterFaultModel::transient(0.02, 0.01),
         Some(RetryPolicy::new(4, 50.0).with_vote(2, 3)),
     );
-    let faulty = runner.run(&mut ate, &tests, SearchStrategy::SearchUntilTrip);
+    let faulty = runner.run(
+        &mut ate,
+        &tests,
+        SearchStrategy::SearchUntilTrip,
+        &Tracer::disabled(),
+    );
 
     // The recovery ladder actually worked for its living.
     let ledger = ate.ledger();
@@ -78,7 +89,12 @@ fn every_injected_fault_is_accounted_in_the_ledger() {
         .with_stuck_channels(0.002, 4)
         .with_session_aborts(0.002, 3);
     let (mut ate, runner) = campaign(faults, Some(RetryPolicy::new(4, 50.0).with_vote(2, 3)));
-    let report = runner.run(&mut ate, &suite(40), SearchStrategy::SearchUntilTrip);
+    let report = runner.run(
+        &mut ate,
+        &suite(40),
+        SearchStrategy::SearchUntilTrip,
+        &Tracer::disabled(),
+    );
 
     let ledger = ate.ledger();
     assert!(ledger.injected_faults() > 0);
@@ -97,7 +113,12 @@ fn every_injected_fault_is_accounted_in_the_ledger() {
 fn quarantined_points_never_leak_into_the_extremum() {
     // Brutal dropout rate with no recovery: plenty of quarantined points.
     let (mut ate, runner) = campaign(TesterFaultModel::transient(0.0, 0.3), None);
-    let report = runner.run(&mut ate, &suite(40), SearchStrategy::FullRange);
+    let report = runner.run(
+        &mut ate,
+        &suite(40),
+        SearchStrategy::FullRange,
+        &Tracer::disabled(),
+    );
     assert!(report.quarantined() > 0, "rate high enough to quarantine");
 
     for entry in report.quarantined_entries() {
@@ -139,7 +160,12 @@ fn recovery_restores_every_trip_point_on_a_noiseless_tester() {
         if let Some(policy) = recovery {
             runner = runner.with_recovery(policy);
         }
-        runner.run(&mut ate, &tests, SearchStrategy::FullRange)
+        runner.run(
+            &mut ate,
+            &tests,
+            SearchStrategy::FullRange,
+            &Tracer::disabled(),
+        )
     };
     let clean = run(TesterFaultModel::none(), None);
     let recovered = run(

@@ -20,24 +20,38 @@
 //! stall watchdog and the site breaker, and the thread count (1, 2, 8);
 //! one DSV and one GA (`OptimizationScheme`) campaign cover the other two
 //! runners that absorb spans.
+//!
+//! Nor does a result depend on whether there is a tracer at all: every
+//! runner form takes one, and each form of the DSV, GA, learning, sample
+//! and multi-parameter runners returns the same report and ledger under
+//! `Tracer::disabled()` as under a tracer whose sink keeps every event.
 
-use cichar::ate::{AteConfig, MeasuredParam, ParallelAte, TesterFaultModel};
-use cichar::core::dsv::{MultiTripRunner, SearchStrategy};
+mod common;
+
+use cichar::ate::{Ate, AteConfig, MeasuredParam, ParallelAte, TesterFaultModel};
+use cichar::core::dsv::{MultiTripRunner, ReferenceRule, SearchStrategy};
+use cichar::core::learning::LearningScheme;
+use cichar::core::multi::{AnalysisTask, MultiParamCampaign};
 use cichar::core::optimization::{OptimizationConfig, OptimizationScheme};
+use cichar::core::sample::{corner_grid, SampleCharacterization};
 use cichar::core::wafer::{WaferConfig, WaferRunner};
+use cichar::core::wcr::CharacterizationObjective;
+use cichar::core::Sessions;
 use cichar::dut::{Lot, MemoryDevice};
 use cichar::exec::ExecPolicy;
 use cichar::genetic::GaConfig;
 use cichar::patterns::{random, ConditionSpace, Test, TestConditions};
 use cichar::report::TraceAnalysis;
-use cichar::search::RetryPolicy;
+use cichar::search::{RetryPolicy, TripPrediction, WarmStartPlanner};
 use cichar::trace::{
     AlarmRule, HeartbeatSnapshot, MetricsSnapshot, NullSink, RingBufferSink, Telemetry, Tracer,
     HEARTBEAT_FILE, METRICS_FILE,
 };
+use common::{gold_tests, mini_table1_config, GOLD_SEED};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use std::fmt::Debug;
 use std::path::PathBuf;
 use std::sync::Arc;
 
@@ -233,15 +247,15 @@ fn dsv_campaigns_report_alike_into_every_sink() {
     );
     for threads in [1, 8] {
         assert_sink_independent(&format!("dsv_{threads}"), 5, |tracer, telemetry| {
-            for (phase, strategy) in [
-                ("full_range", SearchStrategy::FullRange),
-                ("stp", SearchStrategy::SearchUntilTrip),
+            for (phase, rule) in [
+                ("full_range", ReferenceRule::FullRange),
+                ("stp", ReferenceRule::Anchored),
             ] {
                 tracer.phase(phase);
-                runner.run_parallel_observed(
+                runner.run_parallel(
                     &blueprint,
                     &tests,
-                    strategy,
+                    rule,
                     ExecPolicy::with_threads(threads),
                     tracer,
                     telemetry,
@@ -274,7 +288,7 @@ fn ga_campaigns_report_alike_into_every_sink() {
     for threads in [1, 8] {
         assert_sink_independent(&format!("ga_{threads}"), 5, |tracer, telemetry| {
             tracer.phase("ga");
-            scheme.run_parallel_observed(
+            scheme.run_parallel(
                 &blueprint,
                 &[],
                 None,
@@ -283,6 +297,123 @@ fn ga_campaigns_report_alike_into_every_sink() {
                 tracer,
                 telemetry,
             );
+        });
+    }
+}
+
+/// Runs `form` once under a disabled tracer and once under a tracer whose
+/// sink keeps every event, and requires the same result from both.
+fn assert_tracer_independent<T: PartialEq + Debug>(name: &str, form: impl Fn(&Tracer) -> T) {
+    let untraced = form(&Tracer::disabled());
+    let ring = Arc::new(RingBufferSink::unbounded());
+    let traced = form(&Tracer::new(ring.clone()));
+    assert!(
+        !ring.records().is_empty(),
+        "{name}: the traced run kept events"
+    );
+    assert_eq!(untraced, traced, "{name}: the tracer changed the result");
+}
+
+#[test]
+fn a_tracer_never_changes_a_runner_result() {
+    let param = MeasuredParam::DataValidTime;
+    let noisy = AteConfig {
+        seed: GOLD_SEED,
+        ..AteConfig::default()
+    };
+    let faulty = AteConfig {
+        faults: TesterFaultModel::transient(0.02, 0.02),
+        ..noisy
+    };
+    let recovery = RetryPolicy::new(3, 50.0).with_vote(2, 3);
+    let policy = ExecPolicy::with_threads(2);
+    let tests = gold_tests(12);
+    let config = mini_table1_config();
+
+    let runner = MultiTripRunner::new(param).with_recovery(recovery);
+    assert_tracer_independent("MultiTripRunner::run", |tracer| {
+        let mut ate = Ate::with_config(MemoryDevice::nominal(), faulty.clone());
+        let report = runner.run(&mut ate, &tests, SearchStrategy::SearchUntilTrip, tracer);
+        (report, *ate.ledger())
+    });
+    let blueprint = ParallelAte::new(MemoryDevice::nominal(), faulty.clone());
+    // Warm starts alternate trusted predictions with missing slots, so
+    // both rungs of the fallback ladder run.
+    let predictions: Vec<Option<TripPrediction>> = (0..tests.len())
+        .map(|i| {
+            (i % 2 == 0).then_some(TripPrediction {
+                trip_point: 29.0 + 0.1 * i as f64,
+                spread: 0.2,
+            })
+        })
+        .collect();
+    let planner = WarmStartPlanner::new(param.generous_range(), 1.0);
+    for (name, rule) in [
+        ("full range", ReferenceRule::FullRange),
+        ("anchored", ReferenceRule::Anchored),
+        ("warm", ReferenceRule::Warm(&predictions, &planner)),
+    ] {
+        let name = format!("MultiTripRunner::run_parallel, {name}");
+        assert_tracer_independent(&name, |tracer| {
+            let telemetry = Telemetry::disabled();
+            runner.run_parallel(&blueprint, &tests, rule, policy, tracer, &telemetry)
+        });
+    }
+
+    let scheme = OptimizationScheme::new(OptimizationConfig {
+        recovery: Some(recovery),
+        ..config.optimization.clone()
+    });
+    assert_tracer_independent("OptimizationScheme::run", |tracer| {
+        let mut ate = Ate::with_config(MemoryDevice::nominal(), faulty.clone());
+        let mut rng = StdRng::seed_from_u64(GOLD_SEED);
+        let outcome = scheme.run(&mut ate, &[], None, &mut rng, tracer);
+        (outcome, *ate.ledger())
+    });
+    assert_tracer_independent("OptimizationScheme::run_parallel", |tracer| {
+        let mut rng = StdRng::seed_from_u64(GOLD_SEED);
+        let telemetry = Telemetry::disabled();
+        scheme.run_parallel(&blueprint, &[], None, policy, &mut rng, tracer, &telemetry)
+    });
+
+    let learning = LearningScheme::new(config.learning.clone());
+    assert_tracer_independent("LearningScheme::run", |tracer| {
+        let mut ate = Ate::with_config(MemoryDevice::nominal(), noisy.clone());
+        let mut rng = StdRng::seed_from_u64(GOLD_SEED);
+        let model = learning.run(&mut ate, &mut rng, tracer);
+        (model, *ate.ledger())
+    });
+
+    let sample = SampleCharacterization::new(
+        param,
+        CharacterizationObjective::drift_to_minimum(20.0),
+        corner_grid(&[1.65, 1.95], &[25.0]),
+    )
+    .with_ate_config(faulty)
+    .with_recovery(recovery);
+    assert_tracer_independent("SampleCharacterization::run", |tracer| {
+        let mut rng = StdRng::seed_from_u64(GOLD_SEED);
+        sample.run(&Lot::default(), 3, &tests[..4], policy, &mut rng, tracer)
+    });
+
+    let campaign = MultiParamCampaign::new(
+        vec![AnalysisTask::data_sheet()[0]],
+        config.learning.clone(),
+        config.optimization.clone(),
+    )
+    .with_screening(config.nn_candidates, config.nn_seeds);
+    for sessions in [Sessions::Shared, Sessions::PerTest(policy)] {
+        let name = format!("MultiParamCampaign::run, {sessions:?}");
+        assert_tracer_independent(&name, |tracer| {
+            let mut ate = Ate::with_config(MemoryDevice::nominal(), noisy.clone());
+            let mut rng = StdRng::seed_from_u64(GOLD_SEED);
+            let report = campaign.run(&mut ate, sessions, &mut rng, tracer);
+            let tasks: Vec<_> = report
+                .tasks
+                .into_iter()
+                .map(|t| (t.task, t.model, t.optimization))
+                .collect();
+            (tasks, report.total_measurements, report.ledger)
         });
     }
 }
